@@ -44,14 +44,11 @@ from .prior_series import (
 )
 from .special_numbers import (
     BernoulliTable,
-    CacheError,
     EulerTable,
     TableDepthError,
     TableStore,
     bernoulli_numbers,
     euler_numbers,
-    load_cache,
-    save_cache,
 )
 
 __version__ = "0.1.0"

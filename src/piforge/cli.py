@@ -2,18 +2,18 @@
 
 Exit codes: 0 on success, 1 when an exact identity check fails (a genuine
 mathematical or implementation discrepancy), 2 on usage errors.  Output is
-deterministic: identical invocations produce byte-identical reports no
-matter how many workers are used.
+deterministic: identical invocations produce byte-identical reports.  The
+``--workers`` option is accepted for compatibility and ignored; everything
+runs in one thread.
 
-The number-table cache directory defaults to ``./.piforge-cache`` and can be
-overridden with the PIFORGE_CACHE_DIR environment variable.
+Euler and Bernoulli tables are rebuilt in memory by every run; nothing is
+read from or written to disk.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,20 +36,12 @@ from .report import (
     render_report,
     render_signed,
 )
-from .special_numbers import TableStore
+from .special_numbers import TableStore, _table_rows
 
 __all__ = ["main"]
 
-DEFAULT_CACHE_DIR = ".piforge-cache"
 FORMATS = ("csv", "json", "pretty")
-
-
-def _cache_dir() -> str:
-    return os.environ.get("PIFORGE_CACHE_DIR", DEFAULT_CACHE_DIR)
-
-
-def _store() -> TableStore:
-    return TableStore(cache_dir=_cache_dir())
+WORKERS_HELP = "accepted for compatibility and ignored"
 
 
 def _parse_powers(text: str) -> list[int]:
@@ -141,15 +133,13 @@ def _parse_series(text: str, default_p: int | None = None) -> SeriesSelector:
     raise ValueError(f"unknown series {name!r}")
 
 
-def _evaluate(
-    sel: SeriesSelector, terms: int, ctx: PrecisionContext, workers: int
-) -> CertifiedReal:
+def _evaluate(sel: SeriesSelector, terms: int, ctx: PrecisionContext) -> CertifiedReal:
     if terms < 1:
         raise ValueError("terms must be >= 1")
     if sel.kind == "gupta":
-        return partial_sum(sel.p, sel.k, terms, ctx, workers=workers).partial
+        return partial_sum(sel.p, sel.k, terms, ctx).partial
     if sel.kind == "classical":
-        return classical_partial(sel.p, terms, ctx, workers=workers).partial
+        return classical_partial(sel.p, terms, ctx).partial
     if sel.kind == "alzer-h":
         return alzer_h_partial(terms, ctx)
     if sel.kind == "alzer-H":
@@ -197,17 +187,12 @@ def _value_row(
 def _cmd_numbers(args: argparse.Namespace) -> int:
     if args.max_index < 0 or args.max_index % 2 != 0:
         raise ValueError("--max-index must be even and >= 0")
-    store = _store()
+    store = TableStore()
     if args.kind == "euler":
-        table = store.euler(args.max_index // 2)
-        rows = [[2 * k, str(v), "1"] for k, v in enumerate(table.values)]
+        rows = _table_rows(store.euler(args.max_index // 2))
         symbol = "E"
     else:
-        table = store.bernoulli(args.max_index // 2)
-        rows = [[0, str(table.values[0].numerator), str(table.values[0].denominator)]]
-        rows.append([1, str(table.b1.numerator), str(table.b1.denominator)])
-        for k, v in enumerate(table.values[1:], start=1):
-            rows.append([2 * k, str(v.numerator), str(v.denominator)])
+        rows = _table_rows(store.bernoulli(args.max_index // 2))
         symbol = "B"
     if args.format == "json":
         text = json.dumps([[str(i), num, den] for i, num, den in rows], indent=2) + "\n"
@@ -229,7 +214,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     powers = _parse_powers(args.powers)
     if args.k_max < 0:
         raise ValueError("--k-max must be >= 0")
-    checks = verify_grid(powers, args.k_max, store=_store(), workers=args.workers)
+    checks = verify_grid(powers, args.k_max)
     rows = []
     for check in checks:
         shown = "1" if check.ratio == 1 else render_signed(check.ratio, 30)
@@ -254,7 +239,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_sum(args: argparse.Namespace) -> int:
     sel = _parse_series(args.series)
     ctx = PrecisionContext(args.prec)
-    value = _evaluate(sel, args.terms, ctx, args.workers)
+    value = _evaluate(sel, args.terms, ctx)
     rows = [_value_row(sel, args.terms, value, ctx, args.format)]
     sys.stdout.write(render_report(rows, args.format))
     return 0
@@ -288,7 +273,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     matrix: dict[tuple[int, str], str] = {}
     for terms in terms_list:
         for sel in selectors:
-            value = _evaluate(sel, terms, ctx, args.workers)
+            value = _evaluate(sel, terms, ctx)
             row = _value_row(sel, terms, value, ctx, args.format)
             rows.append(row)
             matrix[(terms, sel.series_id)] = row.residual
@@ -331,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--powers", default="1-6", help="e.g. 1,3,5 or 1-6")
     verify.add_argument("--k-max", type=int, default=64)
     verify.add_argument("--format", choices=FORMATS, default="pretty")
-    verify.add_argument("--workers", type=int, default=1)
+    verify.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     verify.set_defaults(func=_cmd_verify)
 
     sum_cmd = sub.add_parser("sum", help="certified partial sum of one series")
@@ -344,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sum_cmd.add_argument("--terms", type=int, required=True)
     sum_cmd.add_argument("--prec", type=int, default=128, help="precision bits")
     sum_cmd.add_argument("--format", choices=FORMATS, default="pretty")
-    sum_cmd.add_argument("--workers", type=int, default=1)
+    sum_cmd.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     sum_cmd.set_defaults(func=_cmd_sum)
 
     compare = sub.add_parser(
@@ -355,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--terms", required=True, help="comma-separated term counts")
     compare.add_argument("--prec", type=int, default=128)
     compare.add_argument("--format", choices=FORMATS, default="pretty")
-    compare.add_argument("--workers", type=int, default=1)
+    compare.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     compare.set_defaults(func=_cmd_compare)
 
     return parser

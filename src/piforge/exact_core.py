@@ -9,9 +9,8 @@ by zero raises ``ZeroDivisionError`` -- a reported error, never a crash.
 
 This module adds the combinatorial helpers the verifier calls densely
 (factorials up to roughly ``(2k+5)!`` and binomial coefficients), memoized
-up to a configurable input cap.  Memo tables use plain dicts; CPython dict
-reads/writes are atomic and the cached values are value-identical, so
-concurrent lookup/insert is benign.  All returned values are immutable.
+up to a configurable input cap in plain dicts.  All returned values are
+immutable.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ extends the published hand checks (k <= 4) to arbitrary order.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -97,14 +96,11 @@ def verify_grid(
     k_max: int,
     *,
     store: TableStore | None = None,
-    workers: int = 1,
 ) -> list[IdentityCheck]:
     """One check per (p, k) with p over ``powers`` and k = 0..k_max, in
     deterministic order (p ascending, then k ascending).
 
-    Tables grow lazily through the store up to its hard cap; checks are
-    independent, so they may run on several workers, but the output order is
-    fixed regardless of scheduling.
+    Tables grow lazily through the store up to its hard cap.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
@@ -120,20 +116,10 @@ def verify_grid(
     )
     euler = store.euler(need_euler) if need_euler is not None else None
     bern = store.bernoulli(need_bern) if need_bern is not None else None
-    pairs = [(p, k) for p in ordered for k in range(k_max + 1)]
-
-    def run(pair: tuple[int, int]) -> IdentityCheck:
-        return reduce_exact(pair[0], pair[1], euler, bern)
-
-    if workers <= 1:
-        return [run(pair) for pair in pairs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, pairs))
+    return [reduce_exact(p, k, euler, bern) for p in ordered for k in range(k_max + 1)]
 
 
-def residual_numeric(
-    p: int, k: int, N: int, ctx: PrecisionContext, *, workers: int = 1
-) -> CertifiedReal:
+def residual_numeric(p: int, k: int, N: int, ctx: PrecisionContext) -> CertifiedReal:
     """Certified interval for partial_sum(p, k, N) / pi^p - 1."""
-    value = partial_sum(p, k, N, ctx, workers=workers).partial
+    value = partial_sum(p, k, N, ctx).partial
     return value / ctx.pi_power(p) - ctx.one()

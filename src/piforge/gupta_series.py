@@ -15,13 +15,13 @@ Numeric evaluation deliberately uses the independent pi enclosure from
 bootstrap algorithms for it, and feeding them their own output would make
 every convergence measurement circular.
 
-Partial sums are accumulated in fixed 4096-term chunks reduced in ascending
-order, so results are identical no matter how many workers evaluate chunks.
+Partial sums add their terms one after another.  Interval addition is exact
+integer addition of the endpoint mantissas, so the result does not depend on
+the order of the terms.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,7 +29,6 @@ from .exact_core import factorial
 from .numeric_engine import CertifiedReal, PrecisionContext, TailedInterval
 
 __all__ = [
-    "CHUNK_TERMS",
     "CLASSICAL_COEFF",
     "FamilySpec",
     "SeriesTerm",
@@ -41,8 +40,6 @@ __all__ = [
     "tail_bound",
     "term",
 ]
-
-CHUNK_TERMS = 4096
 
 CLASSICAL_COEFF = {
     1: Fraction(4),
@@ -154,30 +151,6 @@ def _term_value(
     return acc.mul_rational(spec.prefactor * outer)
 
 
-def _chunked_sum(value_at, N: int, ctx: PrecisionContext, workers: int) -> CertifiedReal:
-    """Sum value_at(n) for n = 1..N in fixed 4096-term chunks, reducing in
-    ascending chunk order regardless of the worker count."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    starts = range(1, N + 1, CHUNK_TERMS)
-
-    def chunk_total(start: int) -> CertifiedReal:
-        acc = ctx.zero()
-        for n in range(start, min(start + CHUNK_TERMS, N + 1)):
-            acc = acc + value_at(n)
-        return acc
-
-    if workers <= 1 or len(starts) <= 1:
-        chunk_sums = [chunk_total(s) for s in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunk_sums = list(pool.map(chunk_total, starts))
-    total = ctx.zero()
-    for part in chunk_sums:
-        total = total + part
-    return total
-
-
 def term(p: int, k: int, n: int, ctx: PrecisionContext) -> SeriesTerm:
     """The n-th summand of family (p, k) as a certified interval."""
     if n < 1:
@@ -217,9 +190,7 @@ def tail_bound(p: int, k: int, N: int) -> Fraction:
     return pref * total
 
 
-def partial_sum(
-    p: int, k: int, N: int, ctx: PrecisionContext, *, workers: int = 1
-) -> TailedInterval:
+def partial_sum(p: int, k: int, N: int, ctx: PrecisionContext) -> TailedInterval:
     """Certified partial sum of family (p, k) over n = 1..N with its
     analytic tail estimate attached."""
     if N < 1:
@@ -227,17 +198,13 @@ def partial_sum(
     spec = family_spec(p, k)
     inv_pi2 = ctx.inv_pi_squared()
     weight_ints = tuple(ctx.from_rational(w) for w in spec.inner_weights)
-
-    def value_at(n: int) -> CertifiedReal:
-        return _term_value(spec, n, ctx, inv_pi2, weight_ints)
-
-    total = _chunked_sum(value_at, N, ctx, workers)
+    total = ctx.zero()
+    for n in range(1, N + 1):
+        total = total + _term_value(spec, n, ctx, inv_pi2, weight_ints)
     return TailedInterval(total, tail_bound(p, k, N))
 
 
-def classical_partial(
-    p: int, N: int, ctx: PrecisionContext, *, workers: int = 1
-) -> TailedInterval:
+def classical_partial(p: int, N: int, ctx: PrecisionContext) -> TailedInterval:
     """Partial sum of the classical series for pi^p (the k = 0 limit of the
     corresponding family, with which it must agree interval-for-interval)."""
     if p not in CLASSICAL_COEFF:
@@ -246,13 +213,11 @@ def classical_partial(
         return TailedInterval(ctx.zero(), tail_bound(p, 0, 1) + CLASSICAL_COEFF[p])
     coeff = CLASSICAL_COEFF[p]
     alternating = p % 2 == 1
-
-    def value_at(n: int) -> CertifiedReal:
+    total = ctx.zero()
+    for n in range(1, N + 1):
         if alternating:
             outer = Fraction(1 if n % 2 == 1 else -1, (2 * n - 1) ** p)
         else:
             outer = Fraction(1, n**p)
-        return ctx.from_rational(coeff * outer)
-
-    total = _chunked_sum(value_at, N, ctx, workers)
+        total = total + ctx.from_rational(coeff * outer)
     return TailedInterval(total, tail_bound(p, 0, N))

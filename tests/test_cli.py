@@ -19,12 +19,6 @@ def run_cli(argv, env=None, monkeypatch=None):
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("PIFORGE_CACHE_DIR", str(tmp_path / "cache"))
-    return tmp_path
-
-
 def test_numbers_bernoulli_json():
     code, out, _ = run_cli(
         ["numbers", "--kind", "bernoulli", "--max-index", "12", "--format", "json"]
@@ -53,25 +47,46 @@ def test_numbers_rejects_odd_index():
     assert "even" in err
 
 
-def test_numbers_cache_reused(tmp_path, monkeypatch):
+def test_stale_cache_files_are_ignored(tmp_path, monkeypatch):
+    # a poisoned Bernoulli table (B_2 = 1/7) and a truncated Euler table
+    # where older versions kept their number cache
     cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "bernoulli.json").write_text(
+        json.dumps(
+            {
+                "format": "piforge-numbers/1",
+                "kind": "bernoulli",
+                "max_index": 2,
+                "values": [[0, "1", "1"], [1, "-1", "2"], [2, "1", "7"]],
+            }
+        )
+    )
+    (cache / "euler.json").write_text('{"format": "piforge-numbers/1", "ki')
     monkeypatch.setenv("PIFORGE_CACHE_DIR", str(cache))
-    code1, out1, _ = run_cli(["numbers", "--kind", "euler", "--max-index", "12"])
-    assert (cache / "euler.json").exists()
-    code2, out2, _ = run_cli(["numbers", "--kind", "euler", "--max-index", "12"])
-    assert code1 == code2 == 0
-    assert out1 == out2
+    monkeypatch.chdir(tmp_path)
+    runs = {
+        powers: run_cli(["verify", "--powers", powers, "--k-max", "8", "--format", "csv"])
+        for powers in ("1-6", "2,4,6")
+    }
+    assert {powers: run[0] for powers, run in runs.items()} == {"1-6": 0, "2,4,6": 0}
+    for _, out, err in runs.values():
+        rows = out.strip().splitlines()[1:]
+        assert err == "" and rows and all(row.endswith(",true") for row in rows)
+    code, out, _ = run_cli(["numbers", "--kind", "bernoulli", "--max-index", "4"])
+    assert code == 0
+    assert out.splitlines() == ["B_0 = 1", "B_1 = -1/2", "B_2 = 1/6", "B_4 = -1/30"]
+    code, out, _ = run_cli(["numbers", "--kind", "euler", "--max-index", "4"])
+    assert code == 0
+    assert out.splitlines() == ["E_0 = 1", "E_2 = -1", "E_4 = 5"]
 
 
-def test_corrupt_cache_reported(tmp_path, monkeypatch):
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("PIFORGE_CACHE_DIR", str(cache))
-    run_cli(["numbers", "--kind", "euler", "--max-index", "4"])
-    path = cache / "euler.json"
-    path.write_text(path.read_text()[:40])
-    code, _, err = run_cli(["numbers", "--kind", "euler", "--max-index", "4"])
-    assert code == 2
-    assert "byte" in err
+def test_runs_leave_no_cache_directory(tmp_path, monkeypatch):
+    monkeypatch.delenv("PIFORGE_CACHE_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["numbers", "--kind", "euler", "--max-index", "6"])[0] == 0
+    assert run_cli(["verify", "--powers", "1-6", "--k-max", "4"])[0] == 0
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_shapes_and_exit():
@@ -100,7 +115,7 @@ def test_verify_bad_flags():
 def test_verify_failure_exit_code(monkeypatch):
     import piforge.cli as cli_module
 
-    def fake_grid(powers, k_max, store=None, workers=1):
+    def fake_grid(powers, k_max, store=None):
         return [IdentityCheck(1, 0, Fraction(2), False)]
 
     monkeypatch.setattr(cli_module, "verify_grid", fake_grid)

@@ -87,13 +87,6 @@ def test_grid_order_and_holds():
     assert all(c.holds for c in checks)
 
 
-def test_grid_parallel_matches_serial():
-    serial = verify_grid(range(1, 7), 12, workers=1)
-    parallel = verify_grid(range(1, 7), 12, workers=8)
-    assert serial == parallel
-    assert all(c.holds for c in serial)
-
-
 def test_table_depth_errors(euler_table, bernoulli_table):
     with pytest.raises(TableDepthError):
         reduce_exact(1, 40, euler=euler_table)

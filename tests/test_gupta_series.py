@@ -173,14 +173,6 @@ def test_residual_within_tail(ctx128):
             previous = residual
 
 
-def test_chunking_worker_independence():
-    ctx = PrecisionContext(96)
-    base = partial_sum(1, 1, 10000, ctx, workers=1)
-    for workers in (2, 8):
-        again = partial_sum(1, 1, 10000, ctx, workers=workers)
-        assert again.partial == base.partial and again.tail == base.tail
-
-
 def test_validation(ctx128):
     with pytest.raises(ValueError):
         partial_sum(1, 0, 0, ctx128)

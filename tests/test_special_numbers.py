@@ -1,20 +1,15 @@
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from piforge.special_numbers import (
-    BernoulliTable,
-    CacheError,
-    EulerTable,
     TableDepthError,
     TableStore,
     bernoulli_numbers,
     euler_numbers,
-    load_cache,
-    save_cache,
 )
 
 EULER_LIST = {2: -1, 4: 5, 6: -61, 8: 1385, 10: -50521, 12: 2702765}
@@ -38,13 +33,32 @@ def primes_up_to(n: int) -> list[int]:
 
 
 def brute_force_euler(K: int) -> list[int]:
-    """Independent re-run of the defining recurrence (test oracle)."""
-    from math import comb
-
+    """Independent re-run of the defining recurrence (test oracle):
+    sum_{j=0}^{n} C(2n, 2j) E_{2j} = 0 for n >= 1, E_0 = 1."""
     values = [1]
     for n in range(1, K + 1):
         values.append(-sum(comb(2 * n, 2 * j) * values[j] for j in range(n)))
     return values
+
+
+def reference_bernoulli(K: int) -> list[Fraction]:
+    """B_0, B_2, ..., B_{2K} from the defining recurrence (test oracle):
+    sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1, B_0 = 1, run over even m
+    with the single odd term B_1 = -1/2 folded in."""
+    values = [Fraction(1)]
+    for m in range(1, K + 1):
+        n = 2 * m
+        acc = Fraction(n + 1, -2)  # C(n+1, 1) * B_1
+        for j in range(m):
+            acc += comb(n + 1, 2 * j) * values[j]
+        values.append(-acc / (n + 1))
+    return values
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 256])
+def test_zigzag_tables_match_recurrences(K):
+    assert list(euler_numbers(K).values) == brute_force_euler(K)
+    assert list(bernoulli_numbers(K).values) == reference_bernoulli(K)
 
 
 def test_published_number_lists(euler_table, bernoulli_table):
@@ -95,13 +109,6 @@ def test_von_staudt_clausen():
         assert bern.entry(2 * k).denominator == expected_den
 
 
-def test_extension_matches_fresh_run():
-    base = euler_numbers(4)
-    assert euler_numbers(9, base=base) == euler_numbers(9)
-    bbase = bernoulli_numbers(3)
-    assert bernoulli_numbers(8, base=bbase) == bernoulli_numbers(8)
-
-
 def test_entry_errors(euler_table, bernoulli_table):
     with pytest.raises(ValueError):
         euler_table.entry(3)
@@ -110,61 +117,6 @@ def test_entry_errors(euler_table, bernoulli_table):
     with pytest.raises(TableDepthError):
         bernoulli_table.entry(1000)
     assert bernoulli_table.entry(5) == 0  # odd Bernoulli numbers vanish
-
-
-def test_cache_roundtrip(tmp_path):
-    for table in (euler_numbers(12), bernoulli_numbers(7)):
-        path = tmp_path / "table.json"
-        save_cache(table, path)
-        assert load_cache(path) == table
-
-
-def test_cache_roundtrip_k0(tmp_path):
-    path = tmp_path / "b0.json"
-    save_cache(bernoulli_numbers(0), path)
-    assert load_cache(path) == bernoulli_numbers(0)
-
-
-def test_truncated_cache_reports_byte_offset(tmp_path):
-    path = tmp_path / "euler.json"
-    save_cache(euler_numbers(12), path)
-    text = path.read_text()
-    path.write_text(text[: len(text) // 2])
-    with pytest.raises(CacheError, match="at byte"):
-        load_cache(path)
-
-
-def test_version_mismatch_rejected(tmp_path):
-    path = tmp_path / "euler.json"
-    save_cache(euler_numbers(2), path)
-    payload = json.loads(path.read_text())
-    payload["format"] = "piforge-numbers/999"
-    path.write_text(json.dumps(payload))
-    with pytest.raises(CacheError, match="format"):
-        load_cache(path)
-
-
-def test_semantic_corruption_reports_position(tmp_path):
-    path = tmp_path / "euler.json"
-    save_cache(euler_numbers(3), path)
-    payload = json.loads(path.read_text())
-    payload["values"][2] = [4, "not-a-number", "1"]
-    path.write_text(json.dumps(payload))
-    with pytest.raises(CacheError, match=r"values\[2\]"):
-        load_cache(path)
-
-
-def test_prefix_served_without_recompute(tmp_path):
-    path = tmp_path / "euler.json"
-    save_cache(euler_numbers(64), path)
-    loaded = load_cache(path)
-    fresh = euler_numbers(32)
-    assert loaded.values[:33] == fresh.values
-    # a store seeded with the deep file serves K=32 requests from it
-    store = TableStore(cache_dir=tmp_path)
-    table = store.euler(32)
-    assert table.max_index >= 64  # the cached table, not a recompute
-    assert table.values[:33] == fresh.values
 
 
 def test_store_caps_depth():
@@ -176,11 +128,11 @@ def test_store_caps_depth():
         store.bernoulli(200)
 
 
-def test_store_persists_and_extends(tmp_path):
-    store = TableStore(cache_dir=tmp_path)
-    store.bernoulli(4)
-    assert (tmp_path / "bernoulli.json").exists()
-    deeper = store.bernoulli(9)
-    assert deeper.max_index == 18
-    reloaded = load_cache(tmp_path / "bernoulli.json")
-    assert reloaded == deeper
+def test_store_grows_in_memory():
+    store = TableStore()
+    deep = store.bernoulli(9)
+    assert deep.max_index == 18
+    assert store.bernoulli(4) is deep  # a shallower request reuses it
+    deeper = store.bernoulli(12)
+    assert deeper.values[:10] == deep.values
+    assert store.euler(3) == euler_numbers(3)
