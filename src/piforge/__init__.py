@@ -17,15 +17,11 @@ from .exact_verifier import (
     verify_grid,
 )
 from .gupta_series import (
-    FamilySpec,
-    SeriesTerm,
     classical_partial,
-    family_spec,
     inner_poly,
     partial_sum,
     prefactor,
     tail_bound,
-    term,
 )
 from .numeric_engine import (
     CertifiedReal,

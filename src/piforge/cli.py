@@ -29,6 +29,7 @@ from .prior_series import (
 )
 from .report import (
     ReportRow,
+    align_table,
     decimal_digits,
     distinguishing_digits,
     render_bound,
@@ -278,21 +279,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             rows.append(row)
             matrix[(terms, sel.series_id)] = row.residual
     if args.format == "pretty":
-        header = ["N"] + [sel.series_id for sel in selectors]
-        table = [header]
+        table = [["N"] + [sel.series_id for sel in selectors]]
         for terms in terms_list:
             table.append(
                 [str(terms)] + [matrix[(terms, sel.series_id)] for sel in selectors]
             )
-        widths = [max(len(line[i]) for line in table) for i in range(len(header))]
-        out = []
-        for idx, line in enumerate(table):
-            out.append(
-                "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)).rstrip()
-            )
-            if idx == 0:
-                out.append("  ".join("-" * w for w in widths).rstrip())
-        sys.stdout.write("\n".join(out) + "\n")
+        sys.stdout.write(align_table(table))
     else:
         sys.stdout.write(render_report(rows, args.format))
     return 0

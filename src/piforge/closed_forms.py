@@ -1,4 +1,5 @@
-"""Exact coefficient oracles for the classical closed forms.
+"""Exact coefficient oracles for the classical closed forms, and the one
+power-sum kernel behind every partial sum in piforge.
 
 The alternating odd-power sums evaluate to rational multiples of odd powers
 of pi through the Euler numbers, and the even-power sums to rational
@@ -8,11 +9,27 @@ multiples of even powers of pi through the Bernoulli numbers:
     sum_{m>=1} 1 / m^(2k)                  =  (-1)^(k-1) 2^(2k) B_{2k} / (2 (2k)!) * pi^(2k)
 
 Both coefficient functions return the exact rational together with the pi
-exponent, never folding the power into the coefficient.  The partial-sum
-functions evaluate the left-hand sides under interval arithmetic and attach
-a certified tail bound (alternating-series bound for the beta sums, integral
-bound for the zeta sums), so comparisons against the closed forms reduce to
-interval containment.
+exponent, never folding the power into the coefficient.
+
+``power_sums`` brackets the finite left-hand sides
+
+    S_q(N) = sum_{n<=N} sign_n / base_n^q
+
+for several exponents q, q+2, q+4, ... in one pure-integer pass over n:
+``divmod(2**work, base**q)`` gives floor(2**work / base**q), and each
+further floor division by base**2 gives the floor for the next exponent
+exactly (nested floors by integers compose).  A term whose division leaves
+a remainder widens the bracket by one unit on the side its sign points to;
+exact terms do not widen it, so sums of dyadic terms stay exact.
+``gupta_series.partial_sum`` builds all six families on this kernel.
+
+``beta_partial`` and ``zeta_partial`` run the kernel at ``work =
+ctx.scale``, which rounds each term outward by at most one unit exactly as
+``ctx.from_rational`` would.  They deliberately add no guard bits: their
+enclosures, widened by the certified tail (alternating-series bound for the
+beta sums, integral bound for the zeta sums), are compared by containment
+against the closed forms, and keeping them at the context scale keeps those
+intervals identical to a plain per-term interval sum.
 """
 
 from __future__ import annotations
@@ -29,6 +46,7 @@ __all__ = [
     "beta_partial",
     "beta_pi_coeff",
     "pi_multiple_interval",
+    "power_sums",
     "zeta_partial",
     "zeta_pi_coeff",
 ]
@@ -65,6 +83,35 @@ def zeta_pi_coeff(k: int, bern: BernoulliTable) -> PiMultiple:
     return PiMultiple(coeff, 2 * k)
 
 
+def power_sums(
+    alternating: bool, q: int, count: int, N: int, work: int
+) -> list[tuple[int, int]]:
+    """Integer brackets ``(lo, hi)`` of 2**work * S_{q+2j}(N) for j < count.
+
+    The base sequence is 2n-1 with sign (-1)^(n+1) when ``alternating``,
+    else n with sign +1.  Each bracket is at most N units wide."""
+    one = 1 << work
+    lo = [0] * count
+    hi = [0] * count
+    for n in range(1, N + 1):
+        base = 2 * n - 1 if alternating else n
+        negative = alternating and n % 2 == 0
+        square = base * base
+        f, r = divmod(one, base**q)
+        inexact = r != 0
+        for j in range(count):
+            if j:
+                f, r = divmod(f, square)
+                inexact = inexact or r != 0
+            if negative:
+                lo[j] -= f + inexact
+                hi[j] -= f
+            else:
+                lo[j] += f
+                hi[j] += f + inexact
+    return list(zip(lo, hi))
+
+
 def beta_partial(k: int, N: int, ctx: PrecisionContext) -> TailedInterval:
     """Partial sum of sum (-1)^(m+1) / (2m-1)^(2k+1) over m <= N.
 
@@ -75,12 +122,9 @@ def beta_partial(k: int, N: int, ctx: PrecisionContext) -> TailedInterval:
     if N < 1:
         raise ValueError("N must be >= 1")
     power = 2 * k + 1
-    acc = ctx.zero()
-    for m in range(1, N + 1):
-        term = Fraction(1 if m % 2 == 1 else -1, (2 * m - 1) ** power)
-        acc = acc + ctx.from_rational(term)
+    [(lo, hi)] = power_sums(True, power, 1, N, ctx.scale)
     tail = Fraction(1, (2 * N + 1) ** power)
-    return TailedInterval(acc, tail)
+    return TailedInterval(CertifiedReal(ctx, lo, hi), tail)
 
 
 def zeta_partial(k: int, N: int, ctx: PrecisionContext) -> TailedInterval:
@@ -91,12 +135,9 @@ def zeta_partial(k: int, N: int, ctx: PrecisionContext) -> TailedInterval:
         raise ValueError("k must be >= 1")
     if N < 1:
         raise ValueError("N must be >= 1")
-    power = 2 * k
-    acc = ctx.zero()
-    for m in range(1, N + 1):
-        acc = acc + ctx.from_rational(Fraction(1, m**power))
+    [(lo, hi)] = power_sums(False, 2 * k, 1, N, ctx.scale)
     tail = Fraction(1, (2 * k - 1) * N ** (2 * k - 1))
-    return TailedInterval(acc, tail)
+    return TailedInterval(CertifiedReal(ctx, lo, hi), tail)
 
 
 def pi_multiple_interval(value: PiMultiple, ctx: PrecisionContext) -> CertifiedReal:

@@ -10,35 +10,40 @@ depending on the truncation order k, and an inner polynomial
 evaluated at x = 1 / (base^2 pi^2).  At k = 0 the prefactors collapse to the
 classical coefficients 4, 6, 32, 90, 1536/5, 945.
 
+Summing over n first turns the partial sum into one polynomial in 1/pi^2,
+
+    prefactor * sum_{j=0}^{k} (-1)^j pi^(-2j) S_{p+2j}(N) / (2k - 2j + 1)!,
+
+whose coefficients are the power sums S_q(N) = sum_{n<=N} sign_n / base_n^q.
+``partial_sum`` takes all of them from one integer pass of
+``closed_forms.power_sums`` and evaluates the polynomial once, by Horner
+over j.  It works with ``N.bit_length() + prefactor.numerator.bit_length()
++ 8`` guard bits beyond the context: each power-sum bracket is at most N
+units wide and the prefactor magnifies it, so the extra bits keep the
+accumulated error below a fraction of one unit of the context, and the
+result is rounded outward to the context once.
+
 Numeric evaluation deliberately uses the independent pi enclosure from
 ``numeric_engine``: these series are representations of powers of pi, not
 bootstrap algorithms for it, and feeding them their own output would make
 every convergence measurement circular.
-
-Partial sums add their terms one after another.  Interval addition is exact
-integer addition of the endpoint mantissas, so the result does not depend on
-the order of the terms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .closed_forms import power_sums
 from .exact_core import factorial
 from .numeric_engine import CertifiedReal, PrecisionContext, TailedInterval
 
 __all__ = [
     "CLASSICAL_COEFF",
-    "FamilySpec",
-    "SeriesTerm",
     "classical_partial",
-    "family_spec",
     "inner_poly",
     "partial_sum",
     "prefactor",
     "tail_bound",
-    "term",
 ]
 
 CLASSICAL_COEFF = {
@@ -80,85 +85,15 @@ def prefactor(p: int, k: int) -> Fraction:
     raise ValueError(f"power p must be in 1..6, got {p}")
 
 
-def inner_weights(k: int) -> tuple[Fraction, ...]:
-    """w_j = 1 / (2k - 2j + 1)! for j = 0..k."""
-    return tuple(Fraction(1, factorial(2 * k - 2 * j + 1)) for j in range(k + 1))
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Descriptor of one series family at one truncation order."""
-
-    p: int
-    k: int
-    prefactor: Fraction
-    inner_weights: tuple[Fraction, ...]
-    alternating: bool  # odd powers sum over 2n-1 with sign (-1)^(n+1)
-
-
-def family_spec(p: int, k: int) -> FamilySpec:
-    return FamilySpec(p, k, prefactor(p, k), inner_weights(k), p % 2 == 1)
-
-
-@dataclass(frozen=True)
-class SeriesTerm:
-    n: int
-    value: CertifiedReal
-
-
-def inner_poly(k: int, x: Fraction | CertifiedReal):
-    """sum_{j=0}^{k} (-x)^j / (2k-2j+1)! in the arithmetic of ``x``.
-
-    Horner evaluation over j keeps interval growth to one multiply and one
-    subtract per degree; rational input stays exact.
-    """
+def inner_poly(k: int, x: Fraction) -> Fraction:
+    """sum_{j=0}^{k} (-x)^j / (2k-2j+1)! in exact rationals, by Horner over j."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    weights = inner_weights(k)
-    if isinstance(x, CertifiedReal):
-        ctx = x.ctx
-        acc = ctx.from_rational(weights[k])
-        for j in range(k - 1, -1, -1):
-            acc = ctx.from_rational(weights[j]) - x * acc
-        return acc
     x = Fraction(x)
-    acc = weights[k]
-    for j in range(k - 1, -1, -1):
-        acc = weights[j] - x * acc
+    acc = Fraction(0)
+    for j in range(k, -1, -1):
+        acc = Fraction(1, factorial(2 * k - 2 * j + 1)) - x * acc
     return acc
-
-
-def _term_value(
-    spec: FamilySpec,
-    n: int,
-    ctx: PrecisionContext,
-    inv_pi2: CertifiedReal,
-    weight_ints: tuple[CertifiedReal, ...],
-) -> CertifiedReal:
-    if spec.alternating:
-        base = 2 * n - 1
-        outer = Fraction(1 if n % 2 == 1 else -1, base**spec.p)
-    else:
-        base = n
-        outer = Fraction(1, base**spec.p)
-    k = spec.k
-    if k == 0:
-        return ctx.from_rational(spec.prefactor * outer)
-    x = inv_pi2.mul_ratio(1, base * base)
-    acc = weight_ints[k]
-    for j in range(k - 1, -1, -1):
-        acc = weight_ints[j] - x * acc
-    return acc.mul_rational(spec.prefactor * outer)
-
-
-def term(p: int, k: int, n: int, ctx: PrecisionContext) -> SeriesTerm:
-    """The n-th summand of family (p, k) as a certified interval."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    spec = family_spec(p, k)
-    inv_pi2 = ctx.inv_pi_squared()
-    weight_ints = tuple(ctx.from_rational(w) for w in spec.inner_weights)
-    return SeriesTerm(n, _term_value(spec, n, ctx, inv_pi2, weight_ints))
 
 
 def tail_bound(p: int, k: int, N: int) -> Fraction:
@@ -195,29 +130,25 @@ def partial_sum(p: int, k: int, N: int, ctx: PrecisionContext) -> TailedInterval
     analytic tail estimate attached."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    spec = family_spec(p, k)
-    inv_pi2 = ctx.inv_pi_squared()
-    weight_ints = tuple(ctx.from_rational(w) for w in spec.inner_weights)
-    total = ctx.zero()
-    for n in range(1, N + 1):
-        total = total + _term_value(spec, n, ctx, inv_pi2, weight_ints)
+    pref = prefactor(p, k)
+    extra = N.bit_length() + pref.numerator.bit_length() + 8
+    work = PrecisionContext(ctx.precision_bits + extra, ctx.guard_bits)
+    sums = power_sums(p % 2 == 1, p, k + 1, N, work.scale)
+    inv_pi2 = work.inv_pi_squared()
+    acc = work.zero()
+    for j in range(k, -1, -1):
+        lo, hi = sums[j]
+        coeff = CertifiedReal(work, lo, hi).mul_ratio(1, factorial(2 * k - 2 * j + 1))
+        acc = coeff - inv_pi2 * acc
+    total = acc.mul_rational(pref).rounded_to(ctx)
     return TailedInterval(total, tail_bound(p, k, N))
 
 
 def classical_partial(p: int, N: int, ctx: PrecisionContext) -> TailedInterval:
     """Partial sum of the classical series for pi^p (the k = 0 limit of the
-    corresponding family, with which it must agree interval-for-interval)."""
+    corresponding family, with which it agrees interval-for-interval)."""
     if p not in CLASSICAL_COEFF:
         raise ValueError(f"power p must be in 1..6, got {p}")
     if N == 0:
         return TailedInterval(ctx.zero(), tail_bound(p, 0, 1) + CLASSICAL_COEFF[p])
-    coeff = CLASSICAL_COEFF[p]
-    alternating = p % 2 == 1
-    total = ctx.zero()
-    for n in range(1, N + 1):
-        if alternating:
-            outer = Fraction(1 if n % 2 == 1 else -1, (2 * n - 1) ** p)
-        else:
-            outer = Fraction(1, n**p)
-        total = total + ctx.from_rational(coeff * outer)
-    return TailedInterval(total, tail_bound(p, 0, N))
+    return partial_sum(p, 0, N, ctx)

@@ -255,8 +255,13 @@ class CertifiedReal:
         q = Fraction(q)
         return self.mul_ratio(q.numerator, q.denominator)
 
-    def add_rational(self, q: Rational | int) -> "CertifiedReal":
-        return self + self.ctx.from_rational(q)
+    def rounded_to(self, ctx: PrecisionContext) -> "CertifiedReal":
+        """The same enclosure rounded outward onto a context of no larger
+        scale."""
+        shift = self.ctx.scale - ctx.scale
+        if shift < 0:
+            raise ValueError("rounded_to cannot refine the scale")
+        return CertifiedReal(ctx, self.lo_m >> shift, -((-self.hi_m) >> shift))
 
     def pow_int(self, exponent: int) -> "CertifiedReal":
         """x**exponent for exponent >= 0; even exponents tighten through zero

@@ -24,7 +24,15 @@ recurrence of J_k = integral_0^1 (mu - x^2)^k dx,
     (2k+1) J_k = (mu-1)^k + 2k mu J_{k-1},    J_0 = 1,
 
 which reproduces the binomial double sum term by term: the k-th term is
-4 J_k / (1+mu)^(k+1).
+4 J_k / (1+mu)^(k+1).  J_k grows like mu^k while the weight shrinks like
+(1+mu)^-k, so the partial sum tracks their ratio t_k = J_k / (1+mu)^k and
+r^k with r = (mu-1)/(mu+1) instead, both bounded by 1 in absolute value:
+
+    (2k+1) t_k = 2k mu/(1+mu) t_{k-1} + r^k,    t_0 = 1.
+
+Every multiplier in it is below 1 in absolute value, so rounding errors do
+not grow from step to step; ``K.bit_length() + 4`` guard bits absorb the K per-step roundings and
+the sum 4/(1+mu) sum t_k is rounded outward to the context once.
 """
 
 from __future__ import annotations
@@ -144,22 +152,17 @@ def alzer_koumandos_partial(
         raise ValueError("the parameter mu must be positive")
     if K < 0:
         raise ValueError("K must be >= 0")
-    one_plus = 1 + mu
-    inv_one_plus = 1 / one_plus
-    shift = mu - 1
-    # J_k interval state plus exact (mu-1)^k and outer weight 4/(1+mu)^(k+1)
-    j_val = ctx.one()
-    weight = ctx.from_rational(4 * inv_one_plus)
-    shift_pow = Fraction(1)  # (mu-1)^k
-    acc = weight  # k = 0 term: weight * J_0
+    work = PrecisionContext(ctx.precision_bits + K.bit_length() + 4, ctx.guard_bits)
+    # mu = a/b, so r = (a-b)/(a+b) and 2k mu/(1+mu) = 2k a/(a+b)
+    a, b = mu.numerator, mu.denominator
+    r_pow = work.one()
+    t = work.one()
+    acc = t
     for k in range(1, K + 1):
-        shift_pow *= shift
-        j_val = (
-            j_val.mul_rational(2 * k * mu) + ctx.from_rational(shift_pow)
-        ).mul_ratio(1, 2 * k + 1)
-        weight = weight.mul_rational(inv_one_plus)
-        acc = acc + weight * j_val
-    return acc
+        r_pow = r_pow.mul_ratio(a - b, a + b)
+        t = (t.mul_ratio(2 * k * a, a + b) + r_pow).mul_ratio(1, 2 * k + 1)
+        acc = acc + t
+    return acc.mul_ratio(4 * b, a + b).rounded_to(ctx)
 
 
 def alzer_h_partial(K: int, ctx: PrecisionContext) -> CertifiedReal:

@@ -21,6 +21,7 @@ from .numeric_engine import CertifiedReal
 __all__ = [
     "CSV_HEADER",
     "ReportRow",
+    "align_table",
     "decimal_digits",
     "render_bound",
     "render_report",
@@ -157,12 +158,18 @@ def render_pretty(rows: list[ReportRow]) -> str:
         if with_width:
             record["+/-width"] = row.width if row.width is not None else "-"
         table.append([str(record[name]) for name in header])
-    widths = [max(len(line[i]) for line in table) for i in range(len(header))]
+    return align_table(table)
+
+
+def align_table(table: list[list[str]]) -> str:
+    """Left-aligned text table: columns two spaces apart, a dash rule under
+    the first (header) line, trailing blanks stripped."""
+    widths = [max(len(line[i]) for line in table) for i in range(len(table[0]))]
     out = []
     for idx, line in enumerate(table):
         out.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)).rstrip())
         if idx == 0:
-            out.append("  ".join("-" * widths[i] for i in range(len(header))).rstrip())
+            out.append("  ".join("-" * w for w in widths).rstrip())
     return "\n".join(out) + "\n"
 
 

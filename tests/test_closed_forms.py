@@ -8,6 +8,7 @@ from piforge.closed_forms import (
     beta_partial,
     beta_pi_coeff,
     pi_multiple_interval,
+    power_sums,
     zeta_partial,
     zeta_pi_coeff,
 )
@@ -95,6 +96,46 @@ def test_pi_squared_cross_check(ctx128):
     # 6 * sum 1/m^2 must enclose the engine's independent pi^2
     enclosure = zeta_partial(1, 10**4, ctx128).enclosure.mul_rational(6)
     assert enclosure.contains(ctx128.pi_power(2))
+
+
+def test_partials_equal_per_term_interval_sums(ctx128):
+    """The kernel at the context scale rounds each term outward exactly as
+    ctx.from_rational does, so the sums agree bit for bit."""
+    for N in (1, 2, 3, 17, 50):
+        for k in range(0, 5):
+            expected = ctx128.zero()
+            for m in range(1, N + 1):
+                sign = 1 if m % 2 == 1 else -1
+                expected = expected + ctx128.from_rational(
+                    Fraction(sign, (2 * m - 1) ** (2 * k + 1))
+                )
+            assert beta_partial(k, N, ctx128).partial == expected
+        for k in range(1, 5):
+            expected = ctx128.zero()
+            for m in range(1, N + 1):
+                expected = expected + ctx128.from_rational(Fraction(1, m ** (2 * k)))
+            assert zeta_partial(k, N, ctx128).partial == expected
+
+
+def test_power_sums_bracket_exact_sums():
+    work = 64
+    for alternating in (True, False):
+        for q, count, N in ((1, 3, 1), (2, 4, 7), (3, 2, 40)):
+            brackets = power_sums(alternating, q, count, N, work)
+            assert len(brackets) == count
+            for j, (lo, hi) in enumerate(brackets):
+                exact = sum(
+                    Fraction(
+                        -1 if alternating and n % 2 == 0 else 1,
+                        (2 * n - 1 if alternating else n) ** (q + 2 * j),
+                    )
+                    for n in range(1, N + 1)
+                )
+                assert lo <= exact * 2**work <= hi
+                assert hi - lo <= N
+    # dyadic terms stay exact: 1 + 1/4 at j = 0, 1 + 1/16 at j = 1
+    assert power_sums(False, 2, 2, 2, 8) == [(320, 320), (272, 272)]
+    assert power_sums(True, 1, 1, 1, 8) == [(256, 256)]
 
 
 def test_partial_validation(ctx128):

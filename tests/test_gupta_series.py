@@ -4,17 +4,15 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from piforge.gupta_series import (
     CLASSICAL_COEFF,
     classical_partial,
-    family_spec,
     inner_poly,
     partial_sum,
     prefactor,
     tail_bound,
-    term,
 )
 from piforge.numeric_engine import PrecisionContext
 
@@ -68,14 +66,6 @@ def test_prefactor_validation():
         prefactor(2, -1)
 
 
-def test_family_spec_shape():
-    spec = family_spec(5, 3)
-    assert len(spec.inner_weights) == 4
-    assert spec.alternating
-    assert spec.inner_weights[0] == Fraction(1, factorial(7))
-    assert not family_spec(4, 2).alternating
-
-
 @given(small_rationals)
 def test_inner_poly_k1_symbolic(x):
     assert inner_poly(1, x) == Fraction(1, 6) - x
@@ -87,47 +77,62 @@ def test_inner_poly_examples():
     assert inner_poly(2, x) == Fraction(1, 120) - x / 6 + x * x
 
 
-@given(small_rationals)
-@settings(max_examples=50)
-def test_inner_poly_interval_contains_exact(x):
-    ctx = PrecisionContext(96)
-    for k in (1, 2, 5):
-        assert inner_poly(k, ctx.from_rational(x)).contains(inner_poly(k, x))
-
-
 def test_term_examples(ctx128):
-    t = term(1, 0, 1, ctx128)
-    assert t.value.lo == t.value.hi == 4
-    t = term(2, 0, 2, ctx128)
-    assert t.value.lo == t.value.hi == Fraction(3, 2)
+    # single terms, read off the partial sums over one and two terms
+    t = partial_sum(1, 0, 1, ctx128).partial
+    assert t.lo == t.hi == 4
+    first = partial_sum(2, 0, 1, ctx128).partial
+    second = partial_sum(2, 0, 2, ctx128).partial - first
+    assert second.lo == second.hi == Fraction(3, 2)
     # 60*(1/6 - 1/pi^2), brute-forced independently to 3.92072898145973371...
-    t = term(2, 1, 1, ctx128)
-    assert Fraction("3.920728981459733713") < t.value.lo
-    assert t.value.hi < Fraction("3.920728981459733714")
+    t = partial_sum(2, 1, 1, ctx128).partial
+    assert Fraction("3.920728981459733713") < t.lo
+    assert t.hi < Fraction("3.920728981459733714")
+
+
+def mpmath_partial_sum(p, k, N):
+    """The family's partial sum, term by term at 300 bits, as an exact
+    rational."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.prec = 300
+    pref = prefactor(p, k)
+    total = mpmath.mpf(0)
+    for n in range(1, N + 1):
+        if p % 2 == 1:
+            base = 2 * n - 1
+            outer = mpmath.mpf((-1) ** (n + 1)) / base**p
+        else:
+            base = n
+            outer = mpmath.mpf(1) / base**p
+        x = 1 / (mpmath.mpf(base) ** 2 * mpmath.pi**2)
+        poly = sum((-x) ** j / factorial(2 * k - 2 * j + 1) for j in range(k + 1))
+        total += outer * poly
+    total *= mpmath.mpf(pref.numerator) / pref.denominator
+    man, exp = total.man_exp  # the mantissa is unsigned
+    return (-1 if total < 0 else 1) * Fraction(man) * Fraction(2) ** exp
 
 
 def test_partial_sum_against_independent_oracle(ctx128):
-    mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.prec = 300
     for p, k, N in ((3, 2, 50), (2, 1, 50), (6, 2, 25), (5, 1, 30)):
-        pref = prefactor(p, k)
-        total = mpmath.mpf(0)
-        for n in range(1, N + 1):
-            if p % 2 == 1:
-                base = 2 * n - 1
-                outer = mpmath.mpf((-1) ** (n + 1)) / base**p
-            else:
-                base = n
-                outer = mpmath.mpf(1) / base**p
-            x = 1 / (mpmath.mpf(base) ** 2 * mpmath.pi**2)
-            poly = sum(
-                (-x) ** j / factorial(2 * k - 2 * j + 1) for j in range(k + 1)
-            )
-            total += outer * poly
-        total *= mpmath.mpf(pref.numerator) / pref.denominator
-        exact = Fraction(int((+total).man)) * Fraction(2) ** int((+total).exp)
         enclosure = partial_sum(p, k, N, ctx128).partial.widened(Fraction(1, 2**250))
-        assert enclosure.contains(exact)
+        assert enclosure.contains(mpmath_partial_sum(p, k, N))
+
+
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=1, max_value=300),
+)
+@example(1, 8, 300)
+@settings(max_examples=40, deadline=None)
+def test_partial_sum_encloses_tightly(p, k, N):
+    """The enclosure holds the 300-bit value (up to its rounding error, far
+    below 2^-200 here) and is no wider than 2^-precision_bits, whatever
+    the prefactor."""
+    ctx = PrecisionContext(128)
+    value = partial_sum(p, k, N, ctx).partial
+    assert value.widened(Fraction(1, 2**200)).contains(mpmath_partial_sum(p, k, N))
+    assert value.width <= Fraction(1, 2**ctx.precision_bits)
 
 
 def test_collapse_to_classical(ctx128):
@@ -146,6 +151,8 @@ def test_classical_values(ctx128):
     assert v.partial.lo == v.partial.hi == 945
     v = classical_partial(3, 0, ctx128)
     assert v.partial.lo == v.partial.hi == 0
+    v = classical_partial(2, 2, ctx128)
+    assert v.partial.lo == v.partial.hi == Fraction(15, 2)
     assert partial_sum(1, 0, 1, ctx128).partial.contains(4)
 
 
@@ -177,6 +184,6 @@ def test_validation(ctx128):
     with pytest.raises(ValueError):
         partial_sum(1, 0, 0, ctx128)
     with pytest.raises(ValueError):
-        term(1, 0, 0, ctx128)
+        partial_sum(7, 0, 10, ctx128)
     with pytest.raises(ValueError):
         classical_partial(7, 10, ctx128)

@@ -91,6 +91,19 @@ def test_partial_intervals_contain_exact_sums(ctx128):
         assert alzer_koumandos_partial(mu, K, ctx128).contains(exact_ak)
 
 
+def test_ak_tight_for_mu_above_one(ctx128):
+    """For mu > 1 the terms are ratios of a growing J_k and a shrinking
+    weight; the enclosure must stay near the context's precision."""
+    for mu in (Fraction(2), Fraction(5)):
+        value = alzer_koumandos_partial(mu, 999, ctx128)
+        assert value.width < Fraction(1, 2 ** (ctx128.precision_bits - 8))
+        assert abs(value.mid - ctx128.pi().mid) < Fraction(1, 100)
+    for mu in (Fraction(3, 2), Fraction(2), Fraction(5)):
+        for K in (0, 1, 7, 30):
+            exact = sum(ak_term_exact(mu, k) for k in range(K + 1))
+            assert alzer_koumandos_partial(mu, K, ctx128).contains(exact)
+
+
 def test_trivial_values(ctx128):
     v = alzer_h_partial(1, ctx128)
     assert v.lo == v.hi == 2
