@@ -9,7 +9,7 @@ from .closed_forms import (
     zeta_partial,
     zeta_pi_coeff,
 )
-from .exact_core import ExactInt, ExactRational, binomial, factorial
+from .exact_core import factorial
 from .exact_verifier import (
     IdentityCheck,
     reduce_exact,

@@ -45,17 +45,26 @@ FORMATS = ("csv", "json", "pretty")
 WORKERS_HELP = "accepted for compatibility and ignored"
 
 
+def _number(text: str, where: str, kind=int):
+    """kind(text), or a ValueError naming the option or selector it came from."""
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(
+            f"{where}: cannot read {text.strip()!r} as {kind.__name__}"
+        ) from None
+
+
 def _parse_powers(text: str) -> list[int]:
     powers: set[int] = set()
     for token in text.split(","):
         token = token.strip()
         if not token:
             continue
-        if "-" in token:
-            first, _, last = token.partition("-")
-            powers.update(range(int(first), int(last) + 1))
-        else:
-            powers.add(int(token))
+        first, sep, last = token.partition("-")
+        lo = _number(first, f"--powers {token!r}")
+        hi = _number(last, f"--powers {token!r}") if sep else lo
+        powers.update(range(lo, hi + 1))
     if not powers or not powers.issubset(range(1, 7)):
         raise ValueError(f"powers must come from 1..6, got {text!r}")
     return sorted(powers)
@@ -94,44 +103,56 @@ class SeriesSelector:
         return self.kind
 
 
+SELECTOR_KEYS = {
+    "gupta": ("p", "k"),
+    "classical": ("p",),
+    "alzer-h": (),
+    "alzer-H": (),
+    "kolbig": (),
+    "alzer-koumandos": ("mu",),
+}
+
+
 def _parse_series(text: str, default_p: int | None = None) -> SeriesSelector:
     name, _, argtext = text.strip().partition(":")
+    if name not in SELECTOR_KEYS:
+        raise ValueError(f"unknown series {name!r}")
     args: dict[str, str] = {}
     if argtext:
         for item in argtext.split(","):
             key, sep, value = item.partition("=")
             if not sep:
                 raise ValueError(f"bad series argument {item!r} in {text!r}")
-            args[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in SELECTOR_KEYS[name]:
+                allowed = ", ".join(SELECTOR_KEYS[name]) or "none"
+                raise ValueError(
+                    f"series {text!r} has unknown key {key!r} (allowed: {allowed})"
+                )
+            args[key] = value.strip()
+    where = f"series {text!r}"
+    p = _number(args["p"], f"{where} p") if "p" in args else default_p
     if name == "gupta":
         if "k" not in args:
-            raise ValueError(f"series {text!r} needs k=<order>")
-        p = int(args["p"]) if "p" in args else default_p
+            raise ValueError(f"{where} needs k=<order>")
         if p is None:
-            raise ValueError(f"series {text!r} needs p=<power> (no target given)")
-        k = int(args["k"])
+            raise ValueError(f"{where} needs p=<power> (no target given)")
+        k = _number(args["k"], f"{where} k")
         if not 1 <= p <= 6 or k < 0:
-            raise ValueError(f"series {text!r} out of range")
+            raise ValueError(f"{where} out of range")
         return SeriesSelector("gupta", p, k)
     if name == "classical":
-        p = int(args["p"]) if "p" in args else default_p
         if p is None or not 1 <= p <= 6:
-            raise ValueError(f"series {text!r} needs p in 1..6")
+            raise ValueError(f"{where} needs p in 1..6")
         return SeriesSelector("classical", p)
-    if name == "alzer-h":
-        return SeriesSelector("alzer-h", 2)
-    if name == "alzer-H":
-        return SeriesSelector("alzer-H", 2)
-    if name == "kolbig":
-        return SeriesSelector("kolbig", 2)
     if name == "alzer-koumandos":
         if "mu" not in args:
-            raise ValueError(f"series {text!r} needs mu=<positive rational>")
-        mu = Fraction(args["mu"])
+            raise ValueError(f"{where} needs mu=<positive rational>")
+        mu = _number(args["mu"], f"{where} mu", Fraction)
         if mu <= 0:
             raise ValueError("the parameter mu must be positive")
         return SeriesSelector("alzer-koumandos", 1, mu=mu)
-    raise ValueError(f"unknown series {name!r}")
+    return SeriesSelector(name, 2)
 
 
 def _evaluate(sel: SeriesSelector, terms: int, ctx: PrecisionContext) -> CertifiedReal:
@@ -266,7 +287,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                 f"series {sel.series_id} targets {_target_name(sel.p)}, "
                 f"not {_target_name(target_p)}"
             )
-    terms_list = [int(t) for t in args.terms.split(",") if t.strip()]
+    terms_list = [_number(t, "--terms") for t in args.terms.split(",") if t.strip()]
     if not terms_list or any(t < 1 for t in terms_list):
         raise ValueError("--terms needs a comma-separated list of counts >= 1")
     ctx = PrecisionContext(args.prec)

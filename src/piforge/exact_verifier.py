@@ -1,26 +1,31 @@
-"""Exact reduction of each series family to a rational that must equal 1.
+"""Exact reduction of each series family to one integer comparison.
 
 Summing each family over its base sequence first and the inner polynomial
 index j second turns the n-sum of every j-slice into a closed-form multiple
-of pi^(p+2j); dividing out pi^p leaves a finite sum of exact rationals.
-The family identity therefore holds if and only if
+of pi^(p+2j).  Dividing out pi^p, identity (p, k) holds if and only if
+prefactor(p, k) * sum_{j=0}^{k} (-1)^j c(j+s) / (2k-2j+1)! == 1, where c is
+the odd-power (Euler-number) coefficient and s = (p-1)/2 for odd p, and the
+even-power (Bernoulli-number) coefficient and s = p/2 for even p.  With
+m = j + s and n = 2k + 2s + 1 each summand has the denominator
+(2m)! (n-2m)!, so the sum times its scale is an integer T:
 
-    prefactor(p, k) * sum_{j=0}^{k} (-1)^j c(j + s) / (2k - 2j + 1)!  ==  1
+    odd p:   T = sum_j (-1)^j 4^(k-j) C(n, 2m) |E_2m|,      scale = 2^(2k+2s+2) n!
+    even p:  T = (-1)^(s-1) sum_j 2^(2m-1) C(n, 2m) B_2m D,  scale = D n!
 
-where s = (p-1)/2 and c is the odd-power (Euler-number) coefficient for odd
-p, and s = p/2 with the even-power (Bernoulli-number) coefficient for even
-p.  The comparison is structural equality of canonical rationals; no
-tolerance appears anywhere in this module.  Running the grid over many k
-extends the published hand checks (k <= 4) to arbitrary order.
+where D is the lcm of the denominators of B_2s .. B_2(k+s).  The identity
+holds iff prefactor * T == scale: one integer cross-multiplication, with no
+tolerance anywhere, and the reported ratio is the one Fraction built per
+identity.  Running the grid over many k extends the published hand checks
+(k <= 4) to arbitrary order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, lcm
 from typing import Iterable
 
-from .closed_forms import beta_pi_coeff, zeta_pi_coeff
 from .exact_core import factorial
 from .gupta_series import partial_sum, prefactor
 from .numeric_engine import CertifiedReal, PrecisionContext
@@ -29,7 +34,6 @@ from .special_numbers import BernoulliTable, EulerTable, TableDepthError, TableS
 __all__ = [
     "IdentityCheck",
     "reduce_exact",
-    "reduction_summands",
     "required_table_k",
     "residual_numeric",
     "verify_grid",
@@ -55,31 +59,6 @@ def required_table_k(p: int, k: int) -> int:
     return k + (p - 1) // 2 if p % 2 == 1 else k + p // 2
 
 
-def reduction_summands(
-    p: int,
-    k: int,
-    euler: EulerTable | None = None,
-    bern: BernoulliTable | None = None,
-) -> list[Fraction]:
-    """The signed exact summands (-1)^j c(j+s) / (2k-2j+1)! for j = 0..k."""
-    s = (p - 1) // 2 if p % 2 == 1 else p // 2
-    deepest = required_table_k(p, k)
-    if p % 2 == 1:
-        if euler is None or not euler.covers(2 * deepest):
-            raise TableDepthError("euler", 2 * deepest)
-        coeff = lambda m: beta_pi_coeff(m, euler).coeff
-    else:
-        if bern is None or not bern.covers(2 * deepest):
-            raise TableDepthError("bernoulli", 2 * deepest)
-        coeff = lambda m: zeta_pi_coeff(m, bern).coeff
-    sign = 1
-    out = []
-    for j in range(k + 1):
-        out.append(Fraction(sign) * coeff(j + s) / factorial(2 * k - 2 * j + 1))
-        sign = -sign
-    return out
-
-
 def reduce_exact(
     p: int,
     k: int,
@@ -87,8 +66,30 @@ def reduce_exact(
     bern: BernoulliTable | None = None,
 ) -> IdentityCheck:
     """Exactly reduce family (p, k); the identity holds iff the ratio is 1."""
-    ratio = prefactor(p, k) * sum(reduction_summands(p, k, euler, bern))
-    return IdentityCheck(p, k, ratio, ratio == 1)
+    deepest = required_table_k(p, k)
+    s = deepest - k
+    n = 2 * deepest + 1
+    if p % 2 == 1:
+        if euler is None or not euler.covers(2 * deepest):
+            raise TableDepthError("euler", 2 * deepest)
+        total = sum(
+            (-1) ** j * comb(n, 2 * m) * abs(euler.values[m]) << 2 * (k - j)
+            for j, m in enumerate(range(s, deepest + 1))
+        )
+        scale = factorial(n) << (2 * deepest + 2)
+    else:
+        if bern is None or not bern.covers(2 * deepest):
+            raise TableDepthError("bernoulli", 2 * deepest)
+        numbers = bern.values[s : deepest + 1]
+        common = lcm(*(b.denominator for b in numbers))
+        total = (-1) ** (s - 1) * sum(
+            comb(n, 2 * m) * b.numerator * (common // b.denominator) << (2 * m - 1)
+            for m, b in enumerate(numbers, s)
+        )
+        scale = common * factorial(n)
+    pref = prefactor(p, k)
+    num, den = pref.numerator * total, pref.denominator * scale
+    return IdentityCheck(p, k, Fraction(num, den), num == den)
 
 
 def verify_grid(

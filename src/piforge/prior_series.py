@@ -39,9 +39,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterator
 
-from .exact_core import binomial
 from .numeric_engine import CertifiedReal, PrecisionContext
 
 __all__ = [
@@ -132,7 +132,7 @@ def ak_inner_sum(mu: Fraction, k: int) -> Fraction:
     total = Fraction(0)
     for m in range(k + 1):
         total += Fraction(
-            (-1) ** m * binomial(k, m) * mu.numerator ** (k - m),
+            (-1) ** m * comb(k, m) * mu.numerator ** (k - m),
             (2 * m + 1) * mu.denominator ** (k - m),
         )
     return total

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -7,9 +8,11 @@ from fractions import Fraction
 
 import pytest
 
+from piforge import special_numbers
 from piforge.cli import main
 from piforge.exact_verifier import IdentityCheck
-from piforge.report import CSV_HEADER
+from piforge.report import CSV_HEADER, render_signed
+from test_exact_verifier import oracle_ratio
 
 
 def run_cli(argv, env=None, monkeypatch=None):
@@ -122,6 +125,71 @@ def test_verify_failure_exit_code(monkeypatch):
     code, out, _ = run_cli(["verify", "--powers", "1", "--k-max", "0", "--format", "csv"])
     assert code == 1
     assert "false" in out
+
+
+def test_verify_poisoned_euler_table_fails(monkeypatch):
+    real = special_numbers.euler_numbers
+
+    def poisoned(K):
+        values = list(real(K).values)
+        values[3] += 2  # E_6 = -59
+        return special_numbers.EulerTable(tuple(values))
+
+    monkeypatch.setattr(special_numbers, "euler_numbers", poisoned)
+    code, out, err = run_cli(
+        ["verify", "--powers", "1", "--k-max", "4", "--format", "csv"]
+    )
+    assert code == 1 and err == ""
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [row[-1] for row in rows] == ["true"] * 3 + ["false"] * 2
+    table = poisoned(4)
+    for k, row in enumerate(rows):
+        ratio = oracle_ratio(1, k, euler=table)
+        shown = "1" if ratio == 1 else render_signed(ratio, 30)
+        assert row[4] == row[5] == shown
+        assert row[7] == ("0" if ratio == 1 else render_signed(ratio - 1, 12))
+
+
+def test_verify_beyond_table_cap():
+    code, out, err = run_cli(["verify", "--k-max", "254", "--format", "csv"])
+    assert code == 2 and out == ""
+    assert "512" in err
+
+
+@pytest.mark.parametrize(
+    "argv, located",
+    [
+        (["verify", "--powers", "-1"], ["--powers", "'-1'"]),
+        (["verify", "--powers", "1-6-7"], ["--powers", "'1-6-7'"]),
+        (["verify", "--powers", "x"], ["--powers", "'x'"]),
+        (["sum", "--series", "gupta:p=1,k=x", "--terms", "5"], ["gupta:p=1,k=x", "'x'"]),
+        (["sum", "--series", "alzer-koumandos:mu=1/0", "--terms", "5"], ["mu", "'1/0'"]),
+        (["compare", "--target", "pi", "--series", "classical", "--terms", "10,y"],
+         ["--terms", "'y'"]),
+    ],
+)
+def test_parse_errors_are_located(argv, located):
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert "invalid literal" not in err
+    for text in located:
+        assert text in err
+
+
+@pytest.mark.parametrize(
+    "selector, key",
+    [
+        ("gupta:p=1,k=1,q=3", "'q'"),
+        ("alzer-h:p=1", "'p'"),
+        ("classical:p=1,k=2", "'k'"),
+        ("kolbig:mu=2", "'mu'"),
+        ("alzer-koumandos:mu=2,p=1", "'p'"),
+    ],
+)
+def test_unknown_selector_keys_rejected(selector, key):
+    code, out, err = run_cli(["sum", "--series", selector, "--terms", "3"])
+    assert code == 2 and out == ""
+    assert "unknown key " + key in err
 
 
 def test_sum_trivial_values():

@@ -1,32 +1,16 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
-from piforge.exact_core import (
-    binomial,
-    factorial,
-    is_canonical,
-    memo_cap,
-    set_memo_cap,
-)
+from piforge.exact_core import factorial, memo_cap, set_memo_cap
 
 rationals = st.fractions(
     min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=10**6
 )
-
-
-def pascal_triangle(rows: int) -> list[list[int]]:
-    """Independent brute-force oracle for binomial coefficients."""
-    triangle = [[1]]
-    for _ in range(rows):
-        prev = triangle[-1]
-        triangle.append(
-            [1] + [prev[i] + prev[i + 1] for i in range(len(prev) - 1)] + [1]
-        )
-    return triangle
 
 
 def test_factorial_values():
@@ -40,42 +24,11 @@ def test_factorial_rejects_negative():
         factorial(-1)
 
 
-def test_binomial_small_cases():
-    assert binomial(4, 2) == 6
-    for n in (0, 1, 7, 200):
-        assert binomial(n, 0) == 1
-
-
-def test_binomial_against_pascal_oracle():
-    triangle = pascal_triangle(12)
-    assert triangle[10][4] == 210
-    assert binomial(10, 4) == 210
-    for n in range(13):
-        for k in range(n + 1):
-            assert binomial(n, k) == triangle[n][k]
-
-
-def test_binomial_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        binomial(3, 4)
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-    with pytest.raises(ValueError):
-        binomial(3, -1)
-
-
-def test_pascal_identity_exhaustive():
-    for n in range(2, 201):
-        for k in range(1, n):
-            assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
-
-
 def test_memo_cap_roundtrip():
     old = set_memo_cap(10)
     try:
         assert memo_cap() == 10
         assert factorial(25) == 15511210043330985984000000  # above cap, uncached
-        assert binomial(30, 11) == 54627300
     finally:
         set_memo_cap(old)
     assert memo_cap() == old
@@ -102,7 +55,7 @@ def test_ops_stay_canonical(a, b):
         results.append(a / b)
     results.append(a**2)
     for q in results:
-        assert is_canonical(q)
+        assert q.denominator >= 1 and gcd(q.numerator, q.denominator) == 1
 
 
 @given(rationals, rationals, rationals)

@@ -1,25 +1,62 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from piforge.closed_forms import beta_pi_coeff, zeta_pi_coeff
 from piforge.exact_verifier import (
     reduce_exact,
-    reduction_summands,
     required_table_k,
     residual_numeric,
     verify_grid,
 )
-from piforge.gupta_series import tail_bound
+from piforge.gupta_series import prefactor, tail_bound
 from piforge.numeric_engine import PrecisionContext
 from piforge.special_numbers import (
+    BernoulliTable,
+    EulerTable,
     TableDepthError,
     TableStore,
     bernoulli_numbers,
     euler_numbers,
 )
+
+
+def reduction_summands(p, k, euler=None, bern=None) -> list[Fraction]:
+    """Fraction oracle: the signed summands (-1)^j c(j+s) / (2k-2j+1)! for
+    j = 0..k, with c the closed-form coefficient of the odd-power (Euler)
+    or even-power (Bernoulli) sum."""
+    s = required_table_k(p, k) - k
+    if p % 2 == 1:
+        coeff = lambda m: beta_pi_coeff(m, euler).coeff
+    else:
+        coeff = lambda m: zeta_pi_coeff(m, bern).coeff
+    return [
+        (-1) ** j * coeff(j + s) / factorial(2 * k - 2 * j + 1) for j in range(k + 1)
+    ]
+
+
+def oracle_ratio(p, k, euler=None, bern=None) -> Fraction:
+    """prefactor * sum of the oracle summands: 1 iff the identity holds."""
+    return prefactor(p, k) * sum(reduction_summands(p, k, euler, bern))
+
+
+def poisoned_tables(euler: EulerTable, bern: BernoulliTable, K: int):
+    """Copies of E_0..E_2K and B_0..B_2K with E_6 off by 2 and B_2 = 1/7."""
+    e = list(euler.values[: K + 1])
+    e[3] += 2
+    b = list(bern.values[: K + 1])
+    b[1] = Fraction(1, 7)
+    return EulerTable(tuple(e)), BernoulliTable(tuple(b))
+
+
+@pytest.fixture(scope="module")
+def cap_tables():
+    """Both tables to the index-512 cap of a default TableStore."""
+    return euler_numbers(256), bernoulli_numbers(256)
 
 
 def exact_power_sum(q: int, N: int) -> Fraction:
@@ -58,6 +95,54 @@ def test_reduce_trivial_and_deep(euler_table, bernoulli_table):
     assert check.holds
     check = reduce_exact(6, 3, bern=bernoulli_table)
     assert check.holds
+
+
+def test_integer_ratio_matches_fraction_oracle(cap_tables):
+    euler, bern = cap_tables
+    for p in range(1, 7):
+        for k in range(65):
+            check = reduce_exact(p, k, euler, bern)
+            assert check.ratio == oracle_ratio(p, k, euler, bern) == 1, (p, k)
+            assert check.holds
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda p: st.tuples(st.just(p), st.integers(0, 256 - required_table_k(p, 0)))
+    )
+)
+@example((1, 256))
+@example((6, 253))
+def test_integer_ratio_matches_oracle_to_table_cap(cap_tables, case):
+    p, k = case
+    euler, bern = cap_tables
+    check = reduce_exact(p, k, euler, bern)
+    assert check.ratio == oracle_ratio(p, k, euler, bern) == 1
+    assert check.holds
+
+
+def test_poisoned_tables_fail_with_oracle_ratio(cap_tables):
+    euler, bern = poisoned_tables(*cap_tables, 40)
+    failed = 0
+    for p in range(1, 7):
+        for k in range(30):
+            check = reduce_exact(p, k, euler, bern)
+            s = required_table_k(p, k) - k
+            # odd p reads E_2s..E_2(k+s); p = 2 is the only family reading B_2
+            touched = s <= 3 <= k + s if p % 2 == 1 else s == 1
+            assert check.ratio == oracle_ratio(p, k, euler, bern), (p, k)
+            assert check.holds == (check.ratio == 1) == (not touched), (p, k)
+            failed += not check.holds
+    assert failed == 114
+
+
+def test_grid_to_table_cap():
+    checks = verify_grid(range(1, 7), 253)
+    assert len(checks) == 1524
+    assert all(check.holds and check.ratio == 1 for check in checks)
+    with pytest.raises(TableDepthError, match="512"):
+        verify_grid(range(1, 7), 254)
 
 
 def test_alternating_signs_as_printed(euler_table):
