@@ -17,6 +17,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .exact_verifier import verify_grid
 from .gupta_series import classical_partial, partial_sum
@@ -37,7 +38,7 @@ from .report import (
     render_report,
     render_signed,
 )
-from .special_numbers import TableStore, _table_rows
+from .special_numbers import MAX_INDEX, TableStore, _table_rows
 
 __all__ = ["main"]
 
@@ -87,90 +88,75 @@ def _target_name(p: int) -> str:
 
 @dataclass(frozen=True)
 class SeriesSelector:
-    kind: str  # gupta | classical | alzer-h | alzer-H | kolbig | alzer-koumandos
+    kind: str  # a key of SERIES
     p: int
     k: int = 0
     mu: Fraction | None = None
 
     @property
     def series_id(self) -> str:
-        if self.kind == "gupta":
-            return f"gupta:p={self.p},k={self.k}"
-        if self.kind == "classical":
-            return f"classical:p={self.p}"
-        if self.kind == "alzer-koumandos":
-            return f"alzer-koumandos:mu={self.mu}"
-        return self.kind
+        args = ",".join(f"{key}={getattr(self, key)}" for key in SERIES[self.kind].keys)
+        return f"{self.kind}:{args}" if args else self.kind
 
 
-SELECTOR_KEYS = {
-    "gupta": ("p", "k"),
-    "classical": ("p",),
-    "alzer-h": (),
-    "alzer-H": (),
-    "kolbig": (),
-    "alzer-koumandos": ("mu",),
+class Series(NamedTuple):
+    keys: tuple[str, ...]  # the keys its selector takes
+    p: int | None  # the power of pi it targets; None: the selector's p
+    evaluate: Callable[[SeriesSelector, int, PrecisionContext], CertifiedReal]
+
+
+# The evaluators look their functions up at call time, so wrappers installed
+# on this module's names (as the benchmark's tracer does) see every call.
+SERIES = {
+    "gupta": Series(("p", "k"), None, lambda s, n, ctx: partial_sum(s.p, s.k, n, ctx).partial),
+    "classical": Series(("p",), None, lambda s, n, ctx: classical_partial(s.p, n, ctx).partial),
+    "alzer-h": Series((), 2, lambda s, n, ctx: alzer_h_partial(n, ctx)),
+    "alzer-H": Series((), 2, lambda s, n, ctx: alzer_H_partial(n, ctx)),
+    "kolbig": Series((), 2, lambda s, n, ctx: kolbig_partial(n, ctx)),
+    # the mu-family starts at k = 0, so N terms end at K = N - 1
+    "alzer-koumandos": Series(
+        ("mu",), 1, lambda s, n, ctx: alzer_koumandos_partial(s.mu, n - 1, ctx)
+    ),
 }
+SERIES_HELP = " | ".join(
+    f"{name}:" + ",".join(f"{key}=.." for key in row.keys) if row.keys else name
+    for name, row in SERIES.items()
+)
 
 
 def _parse_series(text: str, default_p: int | None = None) -> SeriesSelector:
     name, _, argtext = text.strip().partition(":")
-    if name not in SELECTOR_KEYS:
+    if name not in SERIES:
         raise ValueError(f"unknown series {name!r}")
-    args: dict[str, str] = {}
-    if argtext:
-        for item in argtext.split(","):
-            key, sep, value = item.partition("=")
-            if not sep:
-                raise ValueError(f"bad series argument {item!r} in {text!r}")
-            key = key.strip()
-            if key not in SELECTOR_KEYS[name]:
-                allowed = ", ".join(SELECTOR_KEYS[name]) or "none"
-                raise ValueError(
-                    f"series {text!r} has unknown key {key!r} (allowed: {allowed})"
-                )
-            args[key] = value.strip()
+    series = SERIES[name]
     where = f"series {text!r}"
-    p = _number(args["p"], f"{where} p") if "p" in args else default_p
-    if name == "gupta":
-        if "k" not in args:
-            raise ValueError(f"{where} needs k=<order>")
-        if p is None:
-            raise ValueError(f"{where} needs p=<power> (no target given)")
-        k = _number(args["k"], f"{where} k")
-        if not 1 <= p <= 6 or k < 0:
-            raise ValueError(f"{where} out of range")
-        return SeriesSelector("gupta", p, k)
-    if name == "classical":
-        if p is None or not 1 <= p <= 6:
-            raise ValueError(f"{where} needs p in 1..6")
-        return SeriesSelector("classical", p)
-    if name == "alzer-koumandos":
-        if "mu" not in args:
-            raise ValueError(f"{where} needs mu=<positive rational>")
-        mu = _number(args["mu"], f"{where} mu", Fraction)
-        if mu <= 0:
-            raise ValueError("the parameter mu must be positive")
-        return SeriesSelector("alzer-koumandos", 1, mu=mu)
-    return SeriesSelector(name, 2)
-
-
-def _evaluate(sel: SeriesSelector, terms: int, ctx: PrecisionContext) -> CertifiedReal:
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    if sel.kind == "gupta":
-        return partial_sum(sel.p, sel.k, terms, ctx).partial
-    if sel.kind == "classical":
-        return classical_partial(sel.p, terms, ctx).partial
-    if sel.kind == "alzer-h":
-        return alzer_h_partial(terms, ctx)
-    if sel.kind == "alzer-H":
-        return alzer_H_partial(terms, ctx)
-    if sel.kind == "kolbig":
-        return kolbig_partial(terms, ctx)
-    if sel.kind == "alzer-koumandos":
-        return alzer_koumandos_partial(sel.mu, terms - 1, ctx)
-    raise ValueError(f"unknown series kind {sel.kind!r}")
+    args: dict[str, str] = {}
+    for item in argtext.split(",") if argtext else ():
+        key, sep, value = item.partition("=")
+        key = key.strip()
+        if not sep:
+            raise ValueError(f"bad series argument {item!r} in {text!r}")
+        if key not in series.keys:
+            allowed = ", ".join(series.keys) or "none"
+            raise ValueError(f"{where} has unknown key {key!r} (allowed: {allowed})")
+        if key in args:
+            raise ValueError(f"{where} repeats key {key!r}")
+        args[key] = value.strip()
+    for key in series.keys:
+        if key not in args and (key != "p" or default_p is None):
+            raise ValueError(f"{where} needs {key}=<value>")
+    p = series.p or (_number(args["p"], f"{where} p") if "p" in args else default_p)
+    k = _number(args.get("k", "0"), f"{where} k")
+    mu = _number(args["mu"], f"{where} mu", Fraction) if "mu" in args else None
+    if not 1 <= p <= 6:
+        raise ValueError(f"{where} needs p in 1..6")
+    # the orders verify can check: 2 * required_table_k(p, k) <= MAX_INDEX
+    k_max = MAX_INDEX // 2 - p // 2
+    if not 0 <= k <= k_max:
+        raise ValueError(f"{where} needs k in 0..{k_max} for p={p}")
+    if mu is not None and mu <= 0:
+        raise ValueError("the parameter mu must be positive")
+    return SeriesSelector(name, p, k, mu)
 
 
 def _value_row(
@@ -261,7 +247,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_sum(args: argparse.Namespace) -> int:
     sel = _parse_series(args.series)
     ctx = PrecisionContext(args.prec)
-    value = _evaluate(sel, args.terms, ctx)
+    if args.terms < 1:
+        raise ValueError("--terms must be >= 1")
+    value = SERIES[sel.kind].evaluate(sel, args.terms, ctx)
     rows = [_value_row(sel, args.terms, value, ctx, args.format)]
     sys.stdout.write(render_report(rows, args.format))
     return 0
@@ -295,7 +283,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     matrix: dict[tuple[int, str], str] = {}
     for terms in terms_list:
         for sel in selectors:
-            value = _evaluate(sel, terms, ctx)
+            value = SERIES[sel.kind].evaluate(sel, terms, ctx)
             row = _value_row(sel, terms, value, ctx, args.format)
             rows.append(row)
             matrix[(terms, sel.series_id)] = row.residual
@@ -333,12 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=_cmd_verify)
 
     sum_cmd = sub.add_parser("sum", help="certified partial sum of one series")
-    sum_cmd.add_argument(
-        "--series",
-        required=True,
-        help="gupta:p=..,k=.. | classical:p=.. | alzer-h | alzer-H | kolbig "
-        "| alzer-koumandos:mu=..",
-    )
+    sum_cmd.add_argument("--series", required=True, help=SERIES_HELP)
     sum_cmd.add_argument("--terms", type=int, required=True)
     sum_cmd.add_argument("--prec", type=int, default=128, help="precision bits")
     sum_cmd.add_argument("--format", choices=FORMATS, default="pretty")

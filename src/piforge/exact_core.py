@@ -1,15 +1,9 @@
-"""Exact unbounded integer and rational arithmetic helpers.
+"""Memoized factorials for the exact layer.
 
-The substrate for all identity checking is Python's built-in ``int``
-(unbounded, exact) together with ``fractions.Fraction``, which keeps every
-value in canonical reduced form: ``gcd(|numerator|, denominator) == 1``,
-``denominator >= 1``, and zero is ``0/1``.  Canonical form is enforced at
-construction, so exact equality is a plain structural comparison.  Division
-by zero raises ``ZeroDivisionError`` -- a reported error, never a crash.
-
-This module adds memoized factorials (up to roughly ``(2k+2s+1)!`` for the
-verifier and ``(2k+5)!`` for the prefactors), kept in a plain dict up to a
-configurable input cap.  All returned values are immutable.
+piforge's exact arithmetic is Python's built-in ``int`` and
+``fractions.Fraction``, used directly.  This module only memoizes
+factorials (up to roughly ``(2k+2s+1)!`` for the verifier and ``(2k+5)!``
+for the prefactors) in a plain dict, up to a configurable input cap.
 """
 
 from __future__ import annotations

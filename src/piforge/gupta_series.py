@@ -110,18 +110,14 @@ def tail_bound(p: int, k: int, N: int) -> Fraction:
     inv_pi2_ub = Fraction(1) / PI_LOWER**2
     if p % 2 == 1:
         total = Fraction(1, factorial(2 * k + 1) * (2 * N + 1) ** p)
-        for j in range(1, k + 1):
-            q = p + 2 * j
-            total += inv_pi2_ub**j / (
-                factorial(2 * k - 2 * j + 1) * 2 * (q - 1) * (2 * N - 1) ** (q - 1)
-            )
-        return pref * total
-    total = Fraction(1, (p - 1) * factorial(2 * k + 1) * N ** (p - 1))
-    for j in range(1, k + 1):
+        first, step, base = 1, 2, 2 * N - 1  # integral over odd bases: step 2
+    else:
+        total = Fraction(0)
+        first, step, base = 0, 1, N
+    for j in range(first, k + 1):
         q = p + 2 * j
-        total += inv_pi2_ub**j / (
-            factorial(2 * k - 2 * j + 1) * (q - 1) * N ** (q - 1)
-        )
+        den = factorial(2 * k - 2 * j + 1) * step * (q - 1) * base ** (q - 1)
+        total += inv_pi2_ub**j / den
     return pref * total
 
 
@@ -132,7 +128,7 @@ def partial_sum(p: int, k: int, N: int, ctx: PrecisionContext) -> TailedInterval
         raise ValueError("N must be >= 1")
     pref = prefactor(p, k)
     extra = N.bit_length() + pref.numerator.bit_length() + 8
-    work = PrecisionContext(ctx.precision_bits + extra, ctx.guard_bits)
+    work = PrecisionContext(ctx.precision_bits + extra)
     sums = power_sums(p % 2 == 1, p, k + 1, N, work.scale)
     inv_pi2 = work.inv_pi_squared()
     acc = work.zero()

@@ -2,7 +2,8 @@
 
 Values are enclosures ``[lo, hi]`` whose bounds are dyadic numbers
 ``m / 2**scale`` at the fixed scale of a :class:`PrecisionContext`
-(``precision_bits + guard_bits`` fractional bits, unbounded integer part).
+(``precision_bits + GUARD_BITS`` fractional bits, unbounded integer part;
+the ``GUARD_BITS = 32`` extra bits absorb per-operation rounding).
 Every operation rounds outward -- lower bounds toward -inf, upper bounds
 toward +inf -- so the true value of any expression is guaranteed to stay
 inside the computed interval.  Addition and subtraction are exact at a
@@ -16,7 +17,8 @@ never widens a result computed over the same expression DAG.
 evaluated by integer fixed-point summation of the alternating arctan
 series with explicit bookkeeping of every floor-division error, so the
 returned enclosure is rigorous without reference to any series under
-study elsewhere in this package.
+study elsewhere in this package.  Its powers are the bracket's bounds
+raised to the power, which is outward because pi > 0.
 """
 
 from __future__ import annotations
@@ -28,10 +30,14 @@ from numbers import Rational
 
 __all__ = [
     "CertifiedReal",
+    "GUARD_BITS",
     "IntervalDivisionError",
     "PrecisionContext",
     "TailedInterval",
 ]
+
+
+GUARD_BITS = 32
 
 
 class IntervalDivisionError(ZeroDivisionError):
@@ -48,48 +54,27 @@ class PrecisionContext:
     """Shared working precision for interval values.
 
     ``precision_bits`` is the guaranteed resolution of produced constants
-    (e.g. ``pi`` has width <= 2**-precision_bits); ``guard_bits`` of extra
+    (e.g. ``pi`` has width <= 2**-precision_bits); ``GUARD_BITS`` of extra
     headroom absorb per-operation rounding.
     """
 
     precision_bits: int = 128
-    guard_bits: int = 32
 
     def __post_init__(self) -> None:
         if self.precision_bits < 64:
             raise ValueError("precision_bits must be >= 64")
-        if self.guard_bits < 0:
-            raise ValueError("guard_bits must be >= 0")
 
     @property
     def scale(self) -> int:
-        return self.precision_bits + self.guard_bits
+        return self.precision_bits + GUARD_BITS
 
     # -- value factories ---------------------------------------------------
 
     def from_rational(self, value: Rational | int) -> "CertifiedReal":
         """Tightest enclosure of an exact rational: each bound within 1 ulp."""
         q = Fraction(value)
-        den = q.denominator
-        if den & (den - 1) == 0:  # dyadic: shifts instead of division
-            bits = den.bit_length() - 1
-            if bits <= self.scale:
-                m = q.numerator << (self.scale - bits)
-                return CertifiedReal(self, m, m)
-            shifted = q.numerator
-            down = bits - self.scale
-            return CertifiedReal(self, shifted >> down, -((-shifted) >> down))
-        shifted = q.numerator << self.scale
+        shifted, den = q.numerator << self.scale, q.denominator
         return CertifiedReal(self, shifted // den, _ceil_div(shifted, den))
-
-    def interval(self, lo: Rational | int, hi: Rational | int) -> "CertifiedReal":
-        """Enclosure of ``[lo, hi]`` given as exact rationals."""
-        lo_q, hi_q = Fraction(lo), Fraction(hi)
-        return CertifiedReal(
-            self,
-            (lo_q.numerator << self.scale) // lo_q.denominator,
-            _ceil_div(hi_q.numerator << self.scale, hi_q.denominator),
-        )
 
     def zero(self) -> "CertifiedReal":
         return CertifiedReal(self, 0, 0)
@@ -263,37 +248,6 @@ class CertifiedReal:
             raise ValueError("rounded_to cannot refine the scale")
         return CertifiedReal(ctx, self.lo_m >> shift, -((-self.hi_m) >> shift))
 
-    def pow_int(self, exponent: int) -> "CertifiedReal":
-        """x**exponent for exponent >= 0; even exponents tighten through zero
-        (e.g. [-1, 1]**2 == [0, 1])."""
-        if exponent < 0:
-            raise ValueError("pow_int requires a nonnegative exponent")
-        if exponent == 0:
-            return self.ctx.one()
-        if exponent == 1:
-            return CertifiedReal(self.ctx, self.lo_m, self.hi_m)
-        scale = self.ctx.scale
-        shift = scale * (exponent - 1)
-        if exponent % 2 == 1:
-            # odd powers are monotone on all of R
-            return CertifiedReal(
-                self.ctx,
-                (self.lo_m**exponent) >> shift,
-                -((-(self.hi_m**exponent)) >> shift),
-            )
-        # even power: reduce to the magnitude interval, which is nonnegative
-        if self.contains_zero():
-            lo_abs, hi_abs = 0, max(-self.lo_m, self.hi_m)
-        elif self.lo_m > 0:
-            lo_abs, hi_abs = self.lo_m, self.hi_m
-        else:
-            lo_abs, hi_abs = -self.hi_m, -self.lo_m
-        return CertifiedReal(
-            self.ctx,
-            (lo_abs**exponent) >> shift,
-            -((-(hi_abs**exponent)) >> shift),
-        )
-
     def widened(self, radius: Rational | int) -> "CertifiedReal":
         """Enclosure grown outward by an exact nonnegative radius."""
         r = Fraction(radius)
@@ -357,13 +311,13 @@ def _pi_mantissas(scale: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def _pi_power_mantissas(scale: int, p: int) -> tuple[int, int]:
-    ctx = PrecisionContext(scale - 32, 32) if scale >= 96 else PrecisionContext(64, scale - 64)
-    value = ctx.pi().pow_int(p)
-    return value.lo_m, value.hi_m
+    lo, hi = _pi_mantissas(scale)
+    shift = scale * (p - 1)
+    return lo**p >> shift, -((-(hi**p)) >> shift)
 
 
 @lru_cache(maxsize=None)
 def _inv_pi_squared_mantissas(scale: int) -> tuple[int, int]:
-    ctx = PrecisionContext(scale - 32, 32) if scale >= 96 else PrecisionContext(64, scale - 64)
-    value = ctx.one() / ctx.pi().pow_int(2)
-    return value.lo_m, value.hi_m
+    lo, hi = _pi_power_mantissas(scale, 2)
+    one_squared = 1 << (2 * scale)
+    return one_squared // hi, _ceil_div(one_squared, lo)

@@ -152,7 +152,7 @@ def alzer_koumandos_partial(
         raise ValueError("the parameter mu must be positive")
     if K < 0:
         raise ValueError("K must be >= 0")
-    work = PrecisionContext(ctx.precision_bits + K.bit_length() + 4, ctx.guard_bits)
+    work = PrecisionContext(ctx.precision_bits + K.bit_length() + 4)
     # mu = a/b, so r = (a-b)/(a+b) and 2k mu/(1+mu) = 2k a/(a+b)
     a, b = mu.numerator, mu.denominator
     r_pow = work.one()
@@ -165,8 +165,11 @@ def alzer_koumandos_partial(
     return acc.mul_ratio(4 * b, a + b).rounded_to(ctx)
 
 
-def alzer_h_partial(K: int, ctx: PrecisionContext) -> CertifiedReal:
-    """Partial sum of 4 sum_{k<=K} mu_k h_k / k (odd harmonic weights)."""
+def _mid_binomial_harmonic_partial(
+    K: int, ctx: PrecisionContext, weight: int, odd: bool
+) -> CertifiedReal:
+    """weight * sum_{k<=K} mu_k h_k / k, where h_k sums 1/(2i-1) over i <= k
+    when ``odd`` and 1/i otherwise."""
     if K < 1:
         raise ValueError("K must be >= 1")
     mu = ctx.one()
@@ -174,23 +177,19 @@ def alzer_h_partial(K: int, ctx: PrecisionContext) -> CertifiedReal:
     acc = ctx.zero()
     for k in range(1, K + 1):
         mu = mu.mul_ratio(2 * k - 1, 2 * k)
-        h = h + ctx.from_rational(Fraction(1, 2 * k - 1))
-        acc = acc + (mu * h).mul_ratio(4, k)
+        h = h + ctx.from_rational(Fraction(1, 2 * k - 1 if odd else k))
+        acc = acc + (mu * h).mul_ratio(weight, k)
     return acc
+
+
+def alzer_h_partial(K: int, ctx: PrecisionContext) -> CertifiedReal:
+    """Partial sum of 4 sum_{k<=K} mu_k h_k / k (odd harmonic weights)."""
+    return _mid_binomial_harmonic_partial(K, ctx, 4, odd=True)
 
 
 def alzer_H_partial(K: int, ctx: PrecisionContext) -> CertifiedReal:
     """Partial sum of 3 sum_{k<=K} mu_k H_k / k (full harmonic weights)."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    mu = ctx.one()
-    H = ctx.zero()
-    acc = ctx.zero()
-    for k in range(1, K + 1):
-        mu = mu.mul_ratio(2 * k - 1, 2 * k)
-        H = H + ctx.from_rational(Fraction(1, k))
-        acc = acc + (mu * H).mul_ratio(3, k)
-    return acc
+    return _mid_binomial_harmonic_partial(K, ctx, 3, odd=False)
 
 
 def kolbig_partial(K: int, ctx: PrecisionContext) -> CertifiedReal:

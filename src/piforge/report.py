@@ -71,9 +71,7 @@ def render_bound(value: Fraction, digits: int, mode: str) -> str:
 
 def render_signed(value: Fraction, digits: int = 12) -> str:
     """Round-to-nearest rendering for summary quantities like residuals."""
-    if value == 0:
-        return "0"
-    return str(_to_decimal(value, digits, "half_even"))
+    return render_bound(value, digits, "half_even")
 
 
 def render_interval(value: CertifiedReal, digits: int) -> tuple[str, str]:
@@ -114,17 +112,7 @@ class ReportRow:
     width: str | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "series_id": self.series_id,
-            "p": self.p,
-            "k": self.k,
-            "N": self.N,
-            "value_lo": self.value_lo,
-            "value_hi": self.value_hi,
-            "target": self.target,
-            "residual": self.residual,
-            "exact_ok": self.exact_ok,
-        }
+        return {name: getattr(self, name) for name in CSV_HEADER}
 
 
 def render_csv(rows: list[ReportRow]) -> str:

@@ -13,22 +13,26 @@ numbers and the odd-index ones the tangent numbers, so
 Every step is an integer addition; the only division is the final one of
 each Bernoulli number (Brent & Harvey, "Fast computation of Bernoulli,
 Tangent and Secant numbers", arXiv:1108.0286).  Tables are immutable
-snapshots, and :class:`TableStore` serves them lazily up to a hard cap.
+snapshots, and :class:`TableStore` serves them lazily up to index
+``MAX_INDEX = 512``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
     "BernoulliTable",
     "EulerTable",
+    "MAX_INDEX",
     "TableDepthError",
     "TableStore",
     "bernoulli_numbers",
     "euler_numbers",
 ]
+
+MAX_INDEX = 512
 
 
 class TableDepthError(LookupError):
@@ -71,7 +75,7 @@ class BernoulliTable:
     """B_0, B_2, ..., B_{2K} plus B_1; ``values[k]`` is B_{2k}."""
 
     values: tuple[Fraction, ...]
-    b1: Fraction = field(default=Fraction(-1, 2))
+    b1 = Fraction(-1, 2)
 
     @property
     def max_index(self) -> int:
@@ -148,26 +152,23 @@ class TableStore:
     """Serves tables of at least the requested depth, growing lazily.
 
     A request deeper than anything served so far builds a new table; requests
-    beyond ``max_index_cap`` raise :class:`TableDepthError`.
+    beyond ``MAX_INDEX`` raise :class:`TableDepthError`.
     """
 
-    def __init__(self, *, max_index_cap: int = 512):
-        if max_index_cap < 0:
-            raise ValueError("max_index_cap must be >= 0")
-        self.max_index_cap = max_index_cap
+    def __init__(self) -> None:
         self._euler: EulerTable | None = None
         self._bernoulli: BernoulliTable | None = None
 
     def euler(self, K: int) -> EulerTable:
-        if 2 * K > self.max_index_cap:
-            raise TableDepthError("euler", 2 * K, self.max_index_cap)
+        if 2 * K > MAX_INDEX:
+            raise TableDepthError("euler", 2 * K, MAX_INDEX)
         if self._euler is None or self._euler.max_index < 2 * K:
             self._euler = euler_numbers(K)
         return self._euler
 
     def bernoulli(self, K: int) -> BernoulliTable:
-        if 2 * K > self.max_index_cap:
-            raise TableDepthError("bernoulli", 2 * K, self.max_index_cap)
+        if 2 * K > MAX_INDEX:
+            raise TableDepthError("bernoulli", 2 * K, MAX_INDEX)
         if self._bernoulli is None or self._bernoulli.max_index < 2 * K:
             self._bernoulli = bernoulli_numbers(K)
         return self._bernoulli

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from piforge import special_numbers
-from piforge.cli import main
+from piforge.cli import SERIES, _parse_series, main
 from piforge.exact_verifier import IdentityCheck
 from piforge.report import CSV_HEADER, render_signed
 from test_exact_verifier import oracle_ratio
@@ -166,6 +166,9 @@ def test_verify_beyond_table_cap():
         (["sum", "--series", "alzer-koumandos:mu=1/0", "--terms", "5"], ["mu", "'1/0'"]),
         (["compare", "--target", "pi", "--series", "classical", "--terms", "10,y"],
          ["--terms", "'y'"]),
+        (["sum", "--series", "gupta:p=6,k=254", "--terms", "5"], ["gupta:p=6,k=254", "0..253"]),
+        (["compare", "--target", "pi", "--series", "gupta:k=99999", "--terms", "5"],
+         ["gupta:k=99999", "0..256"]),
     ],
 )
 def test_parse_errors_are_located(argv, located):
@@ -184,12 +187,35 @@ def test_parse_errors_are_located(argv, located):
         ("classical:p=1,k=2", "'k'"),
         ("kolbig:mu=2", "'mu'"),
         ("alzer-koumandos:mu=2,p=1", "'p'"),
+        ("gupta:p=1,k=1,k=2", "'k'"),
+        ("alzer-koumandos:mu=1,mu=2", "'mu'"),
     ],
 )
 def test_unknown_selector_keys_rejected(selector, key):
     code, out, err = run_cli(["sum", "--series", selector, "--terms", "3"])
     assert code == 2 and out == ""
-    assert "unknown key " + key in err
+    repeated = selector.count(key.strip("'") + "=") > 1
+    assert ("repeats key " if repeated else "unknown key ") + key in err
+
+
+def test_gupta_order_bound_is_the_verify_range():
+    for p, k_max in ((1, 256), (6, 253)):
+        code, out, _ = run_cli(
+            ["sum", "--series", f"gupta:p={p},k={k_max}", "--terms", "1", "--format", "csv"]
+        )
+        assert code == 0 and out.splitlines()[1].startswith(f'"gupta:p={p},k={k_max}",{p},')
+        assert run_cli(["verify", "--powers", str(p), "--k-max", str(k_max)])[0] == 0
+
+
+def test_series_ids_round_trip():
+    texts = ("gupta:p=3,k=2", "classical:p=4", "alzer-h", "alzer-H", "kolbig",
+             "alzer-koumandos:mu=3/2")
+    selectors = [_parse_series(text) for text in texts]
+    assert {sel.kind for sel in selectors} == set(SERIES)
+    assert [sel.series_id for sel in selectors] == list(texts)
+    for sel in selectors:
+        assert _parse_series(sel.series_id, sel.p) == sel
+    assert _parse_series("gupta:k=2", 5).series_id == "gupta:p=5,k=2"
 
 
 def test_sum_trivial_values():

@@ -179,9 +179,10 @@ def test_table_depth_errors(euler_table, bernoulli_table):
         reduce_exact(2, 40, bern=bernoulli_table)
     with pytest.raises(TableDepthError):
         reduce_exact(1, 1)  # no table supplied at all
-    store = TableStore(max_index_cap=8)
+    store = TableStore()
     with pytest.raises(TableDepthError, match="cap"):
-        verify_grid([6], 10, store=store)
+        verify_grid([6], 254, store=store)
+    assert store._bernoulli is None  # raised before building anything
 
 
 def test_residual_leibniz_bound(ctx128):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from piforge.numeric_engine import (
+    GUARD_BITS,
     CertifiedReal,
     IntervalDivisionError,
     PrecisionContext,
@@ -22,9 +23,7 @@ nonzero = rationals.filter(lambda q: abs(q) > Fraction(1, 100))
 def test_context_validation():
     with pytest.raises(ValueError):
         PrecisionContext(32)
-    with pytest.raises(ValueError):
-        PrecisionContext(128, -1)
-    assert PrecisionContext(64, 0).scale == 64
+    assert PrecisionContext(64).scale == 64 + GUARD_BITS
 
 
 def test_add_trivial(ctx128):
@@ -44,23 +43,10 @@ def test_from_rational_ulp_contract():
     assert q.lo == q.hi == Fraction(5, 8)
 
 
-def test_even_power_tightens(ctx128):
-    box = ctx128.interval(-1, 1)
-    squared = box.pow_int(2)
-    assert squared.lo == 0 and squared.hi == 1
-    cubed = ctx128.interval(-2, 1).pow_int(3)
-    assert cubed.lo == -8 and cubed.hi == 1
-    assert box.pow_int(0) == ctx128.one()
-
-
-def test_pow_int_rejects_negative(ctx128):
-    with pytest.raises(ValueError):
-        ctx128.one().pow_int(-1)
-
-
 def test_division_by_zero_interval(ctx128):
+    unit = 1 << ctx128.scale
     with pytest.raises(IntervalDivisionError):
-        ctx128.one() / ctx128.interval(-1, 1)
+        ctx128.one() / CertifiedReal(ctx128, -unit, unit)
 
 
 def test_mixed_contexts_rejected(ctx128):
@@ -91,8 +77,29 @@ def test_pi_against_mpmath():
     assert pi.contains(exact)
 
 
+def _mpf_fraction(value) -> Fraction:
+    """An mpmath binary float as the exact rational it stores."""
+    return Fraction(int(value.man)) * Fraction(2) ** int(value.exp)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 1024])
+def test_pi_powers_against_mpmath(bits):
+    mpmath = pytest.importorskip("mpmath")
+    ctx = PrecisionContext(bits)
+    pi = ctx.pi()
+    power = pi
+    with mpmath.workprec(2 * bits):
+        inv_pi2_ref = _mpf_fraction(1 / mpmath.pi**2)
+        for p in range(1, 7):
+            value = ctx.pi_power(p)
+            assert value.contains(_mpf_fraction(mpmath.pi**p))
+            assert power.contains(value)  # no wider than p interval products
+            power = power * pi
+    assert ctx.inv_pi_squared().contains(inv_pi2_ref)
+
+
 def test_pi_power_consistency(ctx128):
-    pi_sq = ctx128.pi().pow_int(2)
+    pi_sq = ctx128.pi() * ctx128.pi()
     cached = ctx128.pi_power(2)
     assert cached.contains(PI_100_DIGITS**2) and pi_sq.contains(PI_100_DIGITS**2)
     inv = ctx128.inv_pi_squared()
@@ -108,8 +115,6 @@ def test_containment_add_sub_mul(a, b):
     assert (ia - ib).contains(a - b)
     assert (ia * ib).contains(a * b)
     assert (-ia).contains(-a)
-    assert ia.pow_int(3).contains(a**3)
-    assert ia.pow_int(4).contains(a**4)
     assert ia.mul_rational(b).contains(a * b)
 
 
@@ -125,17 +130,16 @@ def test_containment_div(a, b):
 @settings(max_examples=100)
 def test_containment_composed(a, b, c):
     ctx = PrecisionContext(96)
-    result = (ctx.from_rational(a) * ctx.from_rational(b) - ctx.from_rational(c)).pow_int(2)
-    assert result.contains((a * b - c) ** 2)
+    x = ctx.from_rational(a) * ctx.from_rational(b) - ctx.from_rational(c)
+    assert (x * x).contains((a * b - c) ** 2)
 
 
 @given(rationals, rationals, rationals)
 @settings(max_examples=100)
 def test_monotone_refinement(a, b, c):
     def build(ctx: PrecisionContext) -> CertifiedReal:
-        return (
-            ctx.from_rational(a) * ctx.from_rational(b) + ctx.from_rational(c)
-        ).pow_int(2) * ctx.pi()
+        x = ctx.from_rational(a) * ctx.from_rational(b) + ctx.from_rational(c)
+        return x * x * ctx.pi()
 
     coarse = build(PrecisionContext(64))
     fine = build(PrecisionContext(128))

@@ -120,12 +120,12 @@ def test_entry_errors(euler_table, bernoulli_table):
 
 
 def test_store_caps_depth():
-    store = TableStore(max_index_cap=16)
-    store.euler(8)
-    with pytest.raises(TableDepthError, match="cap"):
-        store.euler(9)
-    with pytest.raises(TableDepthError):
-        store.bernoulli(200)
+    store = TableStore()
+    with pytest.raises(TableDepthError, match="cap is 512"):
+        store.euler(257)
+    with pytest.raises(TableDepthError, match="cap is 512"):
+        store.bernoulli(300)
+    assert store._euler is None and store._bernoulli is None  # nothing was built
 
 
 def test_store_grows_in_memory():
