@@ -12,7 +12,6 @@ import math
 
 __all__ = [
     "factorial",
-    "memo_cap",
     "set_memo_cap",
 ]
 
@@ -20,11 +19,6 @@ DEFAULT_MEMO_CAP = 4096
 
 _memo_cap = DEFAULT_MEMO_CAP
 _fact_memo: dict[int, int] = {}
-
-
-def memo_cap() -> int:
-    """Current largest input value that gets memoized."""
-    return _memo_cap
 
 
 def set_memo_cap(cap: int) -> int:

@@ -27,15 +27,13 @@ from math import comb, lcm
 from typing import Iterable
 
 from .exact_core import factorial
-from .gupta_series import partial_sum, prefactor
-from .numeric_engine import CertifiedReal, PrecisionContext
+from .gupta_series import prefactor
 from .special_numbers import BernoulliTable, EulerTable, TableDepthError, TableStore
 
 __all__ = [
     "IdentityCheck",
     "reduce_exact",
     "required_table_k",
-    "residual_numeric",
     "verify_grid",
 ]
 
@@ -119,8 +117,3 @@ def verify_grid(
     bern = store.bernoulli(need_bern) if need_bern is not None else None
     return [reduce_exact(p, k, euler, bern) for p in ordered for k in range(k_max + 1)]
 
-
-def residual_numeric(p: int, k: int, N: int, ctx: PrecisionContext) -> CertifiedReal:
-    """Certified interval for partial_sum(p, k, N) / pi^p - 1."""
-    value = partial_sum(p, k, N, ctx).partial
-    return value / ctx.pi_power(p) - ctx.one()

@@ -38,22 +38,11 @@ from .exact_core import factorial
 from .numeric_engine import CertifiedReal, PrecisionContext, TailedInterval
 
 __all__ = [
-    "CLASSICAL_COEFF",
     "classical_partial",
-    "inner_poly",
     "partial_sum",
     "prefactor",
     "tail_bound",
 ]
-
-CLASSICAL_COEFF = {
-    1: Fraction(4),
-    2: Fraction(6),
-    3: Fraction(32),
-    4: Fraction(90),
-    5: Fraction(1536, 5),
-    6: Fraction(945),
-}
 
 # Rational lower bound on pi (a continued-fraction convergent), used only to
 # keep analytic tail bounds valid: 1/pi^2 <= (106/333)^2.
@@ -83,17 +72,6 @@ def prefactor(p: int, k: int) -> Fraction:
             k + 5,
         )
     raise ValueError(f"power p must be in 1..6, got {p}")
-
-
-def inner_poly(k: int, x: Fraction) -> Fraction:
-    """sum_{j=0}^{k} (-x)^j / (2k-2j+1)! in exact rationals, by Horner over j."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    x = Fraction(x)
-    acc = Fraction(0)
-    for j in range(k, -1, -1):
-        acc = Fraction(1, factorial(2 * k - 2 * j + 1)) - x * acc
-    return acc
 
 
 def tail_bound(p: int, k: int, N: int) -> Fraction:
@@ -143,8 +121,6 @@ def partial_sum(p: int, k: int, N: int, ctx: PrecisionContext) -> TailedInterval
 def classical_partial(p: int, N: int, ctx: PrecisionContext) -> TailedInterval:
     """Partial sum of the classical series for pi^p (the k = 0 limit of the
     corresponding family, with which it agrees interval-for-interval)."""
-    if p not in CLASSICAL_COEFF:
-        raise ValueError(f"power p must be in 1..6, got {p}")
     if N == 0:
-        return TailedInterval(ctx.zero(), tail_bound(p, 0, 1) + CLASSICAL_COEFF[p])
+        return TailedInterval(ctx.zero(), tail_bound(p, 0, 1) + prefactor(p, 0))
     return partial_sum(p, 0, N, ctx)

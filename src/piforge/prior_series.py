@@ -15,8 +15,7 @@ carry no analytic tail estimate; they are plain certified enclosures of the
 truncated sums.  The weight recurrences are driven by exact small rationals
 folded into interval state one step at a time (one outward rounding per
 update), which keeps every enclosure rigorous while staying fast enough for
-desk-scale term counts; the exact generators below are the reference
-implementations the tests compare against.
+desk-scale term counts.
 
 The inner sum of the mu-parameterized family is evaluated through the exact
 recurrence of J_k = integral_0^1 (mu - x^2)^k dx,
@@ -37,110 +36,16 @@ the sum 4/(1+mu) sum t_k is rounded outward to the context once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Iterator
 
 from .numeric_engine import CertifiedReal, PrecisionContext
 
 __all__ = [
-    "HarmonicPair",
-    "KolbigWeights",
-    "MidBinomial",
-    "ak_inner_sum",
-    "ak_term_exact",
     "alzer_H_partial",
     "alzer_h_partial",
     "alzer_koumandos_partial",
-    "harmonic_pairs",
     "kolbig_partial",
-    "kolbig_weights",
-    "mid_binomials",
 ]
-
-
-@dataclass(frozen=True)
-class MidBinomial:
-    """mu_k = (1*3*5*...*(2k-1)) / (2*4*6*...*2k), strictly decreasing in k."""
-
-    k: int
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class HarmonicPair:
-    """H_n = sum_{k<=n} 1/k and h_n = sum_{k<=n} 1/(2k-1)."""
-
-    n: int
-    H: Fraction
-    h: Fraction
-
-
-@dataclass(frozen=True)
-class KolbigWeights:
-    """p_n, q_n partial products and the combined weight sigma_n."""
-
-    n: int
-    p: Fraction
-    q: Fraction
-    sigma: Fraction
-
-
-def mid_binomials() -> Iterator[MidBinomial]:
-    """Exact mu_k for k = 1, 2, ... via mu_k = mu_{k-1} (2k-1)/(2k)."""
-    value = Fraction(1)
-    k = 0
-    while True:
-        k += 1
-        value *= Fraction(2 * k - 1, 2 * k)
-        yield MidBinomial(k, value)
-
-
-def harmonic_pairs() -> Iterator[HarmonicPair]:
-    """Exact (H_n, h_n) for n = 1, 2, ..."""
-    H = Fraction(0)
-    h = Fraction(0)
-    n = 0
-    while True:
-        n += 1
-        H += Fraction(1, n)
-        h += Fraction(1, 2 * n - 1)
-        yield HarmonicPair(n, H, h)
-
-
-def kolbig_weights() -> Iterator[KolbigWeights]:
-    """Exact (p_n, q_n, sigma_n) for n = 1, 2, ..."""
-    p = Fraction(1)
-    q = Fraction(1)
-    s1 = Fraction(0)
-    s2 = Fraction(0)
-    n = 0
-    while True:
-        n += 1
-        p *= Fraction(4 * n - 1, 4 * n)
-        q *= Fraction(4 * n - 3, 4 * n)
-        s1 += Fraction(1, 4 * n - 1)
-        s2 += Fraction(1, 4 * n - 3)
-        yield KolbigWeights(n, p, q, p * s1 + q * s2)
-
-
-def ak_inner_sum(mu: Fraction, k: int) -> Fraction:
-    """Direct exact evaluation of sum_{m=0}^{k} C(k,m) (-1)^m mu^(k-m) / (2m+1)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    total = Fraction(0)
-    for m in range(k + 1):
-        total += Fraction(
-            (-1) ** m * comb(k, m) * mu.numerator ** (k - m),
-            (2 * m + 1) * mu.denominator ** (k - m),
-        )
-    return total
-
-
-def ak_term_exact(mu: Fraction, k: int) -> Fraction:
-    """Exact k-th term 4 * inner_sum / (1+mu)^(k+1) of the mu-family."""
-    return 4 * ak_inner_sum(mu, k) / (1 + mu) ** (k + 1)
 
 
 def alzer_koumandos_partial(

@@ -1,0 +1,236 @@
+"""Exact reference implementations the test suite compares piforge against.
+
+None of this is called by the library: each function is a slow, direct
+evaluation of something piforge computes by a faster route.
+
+* The classical closed forms.  The alternating odd-power sums evaluate to
+  rational multiples of odd powers of pi through the Euler numbers, and the
+  even-power sums to rational multiples of even powers of pi through the
+  Bernoulli numbers:
+
+      sum_{m>=1} (-1)^(m+1) / (2m-1)^(2k+1)  =  |E_{2k}| / (2^(2k+2) (2k)!) * pi^(2k+1)
+      sum_{m>=1} 1 / m^(2k)                  =  (-1)^(k-1) 2^(2k) B_{2k} / (2 (2k)!) * pi^(2k)
+
+  Both coefficient functions return the exact rational together with the pi
+  exponent, never folding the power into the coefficient.
+
+  ``beta_partial`` and ``zeta_partial`` run ``closed_forms.power_sums`` at
+  ``work = ctx.scale``, which rounds each term outward by at most one unit
+  exactly as ``ctx.from_rational`` would.  They deliberately add no guard
+  bits: their enclosures, widened by the certified tail (alternating-series
+  bound for the beta sums, integral bound for the zeta sums), are compared
+  by containment against the closed forms, and keeping them at the context
+  scale keeps those intervals identical to a plain per-term interval sum.
+* The ``Fraction`` oracle of ``exact_verifier.reduce_exact``.
+* The inner polynomial of the six families and the numeric residual of a
+  partial sum against pi^p.
+* The exact weight generators of the four baseline series.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from math import comb
+from typing import Iterator
+
+from piforge.closed_forms import power_sums
+from piforge.exact_core import factorial
+from piforge.exact_verifier import required_table_k
+from piforge.gupta_series import partial_sum, prefactor
+from piforge.numeric_engine import CertifiedReal, PrecisionContext, TailedInterval
+from piforge.special_numbers import BernoulliTable, EulerTable, TableDepthError
+
+# The classical coefficients c_p of pi^p = c_p * S_p(infinity), printed in
+# the paper as the k = 0 limits of the six prefactors.
+CLASSICAL_COEFF = {
+    1: Fraction(4),
+    2: Fraction(6),
+    3: Fraction(32),
+    4: Fraction(90),
+    5: Fraction(1536, 5),
+    6: Fraction(945),
+}
+
+
+@dataclass(frozen=True)
+class PiMultiple:
+    """The exact value coeff * pi**power."""
+
+    coeff: Fraction
+    power: int
+
+
+def beta_pi_coeff(k: int, euler: EulerTable) -> PiMultiple:
+    """Coefficient of the alternating odd-power sum: |E_{2k}| / (2^(2k+2) (2k)!),
+    attached to pi^(2k+1)."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if not euler.covers(2 * k):
+        raise TableDepthError("euler", 2 * k)
+    coeff = Fraction(abs(euler.entry(2 * k)), (1 << (2 * k + 2)) * factorial(2 * k))
+    return PiMultiple(coeff, 2 * k + 1)
+
+
+def zeta_pi_coeff(k: int, bern: BernoulliTable) -> PiMultiple:
+    """Coefficient of the even-power sum: (-1)^(k-1) 2^(2k) B_{2k} / (2 (2k)!),
+    attached to pi^(2k); always positive."""
+    if k < 1:
+        raise ValueError("k must be >= 1 (the k = 0 sum diverges)")
+    if not bern.covers(2 * k):
+        raise TableDepthError("bernoulli", 2 * k)
+    sign = 1 if k % 2 == 1 else -1
+    coeff = sign * (1 << (2 * k)) * bern.entry(2 * k) / (2 * factorial(2 * k))
+    return PiMultiple(coeff, 2 * k)
+
+
+def beta_partial(k: int, N: int, ctx: PrecisionContext) -> TailedInterval:
+    """Partial sum of sum (-1)^(m+1) / (2m-1)^(2k+1) over m <= N.
+
+    The tail bound is the first omitted term (alternating series with
+    strictly decreasing magnitudes)."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    power = 2 * k + 1
+    [(lo, hi)] = power_sums(True, power, 1, N, ctx.scale)
+    tail = Fraction(1, (2 * N + 1) ** power)
+    return TailedInterval(CertifiedReal(ctx, lo, hi), tail)
+
+
+def zeta_partial(k: int, N: int, ctx: PrecisionContext) -> TailedInterval:
+    """Partial sum of sum 1 / m^(2k) over m <= N.
+
+    The tail bound is the integral estimate N^(1-2k) / (2k - 1)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    [(lo, hi)] = power_sums(False, 2 * k, 1, N, ctx.scale)
+    tail = Fraction(1, (2 * k - 1) * N ** (2 * k - 1))
+    return TailedInterval(CertifiedReal(ctx, lo, hi), tail)
+
+
+def pi_multiple_interval(value: PiMultiple, ctx: PrecisionContext) -> CertifiedReal:
+    """Interval evaluation of coeff * pi**power with the context's pi."""
+    return ctx.pi_power(value.power).mul_rational(value.coeff)
+
+
+def reduction_summands(p, k, euler=None, bern=None) -> list[Fraction]:
+    """Fraction oracle: the signed summands (-1)^j c(j+s) / (2k-2j+1)! for
+    j = 0..k, with c the closed-form coefficient of the odd-power (Euler)
+    or even-power (Bernoulli) sum."""
+    s = required_table_k(p, k) - k
+    if p % 2 == 1:
+        coeff = lambda m: beta_pi_coeff(m, euler).coeff
+    else:
+        coeff = lambda m: zeta_pi_coeff(m, bern).coeff
+    return [
+        (-1) ** j * coeff(j + s) / factorial(2 * k - 2 * j + 1) for j in range(k + 1)
+    ]
+
+
+def oracle_ratio(p, k, euler=None, bern=None) -> Fraction:
+    """prefactor * sum of the oracle summands: 1 iff the identity holds."""
+    return prefactor(p, k) * sum(reduction_summands(p, k, euler, bern))
+
+
+def inner_poly(k: int, x: Fraction) -> Fraction:
+    """sum_{j=0}^{k} (-x)^j / (2k-2j+1)! in exact rationals, by Horner over j."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    x = Fraction(x)
+    acc = Fraction(0)
+    for j in range(k, -1, -1):
+        acc = Fraction(1, factorial(2 * k - 2 * j + 1)) - x * acc
+    return acc
+
+
+def residual_numeric(p: int, k: int, N: int, ctx: PrecisionContext) -> CertifiedReal:
+    """Certified interval for partial_sum(p, k, N) / pi^p - 1."""
+    value = partial_sum(p, k, N, ctx).partial
+    return value / ctx.pi_power(p) - ctx.one()
+
+
+@dataclass(frozen=True)
+class MidBinomial:
+    """mu_k = (1*3*5*...*(2k-1)) / (2*4*6*...*2k), strictly decreasing in k."""
+
+    k: int
+    value: Fraction
+
+
+@dataclass(frozen=True)
+class HarmonicPair:
+    """H_n = sum_{k<=n} 1/k and h_n = sum_{k<=n} 1/(2k-1)."""
+
+    n: int
+    H: Fraction
+    h: Fraction
+
+
+@dataclass(frozen=True)
+class KolbigWeights:
+    """p_n, q_n partial products and the combined weight sigma_n."""
+
+    n: int
+    p: Fraction
+    q: Fraction
+    sigma: Fraction
+
+
+def mid_binomials() -> Iterator[MidBinomial]:
+    """Exact mu_k for k = 1, 2, ... via mu_k = mu_{k-1} (2k-1)/(2k)."""
+    value = Fraction(1)
+    k = 0
+    while True:
+        k += 1
+        value *= Fraction(2 * k - 1, 2 * k)
+        yield MidBinomial(k, value)
+
+
+def harmonic_pairs() -> Iterator[HarmonicPair]:
+    """Exact (H_n, h_n) for n = 1, 2, ..."""
+    H = Fraction(0)
+    h = Fraction(0)
+    n = 0
+    while True:
+        n += 1
+        H += Fraction(1, n)
+        h += Fraction(1, 2 * n - 1)
+        yield HarmonicPair(n, H, h)
+
+
+def kolbig_weights() -> Iterator[KolbigWeights]:
+    """Exact (p_n, q_n, sigma_n) for n = 1, 2, ..."""
+    p = Fraction(1)
+    q = Fraction(1)
+    s1 = Fraction(0)
+    s2 = Fraction(0)
+    n = 0
+    while True:
+        n += 1
+        p *= Fraction(4 * n - 1, 4 * n)
+        q *= Fraction(4 * n - 3, 4 * n)
+        s1 += Fraction(1, 4 * n - 1)
+        s2 += Fraction(1, 4 * n - 3)
+        yield KolbigWeights(n, p, q, p * s1 + q * s2)
+
+
+def ak_inner_sum(mu: Fraction, k: int) -> Fraction:
+    """Direct exact evaluation of sum_{m=0}^{k} C(k,m) (-1)^m mu^(k-m) / (2m+1)."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    total = Fraction(0)
+    for m in range(k + 1):
+        total += Fraction(
+            (-1) ** m * comb(k, m) * mu.numerator ** (k - m),
+            (2 * m + 1) * mu.denominator ** (k - m),
+        )
+    return total
+
+
+def ak_term_exact(mu: Fraction, k: int) -> Fraction:
+    """Exact k-th term 4 * inner_sum / (1+mu)^(k+1) of the mu-family."""
+    return 4 * ak_inner_sum(mu, k) / (1 + mu) ** (k + 1)

@@ -12,14 +12,7 @@ from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
 
 from piforge.cli import main as cli_main
-from piforge.closed_forms import (
-    beta_partial,
-    beta_pi_coeff,
-    pi_multiple_interval,
-    zeta_partial,
-    zeta_pi_coeff,
-)
-from piforge.exact_verifier import residual_numeric, verify_grid
+from piforge.exact_verifier import verify_grid
 from piforge.gupta_series import classical_partial, partial_sum, prefactor, tail_bound
 from piforge.numeric_engine import PrecisionContext
 from piforge.prior_series import (
@@ -29,6 +22,15 @@ from piforge.prior_series import (
     kolbig_partial,
 )
 from piforge.special_numbers import bernoulli_numbers, euler_numbers
+
+from oracles import (
+    beta_partial,
+    beta_pi_coeff,
+    pi_multiple_interval,
+    residual_numeric,
+    zeta_partial,
+    zeta_pi_coeff,
+)
 
 
 @contextmanager

@@ -12,7 +12,8 @@ from piforge import special_numbers
 from piforge.cli import SERIES, _parse_series, main
 from piforge.exact_verifier import IdentityCheck
 from piforge.report import CSV_HEADER, render_signed
-from test_exact_verifier import oracle_ratio
+
+from oracles import oracle_ratio
 
 
 def run_cli(argv, env=None, monkeypatch=None):

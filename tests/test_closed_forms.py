@@ -4,15 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from piforge.closed_forms import (
+from piforge.closed_forms import power_sums
+from piforge.special_numbers import TableDepthError, bernoulli_numbers, euler_numbers
+
+from oracles import (
     beta_partial,
     beta_pi_coeff,
     pi_multiple_interval,
-    power_sums,
     zeta_partial,
     zeta_pi_coeff,
 )
-from piforge.special_numbers import TableDepthError, bernoulli_numbers, euler_numbers
 
 BETA_COEFFS = [
     Fraction(1, 4),

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from piforge.exact_core import factorial, memo_cap, set_memo_cap
+from piforge.exact_core import factorial, set_memo_cap
 
 rationals = st.fractions(
     min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=10**6
@@ -27,11 +27,11 @@ def test_factorial_rejects_negative():
 def test_memo_cap_roundtrip():
     old = set_memo_cap(10)
     try:
-        assert memo_cap() == 10
+        assert set_memo_cap(10) == 10
         assert factorial(25) == 15511210043330985984000000  # above cap, uncached
     finally:
         set_memo_cap(old)
-    assert memo_cap() == old
+    assert set_memo_cap(old) == old
 
 
 def test_rational_examples():

@@ -1,18 +1,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from piforge.closed_forms import beta_pi_coeff, zeta_pi_coeff
-from piforge.exact_verifier import (
-    reduce_exact,
-    required_table_k,
-    residual_numeric,
-    verify_grid,
-)
+from piforge.exact_verifier import reduce_exact, required_table_k, verify_grid
 from piforge.gupta_series import prefactor, tail_bound
 from piforge.numeric_engine import PrecisionContext
 from piforge.special_numbers import (
@@ -24,24 +18,13 @@ from piforge.special_numbers import (
     euler_numbers,
 )
 
-
-def reduction_summands(p, k, euler=None, bern=None) -> list[Fraction]:
-    """Fraction oracle: the signed summands (-1)^j c(j+s) / (2k-2j+1)! for
-    j = 0..k, with c the closed-form coefficient of the odd-power (Euler)
-    or even-power (Bernoulli) sum."""
-    s = required_table_k(p, k) - k
-    if p % 2 == 1:
-        coeff = lambda m: beta_pi_coeff(m, euler).coeff
-    else:
-        coeff = lambda m: zeta_pi_coeff(m, bern).coeff
-    return [
-        (-1) ** j * coeff(j + s) / factorial(2 * k - 2 * j + 1) for j in range(k + 1)
-    ]
-
-
-def oracle_ratio(p, k, euler=None, bern=None) -> Fraction:
-    """prefactor * sum of the oracle summands: 1 iff the identity holds."""
-    return prefactor(p, k) * sum(reduction_summands(p, k, euler, bern))
+from oracles import (
+    oracle_ratio,
+    pi_multiple_interval,
+    reduction_summands,
+    residual_numeric,
+    zeta_pi_coeff,
+)
 
 
 def poisoned_tables(euler: EulerTable, bern: BernoulliTable, K: int):
@@ -218,9 +201,6 @@ def test_interchange_soundness_spot_check(ctx128, bernoulli_table):
     agree exactly, and each power sum must sit within its predicted tail
     of the closed form it converges to.
     """
-    from piforge.closed_forms import pi_multiple_interval, zeta_pi_coeff
-    from piforge.gupta_series import prefactor
-
     N = 10**4
     w0, w1 = Fraction(1, 6), Fraction(1)
     pref = prefactor(2, 1)

@@ -6,15 +6,10 @@ from math import factorial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from piforge.gupta_series import (
-    CLASSICAL_COEFF,
-    classical_partial,
-    inner_poly,
-    partial_sum,
-    prefactor,
-    tail_bound,
-)
+from piforge.gupta_series import classical_partial, partial_sum, prefactor, tail_bound
 from piforge.numeric_engine import PrecisionContext
+
+from oracles import CLASSICAL_COEFF, inner_poly
 
 small_rationals = st.fractions(
     min_value=Fraction(0), max_value=Fraction(1, 4), max_denominator=10**4
@@ -187,3 +182,5 @@ def test_validation(ctx128):
         partial_sum(7, 0, 10, ctx128)
     with pytest.raises(ValueError):
         classical_partial(7, 10, ctx128)
+    with pytest.raises(ValueError):
+        classical_partial(7, 0, ctx128)

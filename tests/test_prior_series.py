@@ -8,13 +8,16 @@ import pytest
 
 from piforge.numeric_engine import PrecisionContext
 from piforge.prior_series import (
-    ak_inner_sum,
-    ak_term_exact,
     alzer_H_partial,
     alzer_h_partial,
     alzer_koumandos_partial,
-    harmonic_pairs,
     kolbig_partial,
+)
+
+from oracles import (
+    ak_inner_sum,
+    ak_term_exact,
+    harmonic_pairs,
     kolbig_weights,
     mid_binomials,
 )
