@@ -11,10 +11,10 @@ from .numeric_engine import (
     TailedInterval,
 )
 from .prior_series import (
-    alzer_H_partial,
-    alzer_h_partial,
+    alzer_H_partials,
+    alzer_h_partials,
     alzer_koumandos_partial,
-    kolbig_partial,
+    kolbig_partials,
 )
 from .special_numbers import (
     BernoulliTable,

@@ -23,10 +23,10 @@ from .exact_verifier import verify_grid
 from .gupta_series import classical_partial, partial_sum
 from .numeric_engine import CertifiedReal, PrecisionContext
 from .prior_series import (
-    alzer_H_partial,
-    alzer_h_partial,
+    alzer_H_partials,
+    alzer_h_partials,
     alzer_koumandos_partial,
-    kolbig_partial,
+    kolbig_partials,
 )
 from .report import (
     ReportRow,
@@ -102,20 +102,27 @@ class SeriesSelector:
 class Series(NamedTuple):
     keys: tuple[str, ...]  # the keys its selector takes
     p: int | None  # the power of pi it targets; None: the selector's p
-    evaluate: Callable[[SeriesSelector, int, PrecisionContext], CertifiedReal]
+    # the partial sums of N terms for each N of a list, in its order
+    evaluate: Callable[[SeriesSelector, list[int], PrecisionContext], list[CertifiedReal]]
 
 
 # The evaluators look their functions up at call time, so wrappers installed
 # on this module's names (as the benchmark's tracer does) see every call.
+# The pi^2 baselines make one pass to the largest N; the others pick their
+# working precision from N, so they sum each N on its own.
 SERIES = {
-    "gupta": Series(("p", "k"), None, lambda s, n, ctx: partial_sum(s.p, s.k, n, ctx).partial),
-    "classical": Series(("p",), None, lambda s, n, ctx: classical_partial(s.p, n, ctx).partial),
-    "alzer-h": Series((), 2, lambda s, n, ctx: alzer_h_partial(n, ctx)),
-    "alzer-H": Series((), 2, lambda s, n, ctx: alzer_H_partial(n, ctx)),
-    "kolbig": Series((), 2, lambda s, n, ctx: kolbig_partial(n, ctx)),
+    "gupta": Series(
+        ("p", "k"), None, lambda s, Ns, ctx: [partial_sum(s.p, s.k, n, ctx).partial for n in Ns]
+    ),
+    "classical": Series(
+        ("p",), None, lambda s, Ns, ctx: [classical_partial(s.p, n, ctx).partial for n in Ns]
+    ),
+    "alzer-h": Series((), 2, lambda s, Ns, ctx: alzer_h_partials(Ns, ctx)),
+    "alzer-H": Series((), 2, lambda s, Ns, ctx: alzer_H_partials(Ns, ctx)),
+    "kolbig": Series((), 2, lambda s, Ns, ctx: kolbig_partials(Ns, ctx)),
     # the mu-family starts at k = 0, so N terms end at K = N - 1
     "alzer-koumandos": Series(
-        ("mu",), 1, lambda s, n, ctx: alzer_koumandos_partial(s.mu, n - 1, ctx)
+        ("mu",), 1, lambda s, Ns, ctx: [alzer_koumandos_partial(s.mu, n - 1, ctx) for n in Ns]
     ),
 }
 SERIES_HELP = " | ".join(
@@ -155,8 +162,14 @@ def _parse_series(text: str, default_p: int | None = None) -> SeriesSelector:
     if not 0 <= k <= k_max:
         raise ValueError(f"{where} needs k in 0..{k_max} for p={p}")
     if mu is not None and mu <= 0:
-        raise ValueError("the parameter mu must be positive")
+        raise ValueError(f"{where} needs a positive mu (mu > 0)")
     return SeriesSelector(name, p, k, mu)
+
+
+def _context(prec: int) -> PrecisionContext:
+    if prec < 64:
+        raise ValueError(f"--prec needs at least 64 bits, got {prec}")
+    return PrecisionContext(prec)
 
 
 def _value_row(
@@ -246,10 +259,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_sum(args: argparse.Namespace) -> int:
     sel = _parse_series(args.series)
-    ctx = PrecisionContext(args.prec)
+    ctx = _context(args.prec)
     if args.terms < 1:
         raise ValueError("--terms must be >= 1")
-    value = SERIES[sel.kind].evaluate(sel, args.terms, ctx)
+    [value] = SERIES[sel.kind].evaluate(sel, [args.terms], ctx)
     rows = [_value_row(sel, args.terms, value, ctx, args.format)]
     sys.stdout.write(render_report(rows, args.format))
     return 0
@@ -278,24 +291,19 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     terms_list = [_number(t, "--terms") for t in args.terms.split(",") if t.strip()]
     if not terms_list or any(t < 1 for t in terms_list):
         raise ValueError("--terms needs a comma-separated list of counts >= 1")
-    ctx = PrecisionContext(args.prec)
-    rows = []
-    matrix: dict[tuple[int, str], str] = {}
-    for terms in terms_list:
-        for sel in selectors:
-            value = SERIES[sel.kind].evaluate(sel, terms, ctx)
-            row = _value_row(sel, terms, value, ctx, args.format)
-            rows.append(row)
-            matrix[(terms, sel.series_id)] = row.residual
+    ctx = _context(args.prec)
+    columns = [SERIES[sel.kind].evaluate(sel, terms_list, ctx) for sel in selectors]
+    # one line of rows per N, one row per series
+    lines = [
+        [_value_row(sel, N, value, ctx, args.format) for sel, value in zip(selectors, values)]
+        for N, values in zip(terms_list, zip(*columns))
+    ]
     if args.format == "pretty":
         table = [["N"] + [sel.series_id for sel in selectors]]
-        for terms in terms_list:
-            table.append(
-                [str(terms)] + [matrix[(terms, sel.series_id)] for sel in selectors]
-            )
+        table += [[str(N)] + [row.residual for row in line] for N, line in zip(terms_list, lines)]
         sys.stdout.write(align_table(table))
     else:
-        sys.stdout.write(render_report(rows, args.format))
+        sys.stdout.write(render_report([row for line in lines for row in line], args.format))
     return 0
 
 

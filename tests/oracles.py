@@ -24,7 +24,10 @@ evaluation of something piforge computes by a faster route.
 * The ``Fraction`` oracle of ``exact_verifier.reduce_exact``.
 * The inner polynomial of the six families and the numeric residual of a
   partial sum against pi^p.
-* The exact weight generators of the four baseline series.
+* The exact weight generators of the four baseline series, and their
+  partial sums as ``CertifiedReal`` loops, one interval operation at a time:
+  the op-for-op reference of the integer recurrences in
+  ``piforge.prior_series``.
 """
 
 from __future__ import annotations
@@ -234,3 +237,81 @@ def ak_inner_sum(mu: Fraction, k: int) -> Fraction:
 def ak_term_exact(mu: Fraction, k: int) -> Fraction:
     """Exact k-th term 4 * inner_sum / (1+mu)^(k+1) of the mu-family."""
     return 4 * ak_inner_sum(mu, k) / (1 + mu) ** (k + 1)
+
+
+# -- the baseline series as interval loops -----------------------------------
+
+
+def alzer_koumandos_partial(
+    mu: Fraction | int, K: int, ctx: PrecisionContext
+) -> CertifiedReal:
+    """Partial sum over k = 0..K of the mu-parameterized series for pi."""
+    mu = Fraction(mu)
+    if mu <= 0:
+        raise ValueError("the parameter mu must be positive")
+    if K < 0:
+        raise ValueError("K must be >= 0")
+    work = PrecisionContext(ctx.precision_bits + K.bit_length() + 4)
+    # mu = a/b, so r = (a-b)/(a+b) and 2k mu/(1+mu) = 2k a/(a+b)
+    a, b = mu.numerator, mu.denominator
+    r_pow = work.one()
+    t = work.one()
+    acc = t
+    for k in range(1, K + 1):
+        r_pow = r_pow.mul_ratio(a - b, a + b)
+        t = (t.mul_ratio(2 * k * a, a + b) + r_pow).mul_ratio(1, 2 * k + 1)
+        acc = acc + t
+    return acc.mul_ratio(4 * b, a + b).rounded_to(ctx)
+
+
+def _mid_binomial_harmonic_partial(
+    K: int, ctx: PrecisionContext, weight: int, odd: bool
+) -> CertifiedReal:
+    """weight * sum_{k<=K} mu_k h_k / k, where h_k sums 1/(2i-1) over i <= k
+    when ``odd`` and 1/i otherwise."""
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    mu = ctx.one()
+    h = ctx.zero()
+    acc = ctx.zero()
+    for k in range(1, K + 1):
+        mu = mu.mul_ratio(2 * k - 1, 2 * k)
+        h = h + ctx.from_rational(Fraction(1, 2 * k - 1 if odd else k))
+        acc = acc + (mu * h).mul_ratio(weight, k)
+    return acc
+
+
+def alzer_h_partial(K: int, ctx: PrecisionContext) -> CertifiedReal:
+    """Partial sum of 4 sum_{k<=K} mu_k h_k / k (odd harmonic weights)."""
+    return _mid_binomial_harmonic_partial(K, ctx, 4, odd=True)
+
+
+def alzer_H_partial(K: int, ctx: PrecisionContext) -> CertifiedReal:
+    """Partial sum of 3 sum_{k<=K} mu_k H_k / k (full harmonic weights)."""
+    return _mid_binomial_harmonic_partial(K, ctx, 3, odd=False)
+
+
+def kolbig_partial(K: int, ctx: PrecisionContext) -> CertifiedReal:
+    """Partial sum of 2 sum_{k<=K} sigma_k / k.
+
+    Tracks u_n = p_n sum 1/(4k-1) and v_n = q_n sum 1/(4k-3) through
+
+        u_n = (4n-1)/(4n) u_{n-1} + p_{n-1}/(4n)
+        v_n = (4n-3)/(4n) v_{n-1} + q_{n-1}/(4n)
+
+    so each step touches only small exact multipliers.
+    """
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    p = ctx.one()
+    q = ctx.one()
+    u = ctx.zero()
+    v = ctx.zero()
+    acc = ctx.zero()
+    for n in range(1, K + 1):
+        u = u.mul_ratio(4 * n - 1, 4 * n) + p.mul_ratio(1, 4 * n)
+        v = v.mul_ratio(4 * n - 3, 4 * n) + q.mul_ratio(1, 4 * n)
+        p = p.mul_ratio(4 * n - 1, 4 * n)
+        q = q.mul_ratio(4 * n - 3, 4 * n)
+        acc = acc + (u + v).mul_ratio(2, n)
+    return acc

@@ -16,10 +16,10 @@ from piforge.exact_verifier import verify_grid
 from piforge.gupta_series import classical_partial, partial_sum, prefactor, tail_bound
 from piforge.numeric_engine import PrecisionContext
 from piforge.prior_series import (
-    alzer_H_partial,
-    alzer_h_partial,
+    alzer_H_partials,
+    alzer_h_partials,
     alzer_koumandos_partial,
-    kolbig_partial,
+    kolbig_partials,
 )
 from piforge.special_numbers import bernoulli_numbers, euler_numbers
 
@@ -216,12 +216,13 @@ def test_criterion_6_k0_collapse():
 def test_criterion_7_prior_series():
     with criterion(7, "prior-work series converge; Kolbig K=1 exact"):
         ctx = PrecisionContext(192)
-        value = kolbig_partial(1, ctx)
+        [value] = kolbig_partials([1], ctx)
         assert value.lo == value.hi == 1
         pi2 = ctx.pi_power(2)
-        for partial in (alzer_h_partial, alzer_H_partial, kolbig_partial):
+        for partial in (alzer_h_partials, alzer_H_partials, kolbig_partials):
             residuals = [
-                abs(partial(K, ctx).mid - pi2.mid) for K in (10**2, 10**3, 10**4)
+                abs(value.mid - pi2.mid)
+                for value in partial([10**2, 10**3, 10**4], ctx)
             ]
             assert residuals[0] > residuals[1] > residuals[2], partial.__name__
         deep = PrecisionContext(16500)

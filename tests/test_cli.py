@@ -170,6 +170,13 @@ def test_verify_beyond_table_cap():
         (["sum", "--series", "gupta:p=6,k=254", "--terms", "5"], ["gupta:p=6,k=254", "0..253"]),
         (["compare", "--target", "pi", "--series", "gupta:k=99999", "--terms", "5"],
          ["gupta:k=99999", "0..256"]),
+        (["sum", "--series", "alzer-koumandos:mu=0", "--terms", "5"],
+         ["alzer-koumandos:mu=0", "mu > 0"]),
+        (["sum", "--series", "alzer-koumandos:mu=-1/2", "--terms", "5"],
+         ["alzer-koumandos:mu=-1/2", "mu > 0"]),
+        (["sum", "--series", "kolbig", "--terms", "5", "--prec", "63"], ["--prec", "64"]),
+        (["compare", "--target", "pi2", "--series", "kolbig", "--terms", "5", "--prec", "63"],
+         ["--prec", "64"]),
     ],
 )
 def test_parse_errors_are_located(argv, located):
@@ -318,6 +325,59 @@ def test_compare_matrix_and_degenerate():
     )
     assert code == code2 == 0
     assert compare_out == sum_out
+
+
+PI2_KERNELS = ("kolbig_partials", "alzer_h_partials", "alzer_H_partials")
+
+
+def test_compare_sums_each_pi2_baseline_once(monkeypatch):
+    import piforge.cli as cli_module
+
+    calls = {name: [] for name in PI2_KERNELS}
+    for name in PI2_KERNELS:
+        kernel = getattr(cli_module, name)
+
+        def counted(Ns, ctx, _kernel=kernel, _calls=calls[name]):
+            _calls.append(list(Ns))
+            return _kernel(Ns, ctx)
+
+        monkeypatch.setattr(cli_module, name, counted)
+    code, out, _ = run_cli(
+        ["compare", "--target", "pi2", "--series", "kolbig,alzer-h,alzer-H",
+         "--terms", "100,1000,10000", "--format", "csv"]
+    )
+    assert code == 0 and len(out.splitlines()) == 10
+    assert calls == {name: [[100, 1000, 10000]] for name in PI2_KERNELS}
+
+
+# stdout of the per-N evaluation this replaced
+KOLBIG_TWICE = {
+    "csv": """\
+series_id,p,k,N,value_lo,value_hi,target,residual,exact_ok
+kolbig,2,0,2,1.5,1.5,pi^2,-8.36960440109,
+kolbig,2,0,2,1.5,1.5,pi^2,-8.36960440109,
+kolbig,2,0,1,1,1,pi^2,-8.86960440109,
+kolbig,2,0,1,1,1,pi^2,-8.86960440109,
+kolbig,2,0,2,1.5,1.5,pi^2,-8.36960440109,
+kolbig,2,0,2,1.5,1.5,pi^2,-8.36960440109,
+""",
+    "pretty": """\
+N  kolbig          kolbig
+-  --------------  --------------
+2  -8.36960440109  -8.36960440109
+1  -8.86960440109  -8.86960440109
+2  -8.36960440109  -8.36960440109
+""",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(KOLBIG_TWICE))
+def test_compare_rows_keep_the_given_order(fmt):
+    code, out, _ = run_cli(
+        ["compare", "--target", "pi2", "--series", "kolbig,kolbig", "--terms", "2,1,2",
+         "--format", fmt]
+    )
+    assert code == 0 and out == KOLBIG_TWICE[fmt]
 
 
 def test_compare_validation():

@@ -5,15 +5,17 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from piforge.numeric_engine import PrecisionContext
 from piforge.prior_series import (
-    alzer_H_partial,
-    alzer_h_partial,
+    alzer_H_partials,
+    alzer_h_partials,
     alzer_koumandos_partial,
-    kolbig_partial,
+    kolbig_partials,
 )
 
+import oracles
 from oracles import (
     ak_inner_sum,
     ak_term_exact,
@@ -86,9 +88,9 @@ def test_partial_intervals_contain_exact_sums(ctx128):
     exact_h = 4 * sum(mus[i].value * pairs[i].h / (i + 1) for i in range(K))
     exact_H = 3 * sum(mus[i].value * pairs[i].H / (i + 1) for i in range(K))
     exact_kolbig = 2 * sum(weights[i].sigma / (i + 1) for i in range(K))
-    assert alzer_h_partial(K, ctx128).contains(exact_h)
-    assert alzer_H_partial(K, ctx128).contains(exact_H)
-    assert kolbig_partial(K, ctx128).contains(exact_kolbig)
+    assert alzer_h_partials([K], ctx128)[0].contains(exact_h)
+    assert alzer_H_partials([K], ctx128)[0].contains(exact_H)
+    assert kolbig_partials([K], ctx128)[0].contains(exact_kolbig)
     for mu in (Fraction(1), Fraction(1, 2)):
         exact_ak = sum(ak_term_exact(mu, k) for k in range(K + 1))
         assert alzer_koumandos_partial(mu, K, ctx128).contains(exact_ak)
@@ -108,11 +110,11 @@ def test_ak_tight_for_mu_above_one(ctx128):
 
 
 def test_trivial_values(ctx128):
-    v = alzer_h_partial(1, ctx128)
+    [v] = alzer_h_partials([1], ctx128)
     assert v.lo == v.hi == 2
-    v = alzer_H_partial(1, ctx128)
+    [v] = alzer_H_partials([1], ctx128)
     assert v.lo == v.hi == Fraction(3, 2)
-    v = kolbig_partial(1, ctx128)
+    [v] = kolbig_partials([1], ctx128)
     assert v.lo == v.hi == 1
     v = alzer_koumandos_partial(Fraction(1), 0, ctx128)
     assert v.lo == v.hi == 2
@@ -130,9 +132,9 @@ def test_residuals_shrink_tenfold_steps(ctx128):
     pi2 = ctx128.pi_power(2)
     series = [
         (lambda K: alzer_koumandos_partial(Fraction(1), K, ctx128), pi),
-        (lambda K: alzer_h_partial(K, ctx128), pi2),
-        (lambda K: alzer_H_partial(K, ctx128), pi2),
-        (lambda K: kolbig_partial(K, ctx128), pi2),
+        (lambda K: alzer_h_partials([K], ctx128)[0], pi2),
+        (lambda K: alzer_H_partials([K], ctx128)[0], pi2),
+        (lambda K: kolbig_partials([K], ctx128)[0], pi2),
     ]
     for fn, target in series:
         residuals = [abs(fn(K).mid - target.mid) for K in (10, 100, 1000)]
@@ -148,7 +150,8 @@ def test_alzer_h_empirical_rate(ctx128):
 
     pi2 = ctx128.pi_power(2)
     resid = {
-        K: abs(alzer_h_partial(K, ctx128).mid - pi2.mid) for K in (10**3, 10**4)
+        K: abs(value.mid - pi2.mid)
+        for K, value in zip((10**3, 10**4), alzer_h_partials([10**3, 10**4], ctx128))
     }
     model = {K: math_module.log(K) / math_module.sqrt(K) for K in resid}
     constant = float(resid[10**3]) / model[10**3]
@@ -163,6 +166,54 @@ def test_mu_validation(ctx128):
     with pytest.raises(ValueError):
         alzer_koumandos_partial(Fraction(-1, 2), 5, ctx128)
     with pytest.raises(ValueError):
-        alzer_h_partial(0, ctx128)
+        alzer_h_partials([0], ctx128)
     with pytest.raises(ValueError):
-        kolbig_partial(0, ctx128)
+        kolbig_partials([0], ctx128)
+    with pytest.raises(ValueError):
+        alzer_H_partials([5, 0], ctx128)
+
+
+# The integer recurrences against the interval loops they replace
+# (tests/oracles.py): every bound must come out bit for bit the same.
+PI2_KERNELS = {
+    "kolbig": (kolbig_partials, oracles.kolbig_partial),
+    "alzer-h": (alzer_h_partials, oracles.alzer_h_partial),
+    "alzer-H": (alzer_H_partials, oracles.alzer_H_partial),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(PI2_KERNELS)),
+    K=st.integers(1, 400),
+    bits=st.sampled_from((128, 1024)),
+)
+@example(name="kolbig", K=10**4, bits=1024)
+@example(name="alzer-h", K=10**4, bits=1024)
+@example(name="alzer-H", K=10**4, bits=1024)
+def test_pi2_kernels_equal_interval_loops(name, K, bits):
+    kernel, oracle = PI2_KERNELS[name]
+    ctx = PrecisionContext(bits)
+    assert kernel([K], ctx) == [oracle(K, ctx)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mu=st.fractions(min_value=Fraction(1, 20), max_value=8, max_denominator=20),
+    K=st.integers(0, 400),
+    bits=st.sampled_from((128, 1024)),
+)
+@example(mu=Fraction(1, 5), K=10**4, bits=1024)
+@example(mu=Fraction(3, 4), K=10**4, bits=1024)
+@example(mu=Fraction(1), K=10**4, bits=1024)
+@example(mu=Fraction(5), K=10**4, bits=1024)
+def test_ak_kernel_equals_interval_loop(mu, K, bits):
+    ctx = PrecisionContext(bits)
+    assert alzer_koumandos_partial(mu, K, ctx) == oracles.alzer_koumandos_partial(mu, K, ctx)
+
+
+@pytest.mark.parametrize("name", sorted(PI2_KERNELS))
+def test_one_pass_answers_each_N_in_the_given_order(name, ctx128):
+    kernel, oracle = PI2_KERNELS[name]
+    Ns = [1000, 1, 100, 1000]
+    assert kernel(Ns, ctx128) == [oracle(N, ctx128) for N in Ns]
