@@ -15,13 +15,14 @@ Summing over n first turns the partial sum into one polynomial in 1/pi^2,
     prefactor * sum_{j=0}^{k} (-1)^j pi^(-2j) S_{p+2j}(N) / (2k - 2j + 1)!,
 
 whose coefficients are the power sums S_q(N) = sum_{n<=N} sign_n / base_n^q.
-``partial_sum`` takes all of them from one integer pass of
-``closed_forms.power_sums`` and evaluates the polynomial once, by Horner
-over j.  It works with ``N.bit_length() + prefactor.numerator.bit_length()
-+ 8`` guard bits beyond the context: each power-sum bracket is at most N
-units wide and the prefactor magnifies it, so the extra bits keep the
-accumulated error below a fraction of one unit of the context, and the
-result is rounded outward to the context once.
+``partial_sum`` takes all of them from one call of
+``closed_forms.power_sums``, which walks the bases in integer blocks, and
+evaluates the polynomial once, by Horner over j.  It works with
+``N.bit_length() + prefactor.numerator.bit_length() + 8`` guard bits
+beyond the context: each power-sum bracket is at most N units wide and the
+prefactor magnifies it, so the extra bits keep the accumulated error below
+a fraction of one unit of the context, and the result is rounded outward to
+the context once.
 
 Numeric evaluation deliberately uses the independent pi enclosure from
 ``numeric_engine``: these series are representations of powers of pi, not

@@ -21,6 +21,9 @@ evaluation of something piforge computes by a faster route.
   bound for the beta sums, integral bound for the zeta sums), are compared
   by containment against the closed forms, and keeping them at the context
   scale keeps those intervals identical to a plain per-term interval sum.
+* ``power_sums_loop``, the per-term ``divmod`` loop that
+  ``closed_forms.power_sums`` replaces: it tests every remainder where the
+  kernel sums whole blocks and counts the inexact terms.
 * The ``Fraction`` oracle of ``exact_verifier.reduce_exact``.
 * The inner polynomial of the six families and the numeric residual of a
   partial sum against pi^p.
@@ -113,6 +116,33 @@ def zeta_partial(k: int, N: int, ctx: PrecisionContext) -> TailedInterval:
     [(lo, hi)] = power_sums(False, 2 * k, 1, N, ctx.scale)
     tail = Fraction(1, (2 * k - 1) * N ** (2 * k - 1))
     return TailedInterval(CertifiedReal(ctx, lo, hi), tail)
+
+
+def power_sums_loop(
+    alternating: bool, q: int, count: int, N: int, work: int
+) -> list[tuple[int, int]]:
+    """Reference for ``closed_forms.power_sums``: one ``divmod`` per term and
+    exponent, and a term widens its bracket when any remainder is nonzero."""
+    one = 1 << work
+    lo = [0] * count
+    hi = [0] * count
+    for n in range(1, N + 1):
+        base = 2 * n - 1 if alternating else n
+        negative = alternating and n % 2 == 0
+        square = base * base
+        f, r = divmod(one, base**q)
+        inexact = r != 0
+        for j in range(count):
+            if j:
+                f, r = divmod(f, square)
+                inexact = inexact or r != 0
+            if negative:
+                lo[j] -= f + inexact
+                hi[j] -= f
+            else:
+                lo[j] += f
+                hi[j] += f + inexact
+    return list(zip(lo, hi))
 
 
 def pi_multiple_interval(value: PiMultiple, ctx: PrecisionContext) -> CertifiedReal:

@@ -3,7 +3,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from piforge import closed_forms
 from piforge.closed_forms import power_sums
 from piforge.special_numbers import TableDepthError, bernoulli_numbers, euler_numbers
 
@@ -11,6 +13,7 @@ from oracles import (
     beta_partial,
     beta_pi_coeff,
     pi_multiple_interval,
+    power_sums_loop,
     zeta_partial,
     zeta_pi_coeff,
 )
@@ -137,6 +140,59 @@ def test_power_sums_bracket_exact_sums():
     # dyadic terms stay exact: 1 + 1/4 at j = 0, 1 + 1/16 at j = 1
     assert power_sums(False, 2, 2, 2, 8) == [(320, 320), (272, 272)]
     assert power_sums(True, 1, 1, 1, 8) == [(256, 256)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alternating=st.booleans(),
+    q=st.integers(min_value=1, max_value=17),
+    count=st.integers(min_value=0, max_value=9),
+    N=st.integers(min_value=0, max_value=3000),
+    work=st.integers(min_value=0, max_value=420),
+)
+@example(alternating=True, q=3, count=4, N=255, work=200)
+@example(alternating=True, q=3, count=4, N=256, work=200)
+@example(alternating=True, q=3, count=4, N=257, work=200)
+@example(alternating=True, q=3, count=4, N=511, work=200)
+@example(alternating=True, q=3, count=4, N=512, work=200)
+@example(alternating=True, q=3, count=4, N=513, work=200)
+@example(alternating=True, q=3, count=4, N=1025, work=200)
+@example(alternating=False, q=2, count=4, N=255, work=200)
+@example(alternating=False, q=2, count=4, N=256, work=200)
+@example(alternating=False, q=2, count=4, N=257, work=200)
+@example(alternating=False, q=2, count=4, N=511, work=200)
+@example(alternating=False, q=2, count=4, N=512, work=200)
+@example(alternating=False, q=2, count=4, N=513, work=200)
+@example(alternating=False, q=2, count=4, N=1025, work=200)
+# 8**2 = 2**6: exact at j = 0 with work 6, inexact at j = 1 and with work 5
+@example(alternating=False, q=2, count=2, N=8, work=6)
+@example(alternating=False, q=2, count=2, N=8, work=5)
+# the widest converge-sum cell, gupta p = 1, k = 8 at N = 10**5
+@example(alternating=True, q=1, count=9, N=100000, work=252)
+def test_power_sums_equals_loop_oracle(alternating, q, count, N, work):
+    assert power_sums(alternating, q, count, N, work) == power_sums_loop(
+        alternating, q, count, N, work
+    )
+
+
+def test_power_sums_empty_cases():
+    for alternating in (True, False):
+        assert power_sums(alternating, 3, 4, 0, 64) == [(0, 0)] * 4
+        assert power_sums(alternating, 3, 0, 1000, 64) == []
+    with pytest.raises(ValueError):
+        power_sums(True, 0, 1, 10, 64)
+
+
+@pytest.mark.parametrize("block", [1, 7, 256])
+def test_power_sums_independent_of_block_size(monkeypatch, block):
+    """The grid crosses block edges in both classes of the alternating
+    series (each holds about N/2 bases) and in the one even class."""
+    monkeypatch.setattr(closed_forms, "BLOCK", block)
+    for alternating in (True, False):
+        for q in (1, 2, 5):
+            for N in (1, 6, 14, 15, 300, 513, 600):
+                args = (alternating, q, 3, N, 150)
+                assert power_sums(*args) == power_sums_loop(*args)
 
 
 def test_partial_validation(ctx128):
