@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .exact_verifier import verify_grid
-from .gupta_series import classical_partial, partial_sum
+from .gupta_series import partial_sum
 from .numeric_engine import CertifiedReal, PrecisionContext
 from .prior_series import (
     alzer_H_partials,
@@ -106,17 +106,18 @@ class Series(NamedTuple):
     evaluate: Callable[[SeriesSelector, list[int], PrecisionContext], list[CertifiedReal]]
 
 
+def _family_partials(s, Ns, ctx):
+    return [partial_sum(s.p, s.k, n, ctx) for n in Ns]
+
+
 # The evaluators look their functions up at call time, so wrappers installed
 # on this module's names (as the benchmark's tracer does) see every call.
+# `gupta` and `classical` share one evaluator: a classical selector has k = 0.
 # The pi^2 baselines make one pass to the largest N; the others pick their
 # working precision from N, so they sum each N on its own.
 SERIES = {
-    "gupta": Series(
-        ("p", "k"), None, lambda s, Ns, ctx: [partial_sum(s.p, s.k, n, ctx).partial for n in Ns]
-    ),
-    "classical": Series(
-        ("p",), None, lambda s, Ns, ctx: [classical_partial(s.p, n, ctx).partial for n in Ns]
-    ),
+    "gupta": Series(("p", "k"), None, _family_partials),
+    "classical": Series(("p",), None, _family_partials),
     "alzer-h": Series((), 2, lambda s, Ns, ctx: alzer_h_partials(Ns, ctx)),
     "alzer-H": Series((), 2, lambda s, Ns, ctx: alzer_H_partials(Ns, ctx)),
     "kolbig": Series((), 2, lambda s, Ns, ctx: kolbig_partials(Ns, ctx)),

@@ -90,23 +90,18 @@ def reduce_exact(
     return IdentityCheck(p, k, Fraction(num, den), num == den)
 
 
-def verify_grid(
-    powers: Iterable[int],
-    k_max: int,
-    *,
-    store: TableStore | None = None,
-) -> list[IdentityCheck]:
+def verify_grid(powers: Iterable[int], k_max: int) -> list[IdentityCheck]:
     """One check per (p, k) with p over ``powers`` and k = 0..k_max, in
     deterministic order (p ascending, then k ascending).
 
-    Tables grow lazily through the store up to its hard cap.
+    Tables come from a fresh ``TableStore``, up to its hard cap.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     ordered = sorted(set(powers))
     if not ordered:
         return []
-    store = store if store is not None else TableStore()
+    store = TableStore()
     need_euler = max(
         (required_table_k(p, k_max) for p in ordered if p % 2 == 1), default=None
     )

@@ -8,7 +8,8 @@ depending on the truncation order k, and an inner polynomial
     sum_{j=0}^{k} (-x)^j / (2k - 2j + 1)!
 
 evaluated at x = 1 / (base^2 pi^2).  At k = 0 the prefactors collapse to the
-classical coefficients 4, 6, 32, 90, 1536/5, 945.
+classical coefficients 4, 6, 32, 90, 1536/5, 945, so ``partial_sum(p, 0, N)``
+is the classical series for pi^p.
 
 Summing over n first turns the partial sum into one polynomial in 1/pi^2,
 
@@ -17,7 +18,8 @@ Summing over n first turns the partial sum into one polynomial in 1/pi^2,
 whose coefficients are the power sums S_q(N) = sum_{n<=N} sign_n / base_n^q.
 ``partial_sum`` takes all of them from one call of
 ``closed_forms.power_sums``, which walks the bases in integer blocks, and
-evaluates the polynomial once, by Horner over j.  It works with
+evaluates the polynomial once, by Horner over j, returning the enclosure of
+the finite sum alone; ``tail_bound`` bounds what it omits.  It works with
 ``N.bit_length() + prefactor.numerator.bit_length() + 8`` guard bits
 beyond the context: each power-sum bracket is at most N units wide and the
 prefactor magnifies it, so the extra bits keep the accumulated error below
@@ -36,10 +38,9 @@ from fractions import Fraction
 
 from .closed_forms import power_sums
 from .exact_core import factorial
-from .numeric_engine import CertifiedReal, PrecisionContext, TailedInterval
+from .numeric_engine import CertifiedReal, PrecisionContext
 
 __all__ = [
-    "classical_partial",
     "partial_sum",
     "prefactor",
     "tail_bound",
@@ -100,9 +101,9 @@ def tail_bound(p: int, k: int, N: int) -> Fraction:
     return pref * total
 
 
-def partial_sum(p: int, k: int, N: int, ctx: PrecisionContext) -> TailedInterval:
-    """Certified partial sum of family (p, k) over n = 1..N with its
-    analytic tail estimate attached."""
+def partial_sum(p: int, k: int, N: int, ctx: PrecisionContext) -> CertifiedReal:
+    """Certified partial sum of family (p, k) over n = 1..N; at k = 0 this
+    is the classical series for pi^p."""
     if N < 1:
         raise ValueError("N must be >= 1")
     pref = prefactor(p, k)
@@ -115,13 +116,4 @@ def partial_sum(p: int, k: int, N: int, ctx: PrecisionContext) -> TailedInterval
         lo, hi = sums[j]
         coeff = CertifiedReal(work, lo, hi).mul_ratio(1, factorial(2 * k - 2 * j + 1))
         acc = coeff - inv_pi2 * acc
-    total = acc.mul_rational(pref).rounded_to(ctx)
-    return TailedInterval(total, tail_bound(p, k, N))
-
-
-def classical_partial(p: int, N: int, ctx: PrecisionContext) -> TailedInterval:
-    """Partial sum of the classical series for pi^p (the k = 0 limit of the
-    corresponding family, with which it agrees interval-for-interval)."""
-    if N == 0:
-        return TailedInterval(ctx.zero(), tail_bound(p, 0, 1) + prefactor(p, 0))
-    return partial_sum(p, 0, N, ctx)
+    return acc.mul_ratio(pref.numerator, pref.denominator).rounded_to(ctx)

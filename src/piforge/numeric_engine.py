@@ -33,7 +33,6 @@ __all__ = [
     "GUARD_BITS",
     "IntervalDivisionError",
     "PrecisionContext",
-    "TailedInterval",
 ]
 
 
@@ -179,28 +178,8 @@ class CertifiedReal:
     def __mul__(self, other: "CertifiedReal") -> "CertifiedReal":
         self._check(other)
         a, b, c, d = self.lo_m, self.hi_m, other.lo_m, other.hi_m
-        # sign-aware case split: two products except when both straddle zero
-        if a >= 0:
-            if c >= 0:
-                lo, hi = a * c, b * d
-            elif d <= 0:
-                lo, hi = b * c, a * d
-            else:
-                lo, hi = b * c, b * d
-        elif b <= 0:
-            if c >= 0:
-                lo, hi = a * d, b * c
-            elif d <= 0:
-                lo, hi = b * d, a * c
-            else:
-                lo, hi = a * d, a * c
-        else:
-            if c >= 0:
-                lo, hi = a * d, b * d
-            elif d <= 0:
-                lo, hi = b * c, a * c
-            else:
-                lo, hi = min(a * d, b * c), max(a * c, b * d)
+        products = (a * c, a * d, b * c, b * d)
+        lo, hi = min(products), max(products)
         scale = self.ctx.scale
         # right-shifts round toward -inf, so ceil comes from negation
         return CertifiedReal(self.ctx, lo >> scale, -((-hi) >> scale))
@@ -236,10 +215,6 @@ class CertifiedReal:
             self.ctx, (self.hi_m * num) // den, _ceil_div(self.lo_m * num, den)
         )
 
-    def mul_rational(self, q: Rational | int) -> "CertifiedReal":
-        q = Fraction(q)
-        return self.mul_ratio(q.numerator, q.denominator)
-
     def rounded_to(self, ctx: PrecisionContext) -> "CertifiedReal":
         """The same enclosure rounded outward onto a context of no larger
         scale."""
@@ -255,23 +230,6 @@ class CertifiedReal:
             raise ValueError("widening radius must be >= 0")
         d = _ceil_div(r.numerator << self.ctx.scale, r.denominator)
         return CertifiedReal(self.ctx, self.lo_m - d, self.hi_m + d)
-
-
-@dataclass(frozen=True)
-class TailedInterval:
-    """A truncated-series enclosure with its certified tail bound attached.
-
-    ``partial`` encloses the finite sum that was actually evaluated; ``tail``
-    bounds the absolute value of everything omitted, so ``enclosure`` is a
-    certified enclosure of the full series limit.
-    """
-
-    partial: CertifiedReal
-    tail: Fraction
-
-    @property
-    def enclosure(self) -> CertifiedReal:
-        return self.partial.widened(self.tail)
 
 
 # -- independent pi ----------------------------------------------------------

@@ -21,6 +21,7 @@ evaluation of something piforge computes by a faster route.
   bound for the beta sums, integral bound for the zeta sums), are compared
   by containment against the closed forms, and keeping them at the context
   scale keeps those intervals identical to a plain per-term interval sum.
+  They return a ``TailedInterval``, the partial sum with its tail bound.
 * ``power_sums_loop``, the per-term ``divmod`` loop that
   ``closed_forms.power_sums`` replaces: it tests every remainder where the
   kernel sums whole blocks and counts the inexact terms.
@@ -44,7 +45,7 @@ from piforge.closed_forms import power_sums
 from piforge.exact_core import factorial
 from piforge.exact_verifier import required_table_k
 from piforge.gupta_series import partial_sum, prefactor
-from piforge.numeric_engine import CertifiedReal, PrecisionContext, TailedInterval
+from piforge.numeric_engine import CertifiedReal, PrecisionContext
 from piforge.special_numbers import BernoulliTable, EulerTable, TableDepthError
 
 # The classical coefficients c_p of pi^p = c_p * S_p(infinity), printed in
@@ -57,6 +58,23 @@ CLASSICAL_COEFF = {
     5: Fraction(1536, 5),
     6: Fraction(945),
 }
+
+
+@dataclass(frozen=True)
+class TailedInterval:
+    """A truncated-series enclosure with its certified tail bound attached.
+
+    ``partial`` encloses the finite sum that was actually evaluated; ``tail``
+    bounds the absolute value of everything omitted, so ``enclosure`` is a
+    certified enclosure of the full series limit.
+    """
+
+    partial: CertifiedReal
+    tail: Fraction
+
+    @property
+    def enclosure(self) -> CertifiedReal:
+        return self.partial.widened(self.tail)
 
 
 @dataclass(frozen=True)
@@ -147,7 +165,8 @@ def power_sums_loop(
 
 def pi_multiple_interval(value: PiMultiple, ctx: PrecisionContext) -> CertifiedReal:
     """Interval evaluation of coeff * pi**power with the context's pi."""
-    return ctx.pi_power(value.power).mul_rational(value.coeff)
+    coeff = value.coeff
+    return ctx.pi_power(value.power).mul_ratio(coeff.numerator, coeff.denominator)
 
 
 def reduction_summands(p, k, euler=None, bern=None) -> list[Fraction]:
@@ -182,7 +201,7 @@ def inner_poly(k: int, x: Fraction) -> Fraction:
 
 def residual_numeric(p: int, k: int, N: int, ctx: PrecisionContext) -> CertifiedReal:
     """Certified interval for partial_sum(p, k, N) / pi^p - 1."""
-    value = partial_sum(p, k, N, ctx).partial
+    value = partial_sum(p, k, N, ctx)
     return value / ctx.pi_power(p) - ctx.one()
 
 

@@ -119,7 +119,7 @@ def test_verify_bad_flags():
 def test_verify_failure_exit_code(monkeypatch):
     import piforge.cli as cli_module
 
-    def fake_grid(powers, k_max, store=None):
+    def fake_grid(powers, k_max):
         return [IdentityCheck(1, 0, Fraction(2), False)]
 
     monkeypatch.setattr(cli_module, "verify_grid", fake_grid)
@@ -237,6 +237,18 @@ def test_sum_trivial_values():
     assert code == 0
     row = out.strip().splitlines()[1].split(",")
     assert row[4] == "1" and row[5] == "1" and row[6] == "pi^2"
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_classical_rows_equal_gupta_k0_rows(p):
+    for N in ("1", "10", "1000"):
+        bounds = []
+        for selector in (f"classical:p={p}", f"gupta:p={p},k=0"):
+            code, out, _ = run_cli(["sum", "--series", selector, "--terms", N, "--format", "csv"])
+            assert code == 0
+            row = dict(zip(CSV_HEADER, next(csv.reader(out.splitlines()[1:]))))
+            bounds.append((row["value_lo"], row["value_hi"]))
+        assert bounds[0] == bounds[1], (p, N)
 
 
 def test_sum_residual_scale():

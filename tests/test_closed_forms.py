@@ -98,7 +98,7 @@ def test_consistency_grid(ctx128, euler_table, bernoulli_table):
 
 def test_pi_squared_cross_check(ctx128):
     # 6 * sum 1/m^2 must enclose the engine's independent pi^2
-    enclosure = zeta_partial(1, 10**4, ctx128).enclosure.mul_rational(6)
+    enclosure = zeta_partial(1, 10**4, ctx128).enclosure.mul_ratio(6, 1)
     assert enclosure.contains(ctx128.pi_power(2))
 
 

@@ -9,11 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 from piforge.exact_verifier import reduce_exact, required_table_k, verify_grid
 from piforge.gupta_series import prefactor, tail_bound
 from piforge.numeric_engine import PrecisionContext
+from piforge import special_numbers
 from piforge.special_numbers import (
     BernoulliTable,
     EulerTable,
     TableDepthError,
-    TableStore,
     bernoulli_numbers,
     euler_numbers,
 )
@@ -135,7 +135,7 @@ def test_alternating_signs_as_printed(euler_table):
 
 
 def test_small_grid(euler_table, bernoulli_table):
-    checks = verify_grid([1], 4, store=TableStore())
+    checks = verify_grid([1], 4)
     assert len(checks) == 5
     assert [(c.p, c.k) for c in checks] == [(1, k) for k in range(5)]
     assert all(c.holds for c in checks)
@@ -155,17 +155,21 @@ def test_grid_order_and_holds():
     assert all(c.holds for c in checks)
 
 
-def test_table_depth_errors(euler_table, bernoulli_table):
+def test_table_depth_errors(euler_table, bernoulli_table, monkeypatch):
     with pytest.raises(TableDepthError):
         reduce_exact(1, 40, euler=euler_table)
     with pytest.raises(TableDepthError):
         reduce_exact(2, 40, bern=bernoulli_table)
     with pytest.raises(TableDepthError):
         reduce_exact(1, 1)  # no table supplied at all
-    store = TableStore()
+
+    def must_not_build(K):
+        raise AssertionError("a table was built past the cap")
+
+    # raised before building anything
+    monkeypatch.setattr(special_numbers, "bernoulli_numbers", must_not_build)
     with pytest.raises(TableDepthError, match="cap"):
-        verify_grid([6], 254, store=store)
-    assert store._bernoulli is None  # raised before building anything
+        verify_grid([6], 254)
 
 
 def test_residual_leibniz_bound(ctx128):

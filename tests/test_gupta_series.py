@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from piforge.gupta_series import classical_partial, partial_sum, prefactor, tail_bound
+from piforge.gupta_series import partial_sum, prefactor, tail_bound
 from piforge.numeric_engine import PrecisionContext
 
 from oracles import CLASSICAL_COEFF, inner_poly
@@ -74,13 +74,13 @@ def test_inner_poly_examples():
 
 def test_term_examples(ctx128):
     # single terms, read off the partial sums over one and two terms
-    t = partial_sum(1, 0, 1, ctx128).partial
+    t = partial_sum(1, 0, 1, ctx128)
     assert t.lo == t.hi == 4
-    first = partial_sum(2, 0, 1, ctx128).partial
-    second = partial_sum(2, 0, 2, ctx128).partial - first
+    first = partial_sum(2, 0, 1, ctx128)
+    second = partial_sum(2, 0, 2, ctx128) - first
     assert second.lo == second.hi == Fraction(3, 2)
     # 60*(1/6 - 1/pi^2), brute-forced independently to 3.92072898145973371...
-    t = partial_sum(2, 1, 1, ctx128).partial
+    t = partial_sum(2, 1, 1, ctx128)
     assert Fraction("3.920728981459733713") < t.lo
     assert t.hi < Fraction("3.920728981459733714")
 
@@ -109,7 +109,7 @@ def mpmath_partial_sum(p, k, N):
 
 def test_partial_sum_against_independent_oracle(ctx128):
     for p, k, N in ((3, 2, 50), (2, 1, 50), (6, 2, 25), (5, 1, 30)):
-        enclosure = partial_sum(p, k, N, ctx128).partial.widened(Fraction(1, 2**250))
+        enclosure = partial_sum(p, k, N, ctx128).widened(Fraction(1, 2**250))
         assert enclosure.contains(mpmath_partial_sum(p, k, N))
 
 
@@ -125,30 +125,37 @@ def test_partial_sum_encloses_tightly(p, k, N):
     below 2^-200 here) and is no wider than 2^-precision_bits, whatever
     the prefactor."""
     ctx = PrecisionContext(128)
-    value = partial_sum(p, k, N, ctx).partial
+    value = partial_sum(p, k, N, ctx)
     assert value.widened(Fraction(1, 2**200)).contains(mpmath_partial_sum(p, k, N))
     assert value.width <= Fraction(1, 2**ctx.precision_bits)
 
 
+def classical_sum(p: int, N: int) -> Fraction:
+    """c_p * sum_{n<=N} sign_n / base_n^p in exact rationals."""
+    if p % 2 == 1:
+        terms = (Fraction((-1) ** (n + 1), (2 * n - 1) ** p) for n in range(1, N + 1))
+    else:
+        terms = (Fraction(1, n**p) for n in range(1, N + 1))
+    return CLASSICAL_COEFF[p] * sum(terms)
+
+
 def test_collapse_to_classical(ctx128):
+    """At k = 0 the family is the classical series, term for term."""
     for p in range(1, 7):
         for N in (1, 10, 1000):
-            a = partial_sum(p, 0, N, ctx128)
-            b = classical_partial(p, N, ctx128)
-            assert a.partial == b.partial
-            assert a.tail == b.tail
+            value = partial_sum(p, 0, N, ctx128)
+            assert value.contains(classical_sum(p, N)), (p, N)
+            assert value.width <= Fraction(1, 2**ctx128.precision_bits)
 
 
 def test_classical_values(ctx128):
-    v = classical_partial(4, 1, ctx128)
-    assert v.partial.lo == v.partial.hi == 90
-    v = classical_partial(6, 1, ctx128)
-    assert v.partial.lo == v.partial.hi == 945
-    v = classical_partial(3, 0, ctx128)
-    assert v.partial.lo == v.partial.hi == 0
-    v = classical_partial(2, 2, ctx128)
-    assert v.partial.lo == v.partial.hi == Fraction(15, 2)
-    assert partial_sum(1, 0, 1, ctx128).partial.contains(4)
+    v = partial_sum(4, 0, 1, ctx128)
+    assert v.lo == v.hi == 90
+    v = partial_sum(6, 0, 1, ctx128)
+    assert v.lo == v.hi == 945
+    v = partial_sum(2, 0, 2, ctx128)
+    assert v.lo == v.hi == Fraction(15, 2)
+    assert partial_sum(1, 0, 1, ctx128).contains(4)
 
 
 def test_tail_bound_formula():
@@ -166,10 +173,11 @@ def test_residual_within_tail(ctx128):
         previous = None
         for N in (500, 2000):
             value = partial_sum(p, k, N, ctx128)
-            assert value.enclosure.contains(pi_targets[p])
-            residual = abs(value.partial.mid - pi_targets[p].mid)
-            assert residual <= value.tail
-            assert residual >= value.tail / 4
+            tail = tail_bound(p, k, N)
+            assert value.widened(tail).contains(pi_targets[p])
+            residual = abs(value.mid - pi_targets[p].mid)
+            assert residual <= tail
+            assert residual >= tail / 4
             if previous is not None:
                 assert residual < previous
             previous = residual
@@ -180,7 +188,3 @@ def test_validation(ctx128):
         partial_sum(1, 0, 0, ctx128)
     with pytest.raises(ValueError):
         partial_sum(7, 0, 10, ctx128)
-    with pytest.raises(ValueError):
-        classical_partial(7, 10, ctx128)
-    with pytest.raises(ValueError):
-        classical_partial(7, 0, ctx128)

@@ -115,7 +115,59 @@ def test_containment_add_sub_mul(a, b):
     assert (ia - ib).contains(a - b)
     assert (ia * ib).contains(a * b)
     assert (-ia).contains(-a)
-    assert ia.mul_rational(b).contains(a * b)
+    assert ia.mul_ratio(b.numerator, b.denominator).contains(a * b)
+
+
+SIGN_CLASSES = ("positive", "negative", "straddling", "zero-touching")
+
+
+@st.composite
+def mantissa_pairs(draw, scale: int, sign_class: str):
+    """Bounds (lo_m, hi_m) of one sign class, up to 2^8 in magnitude."""
+    magnitude = st.integers(min_value=0, max_value=1 << (scale + 8))
+    x, y = draw(magnitude), draw(magnitude)
+    if sign_class == "positive":
+        return 1 + x, 1 + x + y
+    if sign_class == "negative":
+        return -1 - x - y, -1 - x
+    if sign_class == "straddling":
+        return -1 - x, 1 + y
+    return draw(st.sampled_from([(0, y), (-y, 0)]))
+
+
+@pytest.mark.parametrize("bits", [128, 1024])
+@pytest.mark.parametrize("left_class", SIGN_CLASSES)
+@pytest.mark.parametrize("right_class", SIGN_CLASSES)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_mul_bounds_are_floor_of_min_and_ceiling_of_max(bits, left_class, right_class, data):
+    """Each bound of a product is the outward rounding of the extreme
+    endpoint product, to the unit."""
+    ctx = PrecisionContext(bits)
+    left = data.draw(mantissa_pairs(ctx.scale, left_class))
+    right = data.draw(mantissa_pairs(ctx.scale, right_class))
+    assert_mul_bounds(ctx, left, right)
+
+
+def assert_mul_bounds(ctx: PrecisionContext, left, right):
+    unit = 1 << ctx.scale
+    product = CertifiedReal(ctx, *left) * CertifiedReal(ctx, *right)
+    corners = [x * y for x in left for y in right]
+    assert product.lo_m == min(corners) // unit
+    assert product.hi_m == -(-max(corners) // unit)
+
+
+@pytest.mark.parametrize("bits", [128, 1024])
+def test_mul_bounds_on_every_interval_of_a_grid(bits):
+    """All pairs of intervals with bounds on a 7-point grid: every sign
+    class, zero-touching ends and point intervals, with distinct products."""
+    ctx = PrecisionContext(bits)
+    unit = 1 << ctx.scale
+    grid = [i * unit + 7 * i * i for i in range(-3, 4)]
+    intervals = [(lo, hi) for lo in grid for hi in grid if lo <= hi]
+    for left in intervals:
+        for right in intervals:
+            assert_mul_bounds(ctx, left, right)
 
 
 @given(rationals, nonzero)

@@ -14,8 +14,10 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "piforge"
 
 # Public names whose callers are outside src/: ``main`` is the console entry
-# point, and ``set_memo_cap`` is called by the benchmark (perfbench/layers.py).
-ALLOWED = {"main", "set_memo_cap"}
+# point, ``set_memo_cap`` is called by the benchmark (perfbench/layers.py),
+# and ``tail_bound`` is read by the benchmark's oracle (perfbench/run.py and
+# perfbench/oracle.py).
+ALLOWED = {"main", "set_memo_cap", "tail_bound"}
 
 
 def public_definitions(tree: ast.Module) -> set[str]:
