@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .exact_verifier import verify_grid
+from .exact_verifier import required_table_k, verify_grid
 from .gupta_series import partial_sum
 from .numeric_engine import CertifiedReal, PrecisionContext
 from .prior_series import (
@@ -80,6 +80,11 @@ def _parse_target(text: str) -> int:
         if 1 <= p <= 6:
             return p
     raise ValueError(f"target must be pi, pi^2, ..., pi^6, got {text!r}")
+
+
+def _k_limit(p: int) -> int:
+    """The largest order verify can check for power p within the table cap."""
+    return MAX_INDEX // 2 - required_table_k(p, 0)
 
 
 def _target_name(p: int) -> str:
@@ -158,8 +163,7 @@ def _parse_series(text: str, default_p: int | None = None) -> SeriesSelector:
     mu = _number(args["mu"], f"{where} mu", Fraction) if "mu" in args else None
     if not 1 <= p <= 6:
         raise ValueError(f"{where} needs p in 1..6")
-    # the orders verify can check: 2 * required_table_k(p, k) <= MAX_INDEX
-    k_max = MAX_INDEX // 2 - p // 2
+    k_max = _k_limit(p)
     if not 0 <= k <= k_max:
         raise ValueError(f"{where} needs k in 0..{k_max} for p={p}")
     if mu is not None and mu <= 0:
@@ -236,6 +240,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     powers = _parse_powers(args.powers)
     if args.k_max < 0:
         raise ValueError("--k-max must be >= 0")
+    allowed = min(_k_limit(p) for p in powers)
+    if args.k_max > allowed:
+        raise ValueError(
+            f"--k-max {args.k_max} is too deep: --powers {args.powers} allow at "
+            f"most {allowed} under the table hard cap of index {MAX_INDEX}"
+        )
     checks = verify_grid(powers, args.k_max)
     rows = []
     for check in checks:

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 __all__ = [
     "BernoulliTable",
@@ -93,6 +95,13 @@ class BernoulliTable:
         if not self.covers(index):
             raise TableDepthError("bernoulli", index)
         return self.values[index // 2]
+
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[int, ...]]:
+        """(D, (B_0 D, B_2 D, ...)) with D the lcm of every denominator in
+        the table, so each B_2k D is an integer."""
+        common = lcm(*(b.denominator for b in self.values))
+        return common, tuple(b.numerator * (common // b.denominator) for b in self.values)
 
 
 def _zigzag(n: int) -> list[int]:

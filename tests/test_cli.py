@@ -177,6 +177,8 @@ def test_verify_beyond_table_cap():
         (["sum", "--series", "kolbig", "--terms", "5", "--prec", "63"], ["--prec", "64"]),
         (["compare", "--target", "pi2", "--series", "kolbig", "--terms", "5", "--prec", "63"],
          ["--prec", "64"]),
+        (["verify", "--k-max", "254"], ["--k-max", "254", "253", "512"]),
+        (["verify", "--powers", "1,3,5", "--k-max", "255"], ["--k-max", "255", "254", "512"]),
     ],
 )
 def test_parse_errors_are_located(argv, located):

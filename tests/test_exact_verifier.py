@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from piforge import exact_verifier
 from piforge.exact_verifier import reduce_exact, required_table_k, verify_grid
 from piforge.gupta_series import prefactor, tail_bound
 from piforge.numeric_engine import PrecisionContext
@@ -89,20 +90,42 @@ def test_integer_ratio_matches_fraction_oracle(cap_tables):
             assert check.holds
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    st.integers(1, 6).flatmap(
-        lambda p: st.tuples(st.just(p), st.integers(0, 256 - required_table_k(p, 0)))
-    )
-)
-@example((1, 256))
-@example((6, 253))
-def test_integer_ratio_matches_oracle_to_table_cap(cap_tables, case):
-    p, k = case
+def test_row_is_scaled_binomials():
+    for n in range(1, 514, 2):
+        assert exact_verifier._row(n) == tuple(comb(n, i) << (n - i) for i in range(n + 1))
+
+
+def test_cold_row_chain_to_table_cap(cap_tables):
     euler, bern = cap_tables
-    check = reduce_exact(p, k, euler, bern)
-    assert check.ratio == oracle_ratio(p, k, euler, bern) == 1
-    assert check.holds
+    exact_verifier._row.cache_clear()
+    assert reduce_exact(6, 253, bern=bern).holds
+    exact_verifier._row.cache_clear()
+    assert reduce_exact(1, 256, euler=euler).holds
+
+
+# (p, k) pairs up to the table cap; a list of them arrives in random order,
+# so the two-row cache keeps missing
+cases = st.integers(1, 6).flatmap(
+    lambda p: st.tuples(st.just(p), st.integers(0, 256 - required_table_k(p, 0)))
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(cases, min_size=1, max_size=4))
+@example([(1, 256), (6, 253), (1, 0), (6, 252)])
+def test_integer_ratio_matches_oracle_to_table_cap(cap_tables, pairs):
+    euler, bern = cap_tables
+    for p, k in pairs:
+        check = reduce_exact(p, k, euler, bern)
+        assert check.ratio == oracle_ratio(p, k, euler, bern) == 1
+        assert check.holds
+
+
+def touched_by_poison(p: int, k: int) -> bool:
+    """Whether (p, k) reads E_6 or B_2, the entries poisoned_tables changes."""
+    s = required_table_k(p, k) - k
+    # odd p reads E_2s..E_2(k+s); p = 2 is the only family reading B_2
+    return s <= 3 <= k + s if p % 2 == 1 else s == 1
 
 
 def test_poisoned_tables_fail_with_oracle_ratio(cap_tables):
@@ -111,13 +134,29 @@ def test_poisoned_tables_fail_with_oracle_ratio(cap_tables):
     for p in range(1, 7):
         for k in range(30):
             check = reduce_exact(p, k, euler, bern)
-            s = required_table_k(p, k) - k
-            # odd p reads E_2s..E_2(k+s); p = 2 is the only family reading B_2
-            touched = s <= 3 <= k + s if p % 2 == 1 else s == 1
             assert check.ratio == oracle_ratio(p, k, euler, bern), (p, k)
-            assert check.holds == (check.ratio == 1) == (not touched), (p, k)
+            assert check.holds == (check.ratio == 1) == (not touched_by_poison(p, k)), (p, k)
             failed += not check.holds
     assert failed == 114
+
+
+def test_grid_under_poisoned_tables(cap_tables, monkeypatch):
+    # verify_grid builds its own tables, so poison them where it gets them;
+    # B_2 = 1/7 brings a denominator the true table does not have
+    euler, bern = poisoned_tables(*cap_tables, 40)
+    monkeypatch.setattr(
+        special_numbers, "euler_numbers", lambda K: poisoned_tables(*cap_tables, K)[0]
+    )
+    monkeypatch.setattr(
+        special_numbers, "bernoulli_numbers", lambda K: poisoned_tables(*cap_tables, K)[1]
+    )
+    checks = verify_grid(range(1, 7), 29)
+    assert [(c.p, c.k) for c in checks] == [(p, k) for p in range(1, 7) for k in range(30)]
+    for check in checks:
+        p, k = check.p, check.k
+        assert check.ratio == oracle_ratio(p, k, euler, bern), (p, k)
+        assert check.holds == (check.ratio == 1) == (not touched_by_poison(p, k)), (p, k)
+    assert sum(not check.holds for check in checks) == 114
 
 
 def test_grid_to_table_cap():
