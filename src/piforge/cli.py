@@ -15,9 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Callable, NamedTuple
 
 from .exact_verifier import required_table_k, verify_grid
 from .gupta_series import partial_sum
@@ -91,12 +90,9 @@ def _target_name(p: int) -> str:
     return "pi" if p == 1 else f"pi^{p}"
 
 
-@dataclass(frozen=True)
-class SeriesSelector:
-    kind: str  # a key of SERIES
-    p: int
-    k: int = 0
-    mu: Fraction | None = None
+# kind is a key of SERIES, mu a Fraction or None
+class SeriesSelector(namedtuple("SeriesSelector", "kind p k mu", defaults=(0, None))):
+    __slots__ = ()
 
     @property
     def series_id(self) -> str:
@@ -104,11 +100,10 @@ class SeriesSelector:
         return f"{self.kind}:{args}" if args else self.kind
 
 
-class Series(NamedTuple):
-    keys: tuple[str, ...]  # the keys its selector takes
-    p: int | None  # the power of pi it targets; None: the selector's p
-    # the partial sums of N terms for each N of a list, in its order
-    evaluate: Callable[[SeriesSelector, list[int], PrecisionContext], list[CertifiedReal]]
+# keys: the keys its selector takes; p: the power of pi it targets, None for
+# the selector's p; evaluate(selector, Ns, ctx): the partial sums of N terms
+# for each N of a list, in its order
+Series = namedtuple("Series", "keys p evaluate")
 
 
 def _family_partials(s, Ns, ctx):

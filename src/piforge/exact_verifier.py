@@ -22,22 +22,29 @@ the denominators of the whole Bernoulli table.  Every term is even, so the
 halving is exact.  The identity holds iff prefactor * T == scale: one
 integer cross-multiplication, with no tolerance anywhere.  A larger D
 multiplies T and the scale alike, so the reported ratio, the one Fraction
-built per identity, does not depend on it.  ``verify_grid`` walks n upwards
-and builds each row once, from the one before.  Running the grid over many
-k extends the published hand checks (k <= 4) to arbitrary order.
+built per identity, does not depend on it.
+
+At one n, k + s = (n-1)/2 is fixed, so the families of one parity sum
+suffixes of the same products: p = 1, 3, 5 from m = 0, 1, 2 and p = 2, 4, 6
+from m = 1, 2, 3.  ``_checks`` forms the products once, from the smallest
+requested s, sums them once, and gives each larger s that sum minus its few
+head products.  ``reduce_exact`` asks it for one s; ``verify_grid`` walks n
+upwards, builds each row once, from the one before, and asks for every
+requested s of both parities at each n.  Running the grid over many k
+extends the published hand checks (k <= 4) to arbitrary order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul
-from typing import Iterable
 
 from .exact_core import factorial
 from .gupta_series import prefactor
-from .special_numbers import BernoulliTable, EulerTable, TableDepthError, TableStore
+from .special_numbers import MAX_INDEX, BernoulliTable, EulerTable, TableDepthError, number_tables
 
 __all__ = [
     "IdentityCheck",
@@ -47,14 +54,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(namedtuple("IdentityCheck", "p k ratio holds")):
     """Outcome of one exact reduction: holds iff ratio == 1 exactly."""
 
-    p: int
-    k: int
-    ratio: Fraction
-    holds: bool
+    __slots__ = ()
 
 
 def required_table_k(p: int, k: int) -> int:
@@ -81,6 +84,32 @@ def _row(n: int) -> tuple[int, ...]:
     return tuple(row)
 
 
+def _checks(n: int, shifts: list[int], table: EulerTable | BernoulliTable) -> list[IdentityCheck]:
+    """The checks of the families of one parity at odd n, one per shift s
+    (ascending; p = 2s + 1 for the Euler table, p = 2s for the Bernoulli
+    table), from one set of products summed once."""
+    odd = isinstance(table, EulerTable)
+    top, first = n // 2, shifts[0]
+    if odd:
+        products = list(map(mul, _row(n)[2 * first :: 2], table.values[first : top + 1]))
+        scale = factorial(n) << (n + 1)
+    else:
+        common, scaled = table.scaled
+        products = list(map(mul, _row(n)[n - 2 * first :: -2], scaled[first : top + 1]))
+        scale = common * factorial(n)
+    full = sum(products)
+    checks = []
+    for s in shifts:
+        dot = full - sum(products[: s - first])
+        total = (-1) ** (s + odd + 1) * (dot >> 1)
+        p, k = 2 * s + odd, top - s
+        pref = prefactor(p, k)
+        num, den = pref.numerator * total, pref.denominator * scale
+        ratio = Fraction(1) if num == den else Fraction(num, den)
+        checks.append(IdentityCheck(p, k, ratio, num == den))
+    return checks
+
+
 def reduce_exact(
     p: int,
     k: int,
@@ -89,49 +118,38 @@ def reduce_exact(
 ) -> IdentityCheck:
     """Exactly reduce family (p, k); the identity holds iff the ratio is 1."""
     deepest = required_table_k(p, k)
-    s = deepest - k
-    n = 2 * deepest + 1
-    if p % 2 == 1:
-        if euler is None or not euler.covers(2 * deepest):
-            raise TableDepthError("euler", 2 * deepest)
-        dot = sum(map(mul, _row(n)[2 * s :: 2], euler.values[s : deepest + 1]))
-        total = (-1) ** s * (dot >> 1)
-        scale = factorial(n) << (n + 1)
-    else:
-        if bern is None or not bern.covers(2 * deepest):
-            raise TableDepthError("bernoulli", 2 * deepest)
-        common, scaled = bern.scaled
-        dot = sum(map(mul, _row(n)[n - 2 * s :: -2], scaled[s : deepest + 1]))
-        total = (-1) ** (s - 1) * (dot >> 1)
-        scale = common * factorial(n)
-    pref = prefactor(p, k)
-    num, den = pref.numerator * total, pref.denominator * scale
-    ratio = Fraction(1) if num == den else Fraction(num, den)
-    return IdentityCheck(p, k, ratio, num == den)
+    kind, table = ("euler", euler) if p % 2 == 1 else ("bernoulli", bern)
+    if table is None or not table.covers(2 * deepest):
+        raise TableDepthError(kind, 2 * deepest)
+    return _checks(2 * deepest + 1, [deepest - k], table)[0]
 
 
 def verify_grid(powers: Iterable[int], k_max: int) -> list[IdentityCheck]:
     """One check per (p, k) with p over ``powers`` and k = 0..k_max, in
     deterministic order (p ascending, then k ascending).
 
-    Tables come from a fresh ``TableStore``, up to its hard cap.  The checks
-    run in order of the row they read, so each row is built once.
+    Both tables come from one zigzag run, up to the ``MAX_INDEX`` cap.  The
+    checks run in order of the row they read, so each row is built once.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    shift = {p: required_table_k(p, 0) for p in sorted(set(powers))}
+    shift = {p: required_table_k(p, 0) for p in set(powers)}
     if not shift:
         return []
-    store = TableStore()
-    need_euler = max((k_max + s for p, s in shift.items() if p % 2 == 1), default=None)
-    need_bern = max((k_max + s for p, s in shift.items() if p % 2 == 0), default=None)
-    euler = store.euler(need_euler) if need_euler is not None else None
-    bern = store.bernoulli(need_bern) if need_bern is not None else None
+    # the shifts s of the requested odd and even families, and the table
+    # order each parity needs (0 for a parity nobody asked for)
+    groups = [sorted(s for p, s in shift.items() if p % 2 == odd) for odd in (1, 0)]
+    depths = [k_max + group[-1] if group else 0 for group in groups]
+    for kind, K in zip(("euler", "bernoulli"), depths):
+        if 2 * K > MAX_INDEX:
+            raise TableDepthError(kind, 2 * K, MAX_INDEX)
+    tables = number_tables(*depths)
     checks = []
-    for deepest in range(min(shift.values()), k_max + max(shift.values()) + 1):
-        for p, s in shift.items():
-            if 0 <= deepest - s <= k_max:
-                checks.append(reduce_exact(p, deepest - s, euler, bern))
+    for deepest in range(min(shift.values()), max(depths) + 1):
+        for group, table in zip(groups, tables):
+            live = [s for s in group if deepest - k_max <= s <= deepest]
+            if live:
+                checks += _checks(2 * deepest + 1, live, table)
     checks.sort(key=lambda check: (check.p, check.k))
     # the last two rows serve no later walk, which starts again at its smallest n
     _row.cache_clear()

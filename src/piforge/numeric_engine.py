@@ -23,7 +23,7 @@ raised to the power, which is outward because pi > 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
@@ -48,8 +48,7 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
+class PrecisionContext(namedtuple("PrecisionContext", "precision_bits")):
     """Shared working precision for interval values.
 
     ``precision_bits`` is the guaranteed resolution of produced constants
@@ -57,11 +56,12 @@ class PrecisionContext:
     headroom absorb per-operation rounding.
     """
 
-    precision_bits: int = 128
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.precision_bits < 64:
+    def __new__(cls, precision_bits: int = 128) -> PrecisionContext:
+        if precision_bits < 64:
             raise ValueError("precision_bits must be >= 64")
+        return super().__new__(cls, precision_bits)
 
     @property
     def scale(self) -> int:

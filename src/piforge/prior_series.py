@@ -44,7 +44,6 @@ the sum 4/(1+mu) sum t_k is rounded outward to the context once.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 from .numeric_engine import CertifiedReal, PrecisionContext
 
@@ -88,7 +87,7 @@ def alzer_koumandos_partial(
     return CertifiedReal(ctx, lo, -nh)
 
 
-def _stops(Ns: Sequence[int]) -> set[int]:
+def _stops(Ns: list[int]) -> set[int]:
     """The distinct term counts of Ns, each of which must be >= 1."""
     if min(Ns) < 1:
         raise ValueError("K must be >= 1")
@@ -96,7 +95,7 @@ def _stops(Ns: Sequence[int]) -> set[int]:
 
 
 def _mid_binomial_harmonic_partials(
-    Ns: Sequence[int], ctx: PrecisionContext, weight: int, odd: bool
+    Ns: list[int], ctx: PrecisionContext, weight: int, odd: bool
 ) -> list[CertifiedReal]:
     """weight * sum_{k<=K} mu_k h_k / k for each K in Ns, where h_k sums
     1/(2i-1) over i <= k when ``odd`` and 1/i otherwise."""
@@ -121,19 +120,19 @@ def _mid_binomial_harmonic_partials(
     return [at[K] for K in Ns]
 
 
-def alzer_h_partials(Ns: Sequence[int], ctx: PrecisionContext) -> list[CertifiedReal]:
+def alzer_h_partials(Ns: list[int], ctx: PrecisionContext) -> list[CertifiedReal]:
     """Partial sums of 4 sum_{k<=K} mu_k h_k / k (odd harmonic weights), one
     for each K in Ns."""
     return _mid_binomial_harmonic_partials(Ns, ctx, 4, odd=True)
 
 
-def alzer_H_partials(Ns: Sequence[int], ctx: PrecisionContext) -> list[CertifiedReal]:
+def alzer_H_partials(Ns: list[int], ctx: PrecisionContext) -> list[CertifiedReal]:
     """Partial sums of 3 sum_{k<=K} mu_k H_k / k (full harmonic weights), one
     for each K in Ns."""
     return _mid_binomial_harmonic_partials(Ns, ctx, 3, odd=False)
 
 
-def kolbig_partials(Ns: Sequence[int], ctx: PrecisionContext) -> list[CertifiedReal]:
+def kolbig_partials(Ns: list[int], ctx: PrecisionContext) -> list[CertifiedReal]:
     """Partial sums of 2 sum_{k<=K} sigma_k / k, one for each K in Ns.
 
     Tracks u_n = p_n sum 1/(4k-1) and v_n = q_n sum 1/(4k-3) through

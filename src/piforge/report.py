@@ -11,10 +11,10 @@ from __future__ import annotations
 import csv
 import decimal
 import io
-import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .numeric_engine import CertifiedReal
 
@@ -94,25 +94,15 @@ def distinguishing_digits(value: CertifiedReal, cap: int) -> int:
     return max(3, min(cap, mag_exp - width_exp + 2))
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(namedtuple("ReportRow", [*CSV_HEADER, "width"], defaults=(None, None))):
     """One report line; N is 0 for exact identity checks, and exact_ok is
     present only on identity checks.  ``width`` is a presentation-only
     column for text tables and never enters CSV or JSON output."""
 
-    series_id: str
-    p: int
-    k: int
-    N: int
-    value_lo: str
-    value_hi: str
-    target: str
-    residual: str
-    exact_ok: bool | None = None
-    width: str | None = None
+    __slots__ = ()
 
     def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in CSV_HEADER}
+        return dict(zip(CSV_HEADER, self))
 
 
 def render_csv(rows: list[ReportRow]) -> str:
@@ -128,8 +118,28 @@ def render_csv(rows: list[ReportRow]) -> str:
     return buffer.getvalue()
 
 
+# The bytes of json.dumps([row.as_dict() for row in rows], indent=2), built
+# without its pure-Python indenting encoder.
+_JSON_KEYS = [f"    {encode_basestring_ascii(name)}: " for name in CSV_HEADER]
+_JSON_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _json_value(value) -> str:
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return _JSON_LITERALS[value]
+    return int.__repr__(value)
+
+
 def render_json(rows: list[ReportRow]) -> str:
-    return json.dumps([row.as_dict() for row in rows], indent=2) + "\n"
+    if not rows:
+        return "[]\n"
+    objects = [
+        ",\n".join(key + _json_value(value) for key, value in zip(_JSON_KEYS, row))
+        for row in rows
+    ]
+    return "[\n  {\n" + "\n  },\n  {\n".join(objects) + "\n  }\n]\n"
 
 
 def render_pretty(rows: list[ReportRow]) -> str:

@@ -12,16 +12,16 @@ numbers and the odd-index ones the tangent numbers, so
 
 Every step is an integer addition; the only division is the final one of
 each Bernoulli number (Brent & Harvey, "Fast computation of Bernoulli,
-Tangent and Secant numbers", arXiv:1108.0286).  Tables are immutable
-snapshots, and :class:`TableStore` serves them lazily up to index
-``MAX_INDEX = 512``.
+Tangent and Secant numbers", arXiv:1108.0286).  One run to index n serves
+both tables: ``number_tables`` builds the Euler table from its even entries
+and the Bernoulli table from its odd ones.  Tables are immutable snapshots,
+and :class:`TableStore` serves them lazily up to index ``MAX_INDEX = 512``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "TableStore",
     "bernoulli_numbers",
     "euler_numbers",
+    "number_tables",
 ]
 
 MAX_INDEX = 512
@@ -50,11 +51,10 @@ class TableDepthError(LookupError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class EulerTable:
+class EulerTable(namedtuple("EulerTable", "values")):
     """E_0, E_2, ..., E_{2K}; ``values[k]`` is E_{2k}."""
 
-    values: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def max_index(self) -> int:
@@ -72,12 +72,18 @@ class EulerTable:
         return self.values[index // 2]
 
 
-@dataclass(frozen=True)
-class BernoulliTable:
-    """B_0, B_2, ..., B_{2K} plus B_1; ``values[k]`` is B_{2k}."""
+class BernoulliTable(namedtuple("BernoulliTable", "values scaled")):
+    """B_0, B_2, ..., B_{2K} plus B_1; ``values[k]`` is B_{2k}.  ``scaled``
+    is (D, (B_0 D, B_2 D, ...)) with D the lcm of every denominator in the
+    table, so each B_2k D is an integer; it is computed with the table."""
 
-    values: tuple[Fraction, ...]
+    __slots__ = ()
     b1 = Fraction(-1, 2)
+
+    def __new__(cls, values: tuple[Fraction, ...]) -> BernoulliTable:
+        common = lcm(*(b.denominator for b in values))
+        scaled = tuple(b.numerator * (common // b.denominator) for b in values)
+        return super().__new__(cls, values, (common, scaled))
 
     @property
     def max_index(self) -> int:
@@ -95,13 +101,6 @@ class BernoulliTable:
         if not self.covers(index):
             raise TableDepthError("bernoulli", index)
         return self.values[index // 2]
-
-    @cached_property
-    def scaled(self) -> tuple[int, tuple[int, ...]]:
-        """(D, (B_0 D, B_2 D, ...)) with D the lcm of every denominator in
-        the table, so each B_2k D is an integer."""
-        common = lcm(*(b.denominator for b in self.values))
-        return common, tuple(b.numerator * (common // b.denominator) for b in self.values)
 
 
 def _zigzag(n: int) -> list[int]:
@@ -128,23 +127,26 @@ def _zigzag(n: int) -> list[int]:
 
 def euler_numbers(K: int) -> EulerTable:
     """Exact table of E_0 .. E_{2K}."""
-    if K < 0:
-        raise ValueError("K must be >= 0")
-    a = _zigzag(2 * K)
-    return EulerTable(tuple(-a[2 * n] if n % 2 else a[2 * n] for n in range(K + 1)))
+    return number_tables(K, 0)[0]
 
 
 def bernoulli_numbers(K: int) -> BernoulliTable:
     """Exact table of B_0 .. B_{2K} (even indices) plus B_1 = -1/2."""
-    if K < 0:
+    return number_tables(0, K)[1]
+
+
+def number_tables(k_euler: int, k_bern: int) -> tuple[EulerTable, BernoulliTable]:
+    """E_0 .. E_{2 k_euler} and B_0 .. B_{2 k_bern} from one zigzag run."""
+    if min(k_euler, k_bern) < 0:
         raise ValueError("K must be >= 0")
-    a = _zigzag(max(2 * K - 1, 0))
+    a = _zigzag(max(2 * k_euler, 2 * k_bern - 1))
+    euler = EulerTable(tuple(-a[2 * n] if n % 2 else a[2 * n] for n in range(k_euler + 1)))
     vals = [Fraction(1)]
-    for n in range(1, K + 1):
+    for n in range(1, k_bern + 1):
         four_n = 1 << (2 * n)
         value = Fraction(2 * n * a[2 * n - 1], four_n * (four_n - 1))
         vals.append(value if n % 2 else -value)
-    return BernoulliTable(tuple(vals))
+    return euler, BernoulliTable(tuple(vals))
 
 
 def _table_rows(table: EulerTable | BernoulliTable) -> list[list]:

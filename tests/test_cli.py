@@ -3,12 +3,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from piforge import special_numbers
+from piforge import exact_verifier, special_numbers
 from piforge.cli import SERIES, _parse_series, main
 from piforge.exact_verifier import IdentityCheck
 from piforge.report import CSV_HEADER, render_signed
@@ -129,14 +132,15 @@ def test_verify_failure_exit_code(monkeypatch):
 
 
 def test_verify_poisoned_euler_table_fails(monkeypatch):
-    real = special_numbers.euler_numbers
-
     def poisoned(K):
-        values = list(real(K).values)
+        values = list(special_numbers.euler_numbers(K).values)
         values[3] += 2  # E_6 = -59
         return special_numbers.EulerTable(tuple(values))
 
-    monkeypatch.setattr(special_numbers, "euler_numbers", poisoned)
+    def tables(k_euler, k_bern):
+        return poisoned(k_euler), special_numbers.bernoulli_numbers(k_bern)
+
+    monkeypatch.setattr(exact_verifier, "number_tables", tables)
     code, out, err = run_cli(
         ["verify", "--powers", "1", "--k-max", "4", "--format", "csv"]
     )
@@ -473,3 +477,16 @@ def test_pretty_has_width_column():
     )
     assert code == 0
     assert "+/-width" in out.splitlines()[0]
+
+
+def test_import_loads_no_heavy_modules():
+    # -S skips the site hooks, which may import typing themselves
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import piforge.cli; "
+        "print(sorted({'dataclasses', 'typing', 'inspect', 'ast'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"

@@ -10,7 +10,6 @@ from piforge import exact_verifier
 from piforge.exact_verifier import reduce_exact, required_table_k, verify_grid
 from piforge.gupta_series import prefactor, tail_bound
 from piforge.numeric_engine import PrecisionContext
-from piforge import special_numbers
 from piforge.special_numbers import (
     BernoulliTable,
     EulerTable,
@@ -145,10 +144,9 @@ def test_grid_under_poisoned_tables(cap_tables, monkeypatch):
     # B_2 = 1/7 brings a denominator the true table does not have
     euler, bern = poisoned_tables(*cap_tables, 40)
     monkeypatch.setattr(
-        special_numbers, "euler_numbers", lambda K: poisoned_tables(*cap_tables, K)[0]
-    )
-    monkeypatch.setattr(
-        special_numbers, "bernoulli_numbers", lambda K: poisoned_tables(*cap_tables, K)[1]
+        exact_verifier,
+        "number_tables",
+        lambda ke, kb: (poisoned_tables(*cap_tables, ke)[0], poisoned_tables(*cap_tables, kb)[1]),
     )
     checks = verify_grid(range(1, 7), 29)
     assert [(c.p, c.k) for c in checks] == [(p, k) for p in range(1, 7) for k in range(30)]
@@ -157,6 +155,41 @@ def test_grid_under_poisoned_tables(cap_tables, monkeypatch):
         assert check.ratio == oracle_ratio(p, k, euler, bern), (p, k)
         assert check.holds == (check.ratio == 1) == (not touched_by_poison(p, k)), (p, k)
     assert sum(not check.holds for check in checks) == 114
+
+
+# Power sets whose shared parity sum starts below some family's first term,
+# or whose families of one parity leave the grid at different n.
+SHARED_SUM_POWERS = [{5}, {3, 5}, {4, 6}, {2, 6}, {1, 6}]
+
+
+def cell_by_cell(powers, k_max, euler, bern):
+    return [reduce_exact(p, k, euler, bern) for p in sorted(powers) for k in range(k_max + 1)]
+
+
+@pytest.mark.parametrize("powers", SHARED_SUM_POWERS, ids=str)
+def test_shared_parity_sum_matches_reduce_exact(cap_tables, powers):
+    k_max = 256 - max(required_table_k(p, 0) for p in powers)
+    checks = verify_grid(powers, k_max)
+    assert checks == cell_by_cell(powers, k_max, *cap_tables)
+    assert all(check.holds for check in checks)
+
+
+@pytest.mark.parametrize("powers", SHARED_SUM_POWERS, ids=str)
+def test_shared_parity_sum_under_poisoned_tables(cap_tables, powers, monkeypatch):
+    # a parity the powers leave out gets order 0, too shallow to poison and unread
+    monkeypatch.setattr(
+        exact_verifier,
+        "number_tables",
+        lambda ke, kb: (
+            poisoned_tables(*cap_tables, max(ke, 3))[0],
+            poisoned_tables(*cap_tables, max(kb, 3))[1],
+        ),
+    )
+    checks = verify_grid(powers, 29)
+    assert checks == cell_by_cell(powers, 29, *poisoned_tables(*cap_tables, 40))
+    assert [check.holds for check in checks] == [
+        not touched_by_poison(check.p, check.k) for check in checks
+    ]
 
 
 def test_grid_to_table_cap():
@@ -202,11 +235,11 @@ def test_table_depth_errors(euler_table, bernoulli_table, monkeypatch):
     with pytest.raises(TableDepthError):
         reduce_exact(1, 1)  # no table supplied at all
 
-    def must_not_build(K):
+    def must_not_build(*orders):
         raise AssertionError("a table was built past the cap")
 
     # raised before building anything
-    monkeypatch.setattr(special_numbers, "bernoulli_numbers", must_not_build)
+    monkeypatch.setattr(exact_verifier, "number_tables", must_not_build)
     with pytest.raises(TableDepthError, match="cap"):
         verify_grid([6], 254)
 

@@ -10,6 +10,7 @@ from piforge.special_numbers import (
     TableStore,
     bernoulli_numbers,
     euler_numbers,
+    number_tables,
 )
 
 EULER_LIST = {2: -1, 4: 5, 6: -61, 8: 1385, 10: -50521, 12: 2702765}
@@ -57,8 +58,14 @@ def reference_bernoulli(K: int) -> list[Fraction]:
 
 @pytest.mark.parametrize("K", [0, 1, 2, 256])
 def test_zigzag_tables_match_recurrences(K):
-    assert list(euler_numbers(K).values) == brute_force_euler(K)
-    assert list(bernoulli_numbers(K).values) == reference_bernoulli(K)
+    euler_ref, bern_ref = brute_force_euler(K + 3), reference_bernoulli(K + 3)
+    assert list(euler_numbers(K).values) == euler_ref[: K + 1]
+    assert list(bernoulli_numbers(K).values) == bern_ref[: K + 1]
+    # one zigzag run serves both tables, whichever of them needs the longer run
+    for k_euler, k_bern in ((K, K + 3), (K + 3, K)):
+        euler, bern = number_tables(k_euler, k_bern)
+        assert list(euler.values) == euler_ref[: k_euler + 1]
+        assert list(bern.values) == bern_ref[: k_bern + 1]
 
 
 def test_published_number_lists(euler_table, bernoulli_table):

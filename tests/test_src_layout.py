@@ -14,10 +14,12 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "piforge"
 
 # Public names whose callers are outside src/: ``main`` is the console entry
-# point, ``set_memo_cap`` is called by the benchmark (perfbench/layers.py),
-# and ``tail_bound`` is read by the benchmark's oracle (perfbench/run.py and
+# point, ``reduce_exact`` is the single-identity entry point of the library
+# (``verify_grid`` shares its private helper instead of calling it),
+# ``set_memo_cap`` is called by the benchmark (perfbench/layers.py), and
+# ``tail_bound`` is read by the benchmark's oracle (perfbench/run.py and
 # perfbench/oracle.py).
-ALLOWED = {"main", "set_memo_cap", "tail_bound"}
+ALLOWED = {"main", "reduce_exact", "set_memo_cap", "tail_bound"}
 
 
 def public_definitions(tree: ast.Module) -> set[str]:

@@ -1,0 +1,94 @@
+"""stdout bytes of a fixed set of commands, pinned by sha256.
+
+Reports are byte-identical across releases and interpreters: these digests
+are the same on CPython 3.10 to 3.13, and a rewrite of the report rows, the
+identity checks or the JSON writer must keep them.  The set holds the
+README's four commands, ``verify`` in every format for each parity shape, a
+pretty ``sum`` and a ``compare`` in csv and pretty.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import shlex
+from contextlib import redirect_stdout
+
+import pytest
+
+from piforge.cli import main
+
+PINNED = [
+    (
+        "numbers --kind bernoulli --max-index 12 --format json",
+        "51e5135190e2cb48b426ed3d9748d8ba393197206929a82e9bdc118049a319b1",
+    ),
+    (
+        "verify --powers 1-6 --k-max 64 --format csv",
+        "4b7c562be4b949463ec4d54e35b305d01d3d7618ebf67a70ce27c59e825d7c7f",
+    ),
+    (
+        "sum --series gupta:p=2,k=2 --terms 10000 --prec 128",
+        "08e9344b32ea2d8085a740e4dfa345bbf4b1a5e04ff1ea77c1404e835b1cba06",
+    ),
+    (
+        "compare --target pi2 --series gupta:k=0,gupta:k=2,kolbig,alzer-H --terms 100,1000,10000 --format csv",
+        "71d92739a03a367769a01df53d060e85206d8415807311e146bf07615a4d02b4",
+    ),
+    (
+        "verify --powers 1-6 --k-max 40 --format json",
+        "29375dd2030f45db4e6d1314cf0031ab68b8c7d4b2619be622da789624067bcf",
+    ),
+    (
+        "verify --powers 1-6 --k-max 40 --format csv",
+        "37631513d03c6e81dd3a432eb25dcf5930239b39ed32e1a3587976d7c7b4ccde",
+    ),
+    (
+        "verify --powers 1-6 --k-max 40 --format pretty",
+        "435abadc3d5dc7d3c6f98c5d291af0ce89638db20db6813c54e6474d0579d0c1",
+    ),
+    (
+        "verify --powers 1,3,5 --k-max 45 --format json",
+        "f6b214e37b1c2c951720dff8b097543e58bd0bc7b6f6b67f4d637aef04af93be",
+    ),
+    (
+        "verify --powers 1,3,5 --k-max 45 --format csv",
+        "a326ec15350d02c6a5a02e14496f4852efa24ac74db61d6683e8369403bacb0c",
+    ),
+    (
+        "verify --powers 1,3,5 --k-max 45 --format pretty",
+        "8522543451b0e6a3f67aee2a6e5304915d0a9760a96a08ffd8c35f65444185cb",
+    ),
+    (
+        "verify --powers 2,4,6 --k-max 43 --format json",
+        "d06e275930cbc34edeae77e61f2ed0df5421a78e95b1d57a2e0ba10dd230595b",
+    ),
+    (
+        "verify --powers 2,4,6 --k-max 43 --format csv",
+        "5d3c77d3041f283bf6ef82c54a826588c2b2a03ea22fd98bcb2f4875ff7bef1e",
+    ),
+    (
+        "verify --powers 2,4,6 --k-max 43 --format pretty",
+        "ea53feb2624b7a4101e82c363152ebe4adc55575adb652008a02cc4746977eae",
+    ),
+    (
+        "sum --series gupta:p=5,k=3 --terms 3000 --prec 96 --format pretty",
+        "d2420c42b16baea079471d1ac135c51ead9d6174497b5e250716e4e386b4841e",
+    ),
+    (
+        "compare --target pi --series gupta:k=0,gupta:k=4,alzer-koumandos:mu=3/2 --terms 10,100,1000 --format csv",
+        "ec1b93d87b1cc7c8f1584e9b068a1f14233992945b8ad8b673368c10e02584e0",
+    ),
+    (
+        "compare --target pi --series gupta:k=0,gupta:k=4,alzer-koumandos:mu=3/2 --terms 10,100,1000 --format pretty",
+        "2b4c977ea07099835ea52fa7406025f3b8612b3e8825faa89e1d92925acf8484",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, digest", PINNED, ids=[c for c, _ in PINNED])
+def test_stdout_bytes_are_pinned(command, digest):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(shlex.split(command)) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
