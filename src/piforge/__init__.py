@@ -4,7 +4,7 @@ for series representations of pi, pi^2, ..., pi^6."""
 from .exact_core import factorial
 from .exact_verifier import IdentityCheck, reduce_exact, verify_grid
 from .gupta_series import partial_sum, prefactor, tail_bound
-from .numeric_engine import CertifiedReal, IntervalDivisionError, PrecisionContext
+from .numeric_engine import CertifiedReal, PrecisionContext
 from .prior_series import (
     alzer_H_partials,
     alzer_h_partials,

@@ -56,7 +56,7 @@ def _number(text: str, where: str, kind=int):
 
 
 def _parse_powers(text: str) -> list[int]:
-    powers: set[int] = set()
+    spans = []
     for token in text.split(","):
         token = token.strip()
         if not token:
@@ -64,10 +64,13 @@ def _parse_powers(text: str) -> list[int]:
         first, sep, last = token.partition("-")
         lo = _number(first, f"--powers {token!r}")
         hi = _number(last, f"--powers {token!r}") if sep else lo
-        powers.update(range(lo, hi + 1))
-    if not powers or not powers.issubset(range(1, 7)):
+        if lo <= hi:  # an empty range adds no power
+            spans.append((lo, hi))
+    # the endpoints are checked before any range is built, so a huge range
+    # is rejected at once
+    if not spans or any(lo < 1 or hi > 6 for lo, hi in spans):
         raise ValueError(f"powers must come from 1..6, got {text!r}")
-    return sorted(powers)
+    return sorted({p for lo, hi in spans for p in range(lo, hi + 1)})
 
 
 def _parse_target(text: str) -> int:

@@ -7,8 +7,8 @@ the ``GUARD_BITS = 32`` extra bits absorb per-operation rounding).
 Every operation rounds outward -- lower bounds toward -inf, upper bounds
 toward +inf -- so the true value of any expression is guaranteed to stay
 inside the computed interval.  Addition and subtraction are exact at a
-common scale; multiplication and division round each bound by at most one
-unit in the last place.
+common scale; multiplication rounds each bound by at most one unit in the
+last place.
 
 Because the dyadic grids nest as the scale grows, doubling the precision
 never widens a result computed over the same expression DAG.
@@ -31,16 +31,11 @@ from numbers import Rational
 __all__ = [
     "CertifiedReal",
     "GUARD_BITS",
-    "IntervalDivisionError",
     "PrecisionContext",
 ]
 
 
 GUARD_BITS = 32
-
-
-class IntervalDivisionError(ZeroDivisionError):
-    """Raised when dividing by an interval whose enclosure contains zero."""
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -77,10 +72,6 @@ class PrecisionContext(namedtuple("PrecisionContext", "precision_bits")):
 
     def zero(self) -> "CertifiedReal":
         return CertifiedReal(self, 0, 0)
-
-    def one(self) -> "CertifiedReal":
-        unit = 1 << self.scale
-        return CertifiedReal(self, unit, unit)
 
     def pi(self) -> "CertifiedReal":
         """Enclosure of pi of width <= 2**-precision_bits (Machin formula)."""
@@ -132,16 +123,6 @@ class CertifiedReal:
         """Largest absolute value the enclosure permits."""
         return Fraction(max(abs(self.lo_m), abs(self.hi_m)), 1 << self.ctx.scale)
 
-    def contains(self, value: "CertifiedReal | Rational | int") -> bool:
-        if isinstance(value, CertifiedReal):
-            self._check(value)
-            return self.lo_m <= value.lo_m and value.hi_m <= self.hi_m
-        q = Fraction(value)
-        return self.lo <= q <= self.hi
-
-    def contains_zero(self) -> bool:
-        return self.lo_m <= 0 <= self.hi_m
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CertifiedReal):
             return NotImplemented
@@ -151,16 +132,12 @@ class CertifiedReal:
             and self.hi_m == other.hi_m
         )
 
-    def __hash__(self) -> int:
-        return hash((self.ctx.scale, self.lo_m, self.hi_m))
-
     def __repr__(self) -> str:
         return f"CertifiedReal(lo={self.lo!r}, hi={self.hi!r})"
 
-    def _check(self, other: "CertifiedReal") -> "CertifiedReal":
+    def _check(self, other: "CertifiedReal") -> None:
         if self.ctx.scale != other.ctx.scale:
             raise ValueError("mixed precision contexts")
-        return other
 
     # -- arithmetic (outward rounding) ----------------------------------------
 
@@ -172,9 +149,6 @@ class CertifiedReal:
         self._check(other)
         return CertifiedReal(self.ctx, self.lo_m - other.hi_m, self.hi_m - other.lo_m)
 
-    def __neg__(self) -> "CertifiedReal":
-        return CertifiedReal(self.ctx, -self.hi_m, -self.lo_m)
-
     def __mul__(self, other: "CertifiedReal") -> "CertifiedReal":
         self._check(other)
         a, b, c, d = self.lo_m, self.hi_m, other.lo_m, other.hi_m
@@ -183,22 +157,6 @@ class CertifiedReal:
         scale = self.ctx.scale
         # right-shifts round toward -inf, so ceil comes from negation
         return CertifiedReal(self.ctx, lo >> scale, -((-hi) >> scale))
-
-    def __truediv__(self, other: "CertifiedReal") -> "CertifiedReal":
-        self._check(other)
-        if other.contains_zero():
-            raise IntervalDivisionError("division by interval containing zero")
-        scale = self.ctx.scale
-        lo_s, hi_s = self.lo_m << scale, self.hi_m << scale
-        c, d = other.lo_m, other.hi_m
-        quots_lo = (lo_s // c, lo_s // d, hi_s // c, hi_s // d)
-        quots_hi = (
-            _ceil_div(lo_s, c),
-            _ceil_div(lo_s, d),
-            _ceil_div(hi_s, c),
-            _ceil_div(hi_s, d),
-        )
-        return CertifiedReal(self.ctx, min(quots_lo), max(quots_hi))
 
     def mul_ratio(self, num: int, den: int) -> "CertifiedReal":
         """Multiply by the exact rational num/den with one outward rounding
@@ -222,14 +180,6 @@ class CertifiedReal:
         if shift < 0:
             raise ValueError("rounded_to cannot refine the scale")
         return CertifiedReal(ctx, self.lo_m >> shift, -((-self.hi_m) >> shift))
-
-    def widened(self, radius: Rational | int) -> "CertifiedReal":
-        """Enclosure grown outward by an exact nonnegative radius."""
-        r = Fraction(radius)
-        if r < 0:
-            raise ValueError("widening radius must be >= 0")
-        d = _ceil_div(r.numerator << self.ctx.scale, r.denominator)
-        return CertifiedReal(self.ctx, self.lo_m - d, self.hi_m + d)
 
 
 # -- independent pi ----------------------------------------------------------

@@ -14,8 +14,8 @@ Every step is an integer addition; the only division is the final one of
 each Bernoulli number (Brent & Harvey, "Fast computation of Bernoulli,
 Tangent and Secant numbers", arXiv:1108.0286).  One run to index n serves
 both tables: ``number_tables`` builds the Euler table from its even entries
-and the Bernoulli table from its odd ones.  Tables are immutable snapshots,
-and :class:`TableStore` serves them lazily up to index ``MAX_INDEX = 512``.
+and the Bernoulli table from its odd ones.  Tables are immutable snapshots;
+:class:`TableStore` builds them on request up to index ``MAX_INDEX = 512``.
 """
 
 from __future__ import annotations
@@ -42,9 +42,6 @@ class TableDepthError(LookupError):
     """A computation needs a deeper table than is available or permitted."""
 
     def __init__(self, kind: str, required_index: int, cap: int | None = None):
-        self.kind = kind
-        self.required_index = required_index
-        self.cap = cap
         message = f"{kind} table must cover index {required_index}"
         if cap is not None:
             message += f" but the hard cap is {cap}"
@@ -62,14 +59,6 @@ class EulerTable(namedtuple("EulerTable", "values")):
 
     def covers(self, index: int) -> bool:
         return 0 <= index <= self.max_index
-
-    def entry(self, index: int) -> int:
-        """E_index for an even index within the table."""
-        if index % 2 != 0:
-            raise ValueError("odd-index Euler numbers are zero and not stored")
-        if not self.covers(index):
-            raise TableDepthError("euler", index)
-        return self.values[index // 2]
 
 
 class BernoulliTable(namedtuple("BernoulliTable", "values scaled")):
@@ -91,16 +80,6 @@ class BernoulliTable(namedtuple("BernoulliTable", "values scaled")):
 
     def covers(self, index: int) -> bool:
         return 0 <= index <= self.max_index
-
-    def entry(self, index: int) -> Fraction:
-        """B_index for index 1 or an even index within the table."""
-        if index == 1:
-            return self.b1
-        if index % 2 != 0:
-            return Fraction(0)
-        if not self.covers(index):
-            raise TableDepthError("bernoulli", index)
-        return self.values[index // 2]
 
 
 def _zigzag(n: int) -> list[int]:
@@ -151,35 +130,25 @@ def number_tables(k_euler: int, k_bern: int) -> tuple[EulerTable, BernoulliTable
 
 def _table_rows(table: EulerTable | BernoulliTable) -> list[list]:
     """[index, numerator, denominator] rows in ascending index order, with
-    B_1 in its place between B_0 and B_2."""
+    B_1 in its place between B_0 and B_2 when the table reaches index 2."""
     if isinstance(table, EulerTable):
         return [[2 * k, str(value), "1"] for k, value in enumerate(table.values)]
-    entries = [(0, table.values[0]), (1, table.b1)]
-    entries += [(2 * k, value) for k, value in enumerate(table.values) if k]
+    entries = [(2 * k, value) for k, value in enumerate(table.values)]
+    if len(entries) > 1:
+        entries.insert(1, (1, table.b1))
     return [[i, str(q.numerator), str(q.denominator)] for i, q in entries]
 
 
 class TableStore:
-    """Serves tables of at least the requested depth, growing lazily.
-
-    A request deeper than anything served so far builds a new table; requests
-    beyond ``MAX_INDEX`` raise :class:`TableDepthError`.
-    """
-
-    def __init__(self) -> None:
-        self._euler: EulerTable | None = None
-        self._bernoulli: BernoulliTable | None = None
+    """Builds the table a request asks for.  A request beyond ``MAX_INDEX``
+    raises :class:`TableDepthError` before anything is built."""
 
     def euler(self, K: int) -> EulerTable:
         if 2 * K > MAX_INDEX:
             raise TableDepthError("euler", 2 * K, MAX_INDEX)
-        if self._euler is None or self._euler.max_index < 2 * K:
-            self._euler = euler_numbers(K)
-        return self._euler
+        return euler_numbers(K)
 
     def bernoulli(self, K: int) -> BernoulliTable:
         if 2 * K > MAX_INDEX:
             raise TableDepthError("bernoulli", 2 * K, MAX_INDEX)
-        if self._bernoulli is None or self._bernoulli.max_index < 2 * K:
-            self._bernoulli = bernoulli_numbers(K)
-        return self._bernoulli
+        return bernoulli_numbers(K)

@@ -1,8 +1,12 @@
 """Exact reference implementations the test suite compares piforge against.
 
 None of this is called by the library: each function is a slow, direct
-evaluation of something piforge computes by a faster route.
+evaluation of something piforge computes by a faster route, or an interval
+operation that only the tests need.
 
+* ``contains``, ``widened`` and ``quotient``: containment of a rational or
+  an enclosure, outward widening by an exact radius, and outward interval
+  division, on ``CertifiedReal`` bounds.
 * The classical closed forms.  The alternating odd-power sums evaluate to
   rational multiples of odd powers of pi through the Euler numbers, and the
   even-power sums to rational multiples of even powers of pi through the
@@ -60,6 +64,37 @@ CLASSICAL_COEFF = {
 }
 
 
+def contains(x: CertifiedReal, value: CertifiedReal | Fraction | int) -> bool:
+    """Whether x encloses an exact rational, or every point of an enclosure
+    of the same context scale."""
+    if isinstance(value, CertifiedReal):
+        x._check(value)
+        return x.lo_m <= value.lo_m and value.hi_m <= x.hi_m
+    return x.lo <= Fraction(value) <= x.hi
+
+
+def widened(x: CertifiedReal, radius: Fraction | int) -> CertifiedReal:
+    """x grown outward by an exact nonnegative radius."""
+    r = Fraction(radius)
+    if r < 0:
+        raise ValueError("widening radius must be >= 0")
+    d = -(-(r.numerator << x.ctx.scale) // r.denominator)
+    return CertifiedReal(x.ctx, x.lo_m - d, x.hi_m + d)
+
+
+def quotient(x: CertifiedReal, y: CertifiedReal) -> CertifiedReal:
+    """x / y with each bound rounded outward to the unit, for y not
+    containing zero."""
+    x._check(y)
+    if y.lo_m <= 0 <= y.hi_m:
+        raise ZeroDivisionError("division by interval containing zero")
+    scale = x.ctx.scale
+    corners = [(a << scale, b) for a in (x.lo_m, x.hi_m) for b in (y.lo_m, y.hi_m)]
+    lo = min(a // b for a, b in corners)
+    hi = max(-(-a // b) for a, b in corners)
+    return CertifiedReal(x.ctx, lo, hi)
+
+
 @dataclass(frozen=True)
 class TailedInterval:
     """A truncated-series enclosure with its certified tail bound attached.
@@ -74,7 +109,7 @@ class TailedInterval:
 
     @property
     def enclosure(self) -> CertifiedReal:
-        return self.partial.widened(self.tail)
+        return widened(self.partial, self.tail)
 
 
 @dataclass(frozen=True)
@@ -92,7 +127,7 @@ def beta_pi_coeff(k: int, euler: EulerTable) -> PiMultiple:
         raise ValueError("k must be >= 0")
     if not euler.covers(2 * k):
         raise TableDepthError("euler", 2 * k)
-    coeff = Fraction(abs(euler.entry(2 * k)), (1 << (2 * k + 2)) * factorial(2 * k))
+    coeff = Fraction(abs(euler.values[k]), (1 << (2 * k + 2)) * factorial(2 * k))
     return PiMultiple(coeff, 2 * k + 1)
 
 
@@ -104,7 +139,7 @@ def zeta_pi_coeff(k: int, bern: BernoulliTable) -> PiMultiple:
     if not bern.covers(2 * k):
         raise TableDepthError("bernoulli", 2 * k)
     sign = 1 if k % 2 == 1 else -1
-    coeff = sign * (1 << (2 * k)) * bern.entry(2 * k) / (2 * factorial(2 * k))
+    coeff = sign * (1 << (2 * k)) * bern.values[k] / (2 * factorial(2 * k))
     return PiMultiple(coeff, 2 * k)
 
 
@@ -202,7 +237,7 @@ def inner_poly(k: int, x: Fraction) -> Fraction:
 def residual_numeric(p: int, k: int, N: int, ctx: PrecisionContext) -> CertifiedReal:
     """Certified interval for partial_sum(p, k, N) / pi^p - 1."""
     value = partial_sum(p, k, N, ctx)
-    return value / ctx.pi_power(p) - ctx.one()
+    return quotient(value, ctx.pi_power(p)) - ctx.from_rational(1)
 
 
 @dataclass(frozen=True)
@@ -303,8 +338,8 @@ def alzer_koumandos_partial(
     work = PrecisionContext(ctx.precision_bits + K.bit_length() + 4)
     # mu = a/b, so r = (a-b)/(a+b) and 2k mu/(1+mu) = 2k a/(a+b)
     a, b = mu.numerator, mu.denominator
-    r_pow = work.one()
-    t = work.one()
+    r_pow = work.from_rational(1)
+    t = work.from_rational(1)
     acc = t
     for k in range(1, K + 1):
         r_pow = r_pow.mul_ratio(a - b, a + b)
@@ -320,7 +355,7 @@ def _mid_binomial_harmonic_partial(
     when ``odd`` and 1/i otherwise."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    mu = ctx.one()
+    mu = ctx.from_rational(1)
     h = ctx.zero()
     acc = ctx.zero()
     for k in range(1, K + 1):
@@ -352,8 +387,8 @@ def kolbig_partial(K: int, ctx: PrecisionContext) -> CertifiedReal:
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    p = ctx.one()
-    q = ctx.one()
+    p = ctx.from_rational(1)
+    q = ctx.from_rational(1)
     u = ctx.zero()
     v = ctx.zero()
     acc = ctx.zero()

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -52,6 +53,49 @@ def test_numbers_rejects_odd_index():
     code, _, err = run_cli(["numbers", "--kind", "euler", "--max-index", "7"])
     assert code == 2
     assert "even" in err
+
+
+@pytest.mark.parametrize(
+    "fmt, expected",
+    [
+        ("pretty", "B_0 = 1\n"),
+        ("csv", "index,numerator,denominator\n0,1,1\n"),
+        ("json", '[\n  [\n    "0",\n    "1",\n    "1"\n  ]\n]\n'),
+    ],
+)
+def test_numbers_bernoulli_stops_at_max_index(fmt, expected):
+    # B_1 lies beyond a table that stops at index 0
+    argv = ["numbers", "--kind", "bernoulli", "--max-index", "0", "--format", fmt]
+    assert run_cli(argv)[:2] == (0, expected)
+
+
+def test_numbers_bernoulli_shows_b1_from_index_2():
+    code, out, _ = run_cli(["numbers", "--kind", "bernoulli", "--max-index", "2"])
+    assert (code, out) == (0, "B_0 = 1\nB_1 = -1/2\nB_2 = 1/6\n")
+
+
+def test_huge_powers_range_exits_2_at_once():
+    """An out-of-range --powers range is rejected from its endpoints.  Under
+    a 512 MB address-space limit, building the range first dies with
+    MemoryError and exit 1, which reads as a failed identity."""
+    resource = pytest.importorskip("resource")
+
+    def limit_memory():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, hard))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-m", "piforge.cli", "verify", "--powers", "1-100000000"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=limit_memory,
+        timeout=60,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "powers must come from 1..6, got '1-100000000'" in result.stderr
 
 
 def test_stale_cache_files_are_ignored(tmp_path, monkeypatch):

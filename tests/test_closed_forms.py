@@ -12,6 +12,7 @@ from piforge.special_numbers import TableDepthError, bernoulli_numbers, euler_nu
 from oracles import (
     beta_partial,
     beta_pi_coeff,
+    contains,
     pi_multiple_interval,
     power_sums_loop,
     zeta_partial,
@@ -80,26 +81,26 @@ def test_beta_partial_single_term_degenerate(ctx128):
 def test_partial_enclosures_contain_closed_forms(ctx128, euler_table, bernoulli_table):
     zeta2 = pi_multiple_interval(zeta_pi_coeff(1, bernoulli_table), ctx128)
     for N in (10, 100, 10**4):
-        assert zeta_partial(1, N, ctx128).enclosure.contains(zeta2)
+        assert contains(zeta_partial(1, N, ctx128).enclosure, zeta2)
     beta1 = pi_multiple_interval(beta_pi_coeff(1, euler_table), ctx128)  # pi^3/32
     for N in (10, 100, 1000):
-        assert beta_partial(1, N, ctx128).enclosure.contains(beta1)
+        assert contains(beta_partial(1, N, ctx128).enclosure, beta1)
 
 
 def test_consistency_grid(ctx128, euler_table, bernoulli_table):
     N = 10**4
     for k in range(0, 7):
         closed = pi_multiple_interval(beta_pi_coeff(k, euler_table), ctx128)
-        assert beta_partial(k, N, ctx128).enclosure.contains(closed)
+        assert contains(beta_partial(k, N, ctx128).enclosure, closed)
     for k in range(1, 7):
         closed = pi_multiple_interval(zeta_pi_coeff(k, bernoulli_table), ctx128)
-        assert zeta_partial(k, N, ctx128).enclosure.contains(closed)
+        assert contains(zeta_partial(k, N, ctx128).enclosure, closed)
 
 
 def test_pi_squared_cross_check(ctx128):
     # 6 * sum 1/m^2 must enclose the engine's independent pi^2
     enclosure = zeta_partial(1, 10**4, ctx128).enclosure.mul_ratio(6, 1)
-    assert enclosure.contains(ctx128.pi_power(2))
+    assert contains(enclosure, ctx128.pi_power(2))
 
 
 def test_partials_equal_per_term_interval_sums(ctx128):

