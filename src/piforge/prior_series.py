@@ -12,17 +12,47 @@ Four series are implemented:
 
 No convergence rates are published for these series, so the partial sums
 carry no analytic tail estimate; they are plain certified enclosures of the
-truncated sums.  Each recurrence runs on plain integers: every running
-quantity is a pair of fixed-point mantissas, the lower bound and the negated
-upper bound, so every outward rounding is a floor division.  A step does the
-same divisions and shifts, in the same order, as ``CertifiedReal.mul_ratio``,
-``*``, ``+`` and ``PrecisionContext.from_rational`` would, so the bounds are
-the ones interval arithmetic gives, bit for bit; only the result is built as
-a ``CertifiedReal``.
+truncated sums.  Every recurrence runs on plain integers, fixed-point
+mantissas on which each outward rounding is a floor division.
 
 The three pi^2 series take a list of term counts and make one pass up to
-the largest, keeping the sum at each requested count.  The mu-family sums
-to one K per call, because its working precision grows with K.
+the largest, keeping the sum at each requested count.  Each pass runs one
+floor-rounded recurrence at ``_GUARD = 24`` bits beyond the context's scale
+and proves its error ahead of time, so the upper bound costs no work per
+step.  Writing X for a quantity times 2^(scale+24) and x for its computed
+floor-rounded mantissa, e = X - x is its error in units of 2^-(scale+24).
+Every step applies one
+
+    lemma: if x <= X <= x + e and y <= Y <= y + f, with a >= 0, b > 0, then
+    0 <= (a X + Y)/b - floor((a x + y)/b) < 1 + (a e + f)/b,
+
+since the floor removes less than 1 and the rest is (a (X-x) + (Y-y))/b.
+Every x is a lower bound, by induction from the exact mantissas of 1 and 0.
+
+* mu_k = mu_{k-1} (2k-1)/(2k), and g_k = mu_k h_k (H_k for ``alzer-H``)
+  is tracked without a product of two mantissas:
+  g_k = ((2k-1) g_{k-1} + mu_{k-1})/(2k)  with h_k = h_{k-1} + 1/(2k-1),
+  g_k = ((2k-1) g_{k-1} + 2 mu_k)/(2k)     with H_k = H_{k-1} + 1/k.
+  By the lemma e_mu(k) < 1 + e_mu(k-1), so e_mu(k) < k.  With
+  e_g(k-1) <= 2(k-1), e_g(k) is below 1 + (k-1)(4k-1)/(2k) < 2k for h_k
+  and below 1 + (4k^2-4k+2)/(2k) = 2k - 1 + 1/k <= 2k for H_k.  The
+  term floor(w g_k / k) of weight w errs by less than 1 + 2w, so N terms
+  err by less than the budget (2w+1) N.
+* ``kolbig`` keeps p_n, q_n, u_n = p_n sum 1/(4k-1), v_n = q_n sum 1/(4k-3):
+  p_n = (4n-1)/(4n) p_{n-1},  u_n = ((4n-1) u_{n-1} + p_{n-1})/(4n),
+  q_n = (4n-3)/(4n) q_{n-1},  v_n = ((4n-3) v_{n-1} + q_{n-1})/(4n).
+  As for mu, e_p(n), e_q(n) < n; with e_u(n-1) <= n-1, e_u(n) is below
+  1 + ((4n-1)(n-1) + (n-1))/(4n) = n, and e_v(n) < n likewise.  The term
+  floor(2 (u_n + v_n)/n) errs by less than 1 + 4n/n = 5: budget 5N.
+
+So the sum lies in [acc, acc + budget], rounded outward onto the context
+once: for N <= 10^5 the budget is below 2^20, and the enclosure is at most
+2 units of 2^-scale wide.  The budget applies only once some floor has
+dropped a remainder; until then every mantissa is exact, and so is a dyadic
+sum such as ``kolbig`` at N <= 2.  The guard is fixed, not derived from the
+largest N, so a row's bounds do not depend on the other N of the call.  The
+mu-family sums to one K per call, because its working precision grows
+with K.
 
 The inner sum of the mu-parameterized family is evaluated through the exact
 recurrence of J_k = integral_0^1 (mu - x^2)^k dx,
@@ -37,8 +67,10 @@ r^k with r = (mu-1)/(mu+1) instead, both bounded by 1 in absolute value:
     (2k+1) t_k = 2k mu/(1+mu) t_{k-1} + r^k,    t_0 = 1.
 
 Every multiplier in it is below 1 in absolute value, so rounding errors do
-not grow from step to step; ``K.bit_length() + 4`` guard bits absorb the K per-step roundings and
-the sum 4/(1+mu) sum t_k is rounded outward to the context once.
+not grow from step to step; ``K.bit_length() + 4`` guard bits absorb the K
+per-step roundings and the sum 4/(1+mu) sum t_k is rounded outward to the
+context once.  Its running quantities are pairs of mantissas, the lower
+bound and the negated upper bound.
 """
 
 from __future__ import annotations
@@ -53,6 +85,10 @@ __all__ = [
     "alzer_koumandos_partial",
     "kolbig_partials",
 ]
+
+# Fixed, not derived from the largest N of a call, so that a row's bounds do
+# not depend on the other rows; the budgets stay below 2^20 for N <= 10^5.
+_GUARD = 24
 
 
 def alzer_koumandos_partial(
@@ -94,29 +130,33 @@ def _stops(Ns: list[int]) -> set[int]:
     return set(Ns)
 
 
+def _enclosure(ctx: PrecisionContext, acc: int, budget: int) -> CertifiedReal:
+    """[acc, acc + budget] at ``_GUARD`` bits beyond the context's scale,
+    rounded outward onto the context."""
+    return CertifiedReal(ctx, acc >> _GUARD, -(-(acc + budget) >> _GUARD))
+
+
 def _mid_binomial_harmonic_partials(
     Ns: list[int], ctx: PrecisionContext, weight: int, odd: bool
 ) -> list[CertifiedReal]:
     """weight * sum_{k<=K} mu_k h_k / k for each K in Ns, where h_k sums
     1/(2i-1) over i <= k when ``odd`` and 1/i otherwise."""
     stops = _stops(Ns)
-    scale = ctx.scale
-    one = 1 << scale
-    neg_one = -one
-    mu_lo, mu_nh = one, neg_one
-    h_lo = h_nh = acc_lo = acc_nh = 0
+    mu, g, acc, exact = 1 << (ctx.scale + _GUARD), 0, 0, True
     at = {}
     for k in range(1, max(stops) + 1):
-        mu_lo = mu_lo * (2 * k - 1) // (2 * k)
-        mu_nh = mu_nh * (2 * k - 1) // (2 * k)
-        den = 2 * k - 1 if odd else k
-        h_lo += one // den
-        h_nh += neg_one // den
-        # mu and h are >= 0, so their product pairs lower with lower bounds
-        acc_lo += (mu_lo * h_lo >> scale) * weight // k
-        acc_nh += (-(mu_nh * h_nh) >> scale) * weight // k
+        d = 2 * k
+        mu_prev = mu
+        x = (d - 1) * mu
+        mu = x // d
+        y = (d - 1) * g + (mu_prev if odd else 2 * mu)
+        g = y // d
+        z = weight * g
+        acc += z // k
+        if exact:  # until a floor drops a remainder, every mantissa is exact
+            exact = not (x % d or y % d or z % k)
         if k in stops:
-            at[k] = CertifiedReal(ctx, acc_lo, -acc_nh)
+            at[k] = _enclosure(ctx, acc, 0 if exact else (2 * weight + 1) * k)
     return [at[K] for K in Ns]
 
 
@@ -133,31 +173,23 @@ def alzer_H_partials(Ns: list[int], ctx: PrecisionContext) -> list[CertifiedReal
 
 
 def kolbig_partials(Ns: list[int], ctx: PrecisionContext) -> list[CertifiedReal]:
-    """Partial sums of 2 sum_{k<=K} sigma_k / k, one for each K in Ns.
-
-    Tracks u_n = p_n sum 1/(4k-1) and v_n = q_n sum 1/(4k-3) through
-
-        u_n = (4n-1)/(4n) u_{n-1} + p_{n-1}/(4n)
-        v_n = (4n-3)/(4n) v_{n-1} + q_{n-1}/(4n)
-
-    so each step touches only small exact multipliers.
-    """
+    """Partial sums of 2 sum_{k<=K} sigma_k / k, one for each K in Ns."""
     stops = _stops(Ns)
-    one = 1 << ctx.scale
-    p_lo = q_lo = one
-    p_nh = q_nh = -one
-    u_lo = u_nh = v_lo = v_nh = acc_lo = acc_nh = 0
+    p = q = 1 << (ctx.scale + _GUARD)
+    u = v = acc = 0
+    exact = True
     at = {}
     for n in range(1, max(stops) + 1):
         d = 4 * n
-        u_lo = u_lo * (d - 1) // d + p_lo // d
-        u_nh = u_nh * (d - 1) // d + p_nh // d
-        v_lo = v_lo * (d - 3) // d + q_lo // d
-        v_nh = v_nh * (d - 3) // d + q_nh // d
-        p_lo, p_nh = p_lo * (d - 1) // d, p_nh * (d - 1) // d
-        q_lo, q_nh = q_lo * (d - 3) // d, q_nh * (d - 3) // d
-        acc_lo += (u_lo + v_lo) * 2 // n
-        acc_nh += (u_nh + v_nh) * 2 // n
+        x = (d - 1) * u + p
+        y = (d - 3) * v + q
+        u, v = x // d, y // d
+        p_num, q_num = (d - 1) * p, (d - 3) * q
+        p, q = p_num // d, q_num // d
+        z = 2 * (u + v)
+        acc += z // n
+        if exact:
+            exact = not (x % d or y % d or p_num % d or q_num % d or z % n)
         if n in stops:
-            at[n] = CertifiedReal(ctx, acc_lo, -acc_nh)
+            at[n] = _enclosure(ctx, acc, 0 if exact else 5 * n)
     return [at[K] for K in Ns]

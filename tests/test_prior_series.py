@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from piforge import prior_series
 from piforge.numeric_engine import PrecisionContext
 from piforge.prior_series import (
     alzer_H_partials,
@@ -111,12 +112,6 @@ def test_ak_tight_for_mu_above_one(ctx128):
 
 
 def test_trivial_values(ctx128):
-    [v] = alzer_h_partials([1], ctx128)
-    assert v.lo == v.hi == 2
-    [v] = alzer_H_partials([1], ctx128)
-    assert v.lo == v.hi == Fraction(3, 2)
-    [v] = kolbig_partials([1], ctx128)
-    assert v.lo == v.hi == 1
     v = alzer_koumandos_partial(Fraction(1), 0, ctx128)
     assert v.lo == v.hi == 2
 
@@ -174,13 +169,28 @@ def test_mu_validation(ctx128):
         alzer_H_partials([5, 0], ctx128)
 
 
-# The integer recurrences against the interval loops they replace
-# (tests/oracles.py): every bound must come out bit for bit the same.
+# The one-sided recurrences against the exact sums and against the interval
+# loops of tests/oracles.py, which round every operation outward and so come
+# out wider: the kernels must enclose the exact sum, overlap the loop and be
+# no wider than it.
 PI2_KERNELS = {
     "kolbig": (kolbig_partials, oracles.kolbig_partial),
     "alzer-h": (alzer_h_partials, oracles.alzer_h_partial),
     "alzer-H": (alzer_H_partials, oracles.alzer_H_partial),
 }
+
+
+def exact_pi2_partials(name, K):
+    """The exact partial sums of a pi^2 baseline for N = 1..K."""
+    if name == "kolbig":
+        terms = (2 * w.sigma / w.n for w in kolbig_weights())
+    else:
+        weight = 4 if name == "alzer-h" else 3
+        terms = (
+            weight * m.value * (pair.h if name == "alzer-h" else pair.H) / m.k
+            for m, pair in zip(mid_binomials(), harmonic_pairs())
+        )
+    return list(itertools.accumulate(take(terms, K)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -192,10 +202,47 @@ PI2_KERNELS = {
 @example(name="kolbig", K=10**4, bits=1024)
 @example(name="alzer-h", K=10**4, bits=1024)
 @example(name="alzer-H", K=10**4, bits=1024)
-def test_pi2_kernels_equal_interval_loops(name, K, bits):
+def test_pi2_kernels_enclose_and_are_no_wider_than_interval_loops(name, K, bits):
     kernel, oracle = PI2_KERNELS[name]
     ctx = PrecisionContext(bits)
-    assert kernel([K], ctx) == [oracle(K, ctx)]
+    [value] = kernel([K], ctx)
+    loop = oracle(K, ctx)
+    assert max(value.lo_m, loop.lo_m) <= min(value.hi_m, loop.hi_m)
+    assert value.width <= loop.width
+    assert value.hi_m - value.lo_m <= 2
+    if K <= 400:
+        assert contains(value, exact_pi2_partials(name, K)[-1])
+
+
+@pytest.mark.parametrize("name", sorted(PI2_KERNELS))
+def test_pi2_kernels_two_ulps_wide_at_1e5_terms(name):
+    kernel, _ = PI2_KERNELS[name]
+    for value in kernel([10**4, 10**5], PrecisionContext(1024)):
+        assert 1 <= value.hi_m - value.lo_m <= 2
+
+
+@pytest.mark.parametrize("name", sorted(PI2_KERNELS))
+def test_pi2_budgets_hold_without_guard_bits(name, monkeypatch):
+    """The error budgets are proved for any number of guard bits.  With none,
+    the budget spans many units of the context's scale, so containment tests
+    the budget itself rather than the slack of the guard bits."""
+    monkeypatch.setattr(prior_series, "_GUARD", 0)
+    kernel, _ = PI2_KERNELS[name]
+    Ns = list(range(1, 301))
+    exact = exact_pi2_partials(name, len(Ns))
+    for N, value in zip(Ns, kernel(Ns, PrecisionContext(64))):
+        assert contains(value, exact[N - 1])
+
+
+def test_pi2_kernels_exact_at_two_terms(ctx128):
+    sums = {
+        "kolbig": [1, Fraction(3, 2)],
+        "alzer-h": [2, 3],
+        "alzer-H": [Fraction(3, 2), Fraction(75, 32)],
+    }
+    for name, (kernel, _) in PI2_KERNELS.items():
+        assert sums[name] == exact_pi2_partials(name, 2)
+        assert [(v.lo, v.hi) for v in kernel([1, 2], ctx128)] == [(x, x) for x in sums[name]]
 
 
 @settings(max_examples=40, deadline=None)
@@ -215,6 +262,9 @@ def test_ak_kernel_equals_interval_loop(mu, K, bits):
 
 @pytest.mark.parametrize("name", sorted(PI2_KERNELS))
 def test_one_pass_answers_each_N_in_the_given_order(name, ctx128):
-    kernel, oracle = PI2_KERNELS[name]
+    kernel, _ = PI2_KERNELS[name]
     Ns = [1000, 1, 100, 1000]
-    assert kernel(Ns, ctx128) == [oracle(N, ctx128) for N in Ns]
+    values = kernel(Ns, ctx128)
+    assert values == [kernel([N], ctx128)[0] for N in Ns]
+    exact = exact_pi2_partials(name, max(Ns))
+    assert all(contains(v, exact[N - 1]) for v, N in zip(values, Ns))

@@ -83,6 +83,14 @@ PINNED = [
         "compare --target pi --series gupta:k=0,gupta:k=4,alzer-koumandos:mu=3/2 --terms 10,100,1000 --format pretty",
         "2b4c977ea07099835ea52fa7406025f3b8612b3e8825faa89e1d92925acf8484",
     ),
+    (
+        "compare --target pi2 --series kolbig,alzer-h,alzer-H --terms 100,1000,10000 --prec 1024 --format csv",
+        "356b5322685a9d03164436576732705320b7591dbc2bf5ee5d09c0fa794c7fe9",
+    ),
+    (
+        "compare --target pi2 --series kolbig,alzer-h,alzer-H --terms 100,1000,10000 --prec 1024 --format pretty",
+        "7c3a83dfb9b6acae4d90ac78822edd1f6f3bc14a00cefcdd4f1e376c91e42b79",
+    ),
 ]
 
 
