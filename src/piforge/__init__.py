@@ -8,7 +8,7 @@ from .numeric_engine import CertifiedReal, PrecisionContext
 from .prior_series import (
     alzer_H_partials,
     alzer_h_partials,
-    alzer_koumandos_partial,
+    alzer_koumandos_partials,
     kolbig_partials,
 )
 from .special_numbers import (

@@ -24,7 +24,7 @@ from .numeric_engine import CertifiedReal, PrecisionContext
 from .prior_series import (
     alzer_H_partials,
     alzer_h_partials,
-    alzer_koumandos_partial,
+    alzer_koumandos_partials,
     kolbig_partials,
 )
 from .report import (
@@ -116,17 +116,16 @@ def _family_partials(s, Ns, ctx):
 # The evaluators look their functions up at call time, so wrappers installed
 # on this module's names (as the benchmark's tracer does) see every call.
 # `gupta` and `classical` share one evaluator: a classical selector has k = 0.
-# The pi^2 baselines make one pass to the largest N; the others pick their
-# working precision from N, so they sum each N on its own.
+# The four baselines make one pass to the largest N; the gupta family picks
+# its working precision from N, so it sums each N on its own.
 SERIES = {
     "gupta": Series(("p", "k"), None, _family_partials),
     "classical": Series(("p",), None, _family_partials),
     "alzer-h": Series((), 2, lambda s, Ns, ctx: alzer_h_partials(Ns, ctx)),
     "alzer-H": Series((), 2, lambda s, Ns, ctx: alzer_H_partials(Ns, ctx)),
     "kolbig": Series((), 2, lambda s, Ns, ctx: kolbig_partials(Ns, ctx)),
-    # the mu-family starts at k = 0, so N terms end at K = N - 1
     "alzer-koumandos": Series(
-        ("mu",), 1, lambda s, Ns, ctx: [alzer_koumandos_partial(s.mu, n - 1, ctx) for n in Ns]
+        ("mu",), 1, lambda s, Ns, ctx: alzer_koumandos_partials(s.mu, Ns, ctx)
     ),
 }
 SERIES_HELP = " | ".join(

@@ -15,13 +15,13 @@ carry no analytic tail estimate; they are plain certified enclosures of the
 truncated sums.  Every recurrence runs on plain integers, fixed-point
 mantissas on which each outward rounding is a floor division.
 
-The three pi^2 series take a list of term counts and make one pass up to
-the largest, keeping the sum at each requested count.  Each pass runs one
+Each series takes a list of term counts and makes one pass up to the
+largest, keeping the sum at each requested count.  Each pass runs one
 floor-rounded recurrence at ``_GUARD = 24`` bits beyond the context's scale
 and proves its error ahead of time, so the upper bound costs no work per
 step.  Writing X for a quantity times 2^(scale+24) and x for its computed
 floor-rounded mantissa, e = X - x is its error in units of 2^-(scale+24).
-Every step applies one
+Every step of the pi^2 series applies one
 
     lemma: if x <= X <= x + e and y <= Y <= y + f, with a >= 0, b > 0, then
     0 <= (a X + Y)/b - floor((a x + y)/b) < 1 + (a e + f)/b,
@@ -45,15 +45,6 @@ Every x is a lower bound, by induction from the exact mantissas of 1 and 0.
   1 + ((4n-1)(n-1) + (n-1))/(4n) = n, and e_v(n) < n likewise.  The term
   floor(2 (u_n + v_n)/n) errs by less than 1 + 4n/n = 5: budget 5N.
 
-So the sum lies in [acc, acc + budget], rounded outward onto the context
-once: for N <= 10^5 the budget is below 2^20, and the enclosure is at most
-2 units of 2^-scale wide.  The budget applies only once some floor has
-dropped a remainder; until then every mantissa is exact, and so is a dyadic
-sum such as ``kolbig`` at N <= 2.  The guard is fixed, not derived from the
-largest N, so a row's bounds do not depend on the other N of the call.  The
-mu-family sums to one K per call, because its working precision grows
-with K.
-
 The inner sum of the mu-parameterized family is evaluated through the exact
 recurrence of J_k = integral_0^1 (mu - x^2)^k dx,
 
@@ -64,13 +55,32 @@ which reproduces the binomial double sum term by term: the k-th term is
 (1+mu)^-k, so the partial sum tracks their ratio t_k = J_k / (1+mu)^k and
 r^k with r = (mu-1)/(mu+1) instead, both bounded by 1 in absolute value:
 
-    (2k+1) t_k = 2k mu/(1+mu) t_{k-1} + r^k,    t_0 = 1.
+    (2k+1) t_k = 2k mu/(1+mu) t_{k-1} + r^k,    t_0 = 1,
 
-Every multiplier in it is below 1 in absolute value, so rounding errors do
-not grow from step to step; ``K.bit_length() + 4`` guard bits absorb the K
-per-step roundings and the sum 4/(1+mu) sum t_k is rounded outward to the
-context once.  Its running quantities are pairs of mantissas, the lower
-bound and the negated upper bound.
+and N terms sum to 4/(1+mu) (t_0 + ... + t_K), K = N - 1.  With mu = a/b,
+c = a + b, rho = (a-b)/c and gamma = a/c, a step floors 2k a t_{k-1}/c,
+then t_k = (that + r_k)/(2k+1), then r_{k+1} = (a-b) r_k/c.  Each floor
+drops a fraction in [0, 1), but rho < 0 when mu < 1, so the errors are
+signed: e_r(k) = rho e_r(k-1) + (a fraction), so |e_r(k)| < k as
+|rho| < 1, and
+
+    |e_t(k)| < 1 + gamma |e_t(k-1)| + (1 + |e_r(k)|)/(2k+1)
+             <= 5/3 + gamma |e_t(k-1)|,
+
+so |e_t(k)| < 5/(3 (1-gamma)) = 5c/(3b) by induction.  The sum floor(w/c),
+w = 4b (t_0 + ... + t_K), misses (4b/c) sum e_t(k), below 20K/3 < 7K in
+absolute value whatever mu is, and the fraction that floor dropped: the sum
+lies in [floor(w/c) - 7K, ceil(w/c) + 7K].  When mu >= 1, rho >= 0 and
+every error is >= 0 by induction, so the lower end is floor(w/c) itself.
+
+So each sum has an integer bracket at ``_GUARD`` bits beyond the context's
+scale, which ``CertifiedReal.rounded_to`` rounds outward onto the context
+once: for N <= 10^5 each bracket spans fewer than 2^21 units, and the
+enclosure is at most 2 units of 2^-scale wide.  The budget applies only
+once some floor has dropped a remainder; until then every mantissa is
+exact, and so is a dyadic sum such as ``kolbig`` at N <= 2 or the mu-family
+at mu = 1, N = 1.  The guard is fixed, not derived from the largest N, so
+a row's bounds do not depend on the other N of the call.
 """
 
 from __future__ import annotations
@@ -82,45 +92,13 @@ from .numeric_engine import CertifiedReal, PrecisionContext
 __all__ = [
     "alzer_H_partials",
     "alzer_h_partials",
-    "alzer_koumandos_partial",
+    "alzer_koumandos_partials",
     "kolbig_partials",
 ]
 
 # Fixed, not derived from the largest N of a call, so that a row's bounds do
-# not depend on the other rows; the budgets stay below 2^20 for N <= 10^5.
+# not depend on the other rows; the budgets stay below 2^21 for N <= 10^5.
 _GUARD = 24
-
-
-def alzer_koumandos_partial(
-    mu: Fraction | int, K: int, ctx: PrecisionContext
-) -> CertifiedReal:
-    """Partial sum over k = 0..K of the mu-parameterized series for pi.
-
-    The working precision grows with K, so one pass cannot serve several K
-    with the same bounds; each K is summed on its own.
-    """
-    mu = Fraction(mu)
-    if mu <= 0:
-        raise ValueError("the parameter mu must be positive")
-    if K < 0:
-        raise ValueError("K must be >= 0")
-    guard = K.bit_length() + 4
-    one = 1 << (ctx.scale + guard)
-    # mu = a/b, so r = (a-b)/(a+b) and 2k mu/(1+mu) = 2k a/(a+b)
-    a, b = mu.numerator, mu.denominator
-    r_lo = t_lo = acc_lo = one
-    r_nh = t_nh = acc_nh = -one
-    for k in range(1, K + 1):
-        r_lo, r_nh = r_lo * abs(a - b) // (a + b), r_nh * abs(a - b) // (a + b)
-        if a < b:  # r < 0 swaps the bounds
-            r_lo, r_nh = r_nh, r_lo
-        t_lo = (t_lo * (2 * k * a) // (a + b) + r_lo) // (2 * k + 1)
-        t_nh = (t_nh * (2 * k * a) // (a + b) + r_nh) // (2 * k + 1)
-        acc_lo += t_lo
-        acc_nh += t_nh
-    lo = acc_lo * (4 * b) // (a + b) >> guard
-    nh = acc_nh * (4 * b) // (a + b) >> guard
-    return CertifiedReal(ctx, lo, -nh)
 
 
 def _stops(Ns: list[int]) -> set[int]:
@@ -130,10 +108,35 @@ def _stops(Ns: list[int]) -> set[int]:
     return set(Ns)
 
 
-def _enclosure(ctx: PrecisionContext, acc: int, budget: int) -> CertifiedReal:
-    """[acc, acc + budget] at ``_GUARD`` bits beyond the context's scale,
-    rounded outward onto the context."""
-    return CertifiedReal(ctx, acc >> _GUARD, -(-(acc + budget) >> _GUARD))
+def alzer_koumandos_partials(
+    mu: Fraction | int, Ns: list[int], ctx: PrecisionContext
+) -> list[CertifiedReal]:
+    """Partial sums of 4 sum_{k<N} J_k / (1+mu)^(k+1), the mu-family for pi,
+    one for each N in Ns."""
+    mu = Fraction(mu)
+    if mu <= 0:
+        raise ValueError("the parameter mu must be positive")
+    stops = _stops(Ns)
+    work = PrecisionContext(ctx.precision_bits + _GUARD)
+    a, b = mu.numerator, mu.denominator
+    c = a + b
+    r, t, acc, exact = 1 << work.scale, 0, 0, True
+    at = {}
+    for k in range(max(stops)):  # r enters as r^k and leaves as r^(k+1)
+        y = 2 * k * a * t
+        z = y // c + r
+        t = z // (2 * k + 1)
+        acc += t
+        x = (a - b) * r
+        r = x // c
+        if exact:
+            exact = not (y % c or z % (2 * k + 1) or x % c)
+        if k + 1 in stops:
+            w = 4 * b * acc
+            slack = 0 if exact else 7 * k
+            lo = w // c - (slack if a < b else 0)
+            at[k + 1] = CertifiedReal(work, lo, -(-w // c) + slack).rounded_to(ctx)
+    return [at[N] for N in Ns]
 
 
 def _mid_binomial_harmonic_partials(
@@ -142,7 +145,8 @@ def _mid_binomial_harmonic_partials(
     """weight * sum_{k<=K} mu_k h_k / k for each K in Ns, where h_k sums
     1/(2i-1) over i <= k when ``odd`` and 1/i otherwise."""
     stops = _stops(Ns)
-    mu, g, acc, exact = 1 << (ctx.scale + _GUARD), 0, 0, True
+    work = PrecisionContext(ctx.precision_bits + _GUARD)
+    mu, g, acc, exact = 1 << work.scale, 0, 0, True
     at = {}
     for k in range(1, max(stops) + 1):
         d = 2 * k
@@ -156,7 +160,8 @@ def _mid_binomial_harmonic_partials(
         if exact:  # until a floor drops a remainder, every mantissa is exact
             exact = not (x % d or y % d or z % k)
         if k in stops:
-            at[k] = _enclosure(ctx, acc, 0 if exact else (2 * weight + 1) * k)
+            budget = 0 if exact else (2 * weight + 1) * k
+            at[k] = CertifiedReal(work, acc, acc + budget).rounded_to(ctx)
     return [at[K] for K in Ns]
 
 
@@ -175,7 +180,8 @@ def alzer_H_partials(Ns: list[int], ctx: PrecisionContext) -> list[CertifiedReal
 def kolbig_partials(Ns: list[int], ctx: PrecisionContext) -> list[CertifiedReal]:
     """Partial sums of 2 sum_{k<=K} sigma_k / k, one for each K in Ns."""
     stops = _stops(Ns)
-    p = q = 1 << (ctx.scale + _GUARD)
+    work = PrecisionContext(ctx.precision_bits + _GUARD)
+    p = q = 1 << work.scale
     u = v = acc = 0
     exact = True
     at = {}
@@ -191,5 +197,5 @@ def kolbig_partials(Ns: list[int], ctx: PrecisionContext) -> list[CertifiedReal]
         if exact:
             exact = not (x % d or y % d or p_num % d or q_num % d or z % n)
         if n in stops:
-            at[n] = _enclosure(ctx, acc, 0 if exact else 5 * n)
+            at[n] = CertifiedReal(work, acc, acc + (0 if exact else 5 * n)).rounded_to(ctx)
     return [at[K] for K in Ns]

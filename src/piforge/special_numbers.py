@@ -53,12 +53,8 @@ class EulerTable(namedtuple("EulerTable", "values")):
 
     __slots__ = ()
 
-    @property
-    def max_index(self) -> int:
-        return 2 * (len(self.values) - 1)
-
     def covers(self, index: int) -> bool:
-        return 0 <= index <= self.max_index
+        return 0 <= index <= 2 * (len(self.values) - 1)
 
 
 class BernoulliTable(namedtuple("BernoulliTable", "values scaled")):
@@ -74,12 +70,8 @@ class BernoulliTable(namedtuple("BernoulliTable", "values scaled")):
         scaled = tuple(b.numerator * (common // b.denominator) for b in values)
         return super().__new__(cls, values, (common, scaled))
 
-    @property
-    def max_index(self) -> int:
-        return 2 * (len(self.values) - 1)
-
     def covers(self, index: int) -> bool:
-        return 0 <= index <= self.max_index
+        return 0 <= index <= 2 * (len(self.values) - 1)
 
 
 def _zigzag(n: int) -> list[int]:

@@ -34,9 +34,7 @@ operation that only the tests need.
   partial sum against pi^p.
 * The exact weight generators of the four baseline series, and their
   partial sums as ``CertifiedReal`` loops, one interval operation at a time:
-  the op-for-op reference of the paired recurrence of
-  ``prior_series.alzer_koumandos_partial``, and the slow, wider oracle of
-  the one-sided pi^2 recurrences.
+  the slow, wider oracle of the one-sided recurrences of ``prior_series``.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from piforge.numeric_engine import PrecisionContext
 from piforge.prior_series import (
     alzer_H_partials,
     alzer_h_partials,
-    alzer_koumandos_partial,
+    alzer_koumandos_partials,
     kolbig_partials,
 )
 from piforge.special_numbers import bernoulli_numbers, euler_numbers
@@ -241,8 +241,8 @@ def test_criterion_7_prior_series():
         pi_deep = deep.pi()
         for mu in (Fraction(1), Fraction(1, 2)):
             residuals = [
-                abs(alzer_koumandos_partial(mu, K, deep).mid - pi_deep.mid)
-                for K in (10**2, 10**3, 10**4)
+                abs(value.mid - pi_deep.mid)
+                for value in alzer_koumandos_partials(mu, [10**2 + 1, 10**3 + 1, 10**4 + 1], deep)
             ]
             assert residuals[0] > residuals[1] > residuals[2] > 0, mu
 

@@ -3,8 +3,9 @@
 Reports are byte-identical across releases and interpreters: these digests
 are the same on CPython 3.10 to 3.13, and a rewrite of the report rows, the
 identity checks or the JSON writer must keep them.  The set holds the
-README's four commands, ``verify`` in every format for each parity shape, a
-pretty ``sum`` and a ``compare`` in csv and pretty.
+README's four commands, ``verify`` in every format for each parity shape,
+pretty ``sum`` runs, and ``compare`` tables in csv and pretty that cover
+every baseline series.
 """
 
 from __future__ import annotations
@@ -90,6 +91,18 @@ PINNED = [
     (
         "compare --target pi2 --series kolbig,alzer-h,alzer-H --terms 100,1000,10000 --prec 1024 --format pretty",
         "7c3a83dfb9b6acae4d90ac78822edd1f6f3bc14a00cefcdd4f1e376c91e42b79",
+    ),
+    (
+        "compare --target pi --series alzer-koumandos:mu=1/5,alzer-koumandos:mu=1,alzer-koumandos:mu=5 --terms 1,2,100,1000 --prec 1024 --format csv",
+        "57cb0b868ee1e023cad2bddcf98cacb5fc70bf27f3a8e7d1ee1231d2d214011c",
+    ),
+    (
+        "compare --target pi --series alzer-koumandos:mu=1/5,alzer-koumandos:mu=1,alzer-koumandos:mu=5 --terms 1,2,100,1000 --prec 1024 --format pretty",
+        "c95bc1b0c67f16a9d733892a4b3234dc91b7b617807dcec3493acbdfa221f678",
+    ),
+    (
+        "sum --series alzer-koumandos:mu=3/4 --terms 1000 --format pretty",
+        "a28bbf160ea7ca39a450ab7fe5a137705523d73c5e82373e7ddf35e79048e928",
     ),
 ]
 
