@@ -42,6 +42,7 @@ from .special_numbers import MAX_INDEX, TableStore, _table_rows
 __all__ = ["main"]
 
 FORMATS = ("csv", "json", "pretty")
+MAX_PREC = 1 << 20
 WORKERS_HELP = "accepted for compatibility and ignored"
 
 
@@ -171,6 +172,10 @@ def _parse_series(text: str, default_p: int | None = None) -> SeriesSelector:
 def _context(prec: int) -> PrecisionContext:
     if prec < 64:
         raise ValueError(f"--prec needs at least 64 bits, got {prec}")
+    # a 3-term kolbig sum at 2^20 bits still finishes, in minutes; far larger
+    # precisions exhaust memory or the int-to-str digit limit
+    if prec > MAX_PREC:
+        raise ValueError(f"--prec allows at most {MAX_PREC} bits, got {prec}")
     return PrecisionContext(prec)
 
 
@@ -178,11 +183,13 @@ def _value_row(
     sel: SeriesSelector,
     terms: int,
     value: CertifiedReal,
-    ctx: PrecisionContext,
+    target: CertifiedReal,
     fmt: str,
 ) -> ReportRow:
-    residual = render_signed(value.mid - ctx.pi_power(sel.p).mid)
-    digits_full = decimal_digits(ctx.precision_bits)
+    """One report row for ``value``, with its residual against ``target``,
+    the enclosure of pi^p."""
+    residual = render_signed(value.mid - target.mid)
+    digits_full = decimal_digits(value.ctx.precision_bits)
     if fmt == "pretty":
         digits = distinguishing_digits(value, digits_full)
         lo, hi = render_interval(value, digits)
@@ -271,7 +278,7 @@ def _cmd_sum(args: argparse.Namespace) -> int:
     if args.terms < 1:
         raise ValueError("--terms must be >= 1")
     [value] = SERIES[sel.kind].evaluate(sel, [args.terms], ctx)
-    rows = [_value_row(sel, args.terms, value, ctx, args.format)]
+    rows = [_value_row(sel, args.terms, value, ctx.pi_power(sel.p), args.format)]
     sys.stdout.write(render_report(rows, args.format))
     return 0
 
@@ -301,9 +308,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         raise ValueError("--terms needs a comma-separated list of counts >= 1")
     ctx = _context(args.prec)
     columns = [SERIES[sel.kind].evaluate(sel, terms_list, ctx) for sel in selectors]
+    target = ctx.pi_power(target_p)
     # one line of rows per N, one row per series
     lines = [
-        [_value_row(sel, N, value, ctx, args.format) for sel, value in zip(selectors, values)]
+        [_value_row(sel, N, value, target, args.format) for sel, value in zip(selectors, values)]
         for N, values in zip(terms_list, zip(*columns))
     ]
     if args.format == "pretty":

@@ -28,18 +28,19 @@ At one n, k + s = (n-1)/2 is fixed, so the families of one parity sum
 suffixes of the same products: p = 1, 3, 5 from m = 0, 1, 2 and p = 2, 4, 6
 from m = 1, 2, 3.  ``_checks`` forms the products once, from the smallest
 requested s, sums them once, and gives each larger s that sum minus its few
-head products.  ``reduce_exact`` asks it for one s; ``verify_grid`` walks n
-upwards, builds each row once, from the one before, and asks for every
-requested s of both parities at each n.  Running the grid over many k
+head products.  ``reduce_exact`` builds its one row from the closed form and
+asks for one s; ``verify_grid`` walks the rows R_1, R_3, ... upwards, each
+built by the recurrence from the one before, and asks for every requested s
+of both parities at each n.  Running the grid over many k
 extends the published hand checks (k <= 4) to arbitrary order.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from functools import lru_cache
+from math import comb
 from operator import add, mul
 
 from .exact_core import factorial
@@ -66,36 +67,36 @@ def required_table_k(p: int, k: int) -> int:
         raise ValueError(f"power p must be in 1..6, got {p}")
     if k < 0:
         raise ValueError("k must be >= 0")
-    return k + (p - 1) // 2 if p % 2 == 1 else k + p // 2
+    return k + p // 2
 
 
-@lru_cache(maxsize=2)
-def _row(n: int) -> tuple[int, ...]:
-    """R_n[i] = C(n, i) 2^(n-i) for odd n, two recurrence steps past R_(n-2)."""
-    if n == 1:
-        return (2, 1)
-    row = _row(n - 2)
-    # built in lists and frozen once: building every step as a tuple raised
-    # the peak RSS of the walk to n = 405 by 340 KB instead of 70 KB
-    # (CPython 3.11, x86-64)
-    for _ in range(2):
-        padded = [*row, 0]
-        row = list(map(add, map(add, padded, padded), [0, *row]))
-    return tuple(row)
+def _rows() -> Iterator[list[int]]:
+    """R_1, R_3, R_5, ... with R_n[i] = C(n, i) 2^(n-i), each two recurrence
+    steps past the one before."""
+    row = [2, 1]
+    while True:
+        yield row
+        for _ in range(2):
+            padded = [*row, 0]
+            row = list(map(add, map(add, padded, padded), [0, *row]))
 
 
-def _checks(n: int, shifts: list[int], table: EulerTable | BernoulliTable) -> list[IdentityCheck]:
-    """The checks of the families of one parity at odd n, one per shift s
-    (ascending; p = 2s + 1 for the Euler table, p = 2s for the Bernoulli
-    table), from one set of products summed once."""
+def _checks(
+    row: list[int], shifts: list[int], table: EulerTable | BernoulliTable
+) -> list[IdentityCheck]:
+    """The checks of the families of one parity at odd n = len(row) - 1,
+    read from the row R_n, one per shift s (ascending; p = 2s + 1 for the
+    Euler table, p = 2s for the Bernoulli table), from one set of products
+    summed once."""
     odd = isinstance(table, EulerTable)
+    n = len(row) - 1
     top, first = n // 2, shifts[0]
     if odd:
-        products = list(map(mul, _row(n)[2 * first :: 2], table.values[first : top + 1]))
+        products = list(map(mul, row[2 * first :: 2], table.values[first : top + 1]))
         scale = factorial(n) << (n + 1)
     else:
         common, scaled = table.scaled
-        products = list(map(mul, _row(n)[n - 2 * first :: -2], scaled[first : top + 1]))
+        products = list(map(mul, row[n - 2 * first :: -2], scaled[first : top + 1]))
         scale = common * factorial(n)
     full = sum(products)
     checks = []
@@ -119,9 +120,11 @@ def reduce_exact(
     """Exactly reduce family (p, k); the identity holds iff the ratio is 1."""
     deepest = required_table_k(p, k)
     kind, table = ("euler", euler) if p % 2 == 1 else ("bernoulli", bern)
-    if table is None or not table.covers(2 * deepest):
+    if table is None or len(table.values) <= deepest:
         raise TableDepthError(kind, 2 * deepest)
-    return _checks(2 * deepest + 1, [deepest - k], table)[0]
+    n = 2 * deepest + 1
+    row = [comb(n, i) << (n - i) for i in range(n + 1)]
+    return _checks(row, [deepest - k], table)[0]
 
 
 def verify_grid(powers: Iterable[int], k_max: int) -> list[IdentityCheck]:
@@ -129,7 +132,8 @@ def verify_grid(powers: Iterable[int], k_max: int) -> list[IdentityCheck]:
     deterministic order (p ascending, then k ascending).
 
     Both tables come from one zigzag run, up to the ``MAX_INDEX`` cap.  The
-    checks run in order of the row they read, so each row is built once.
+    checks run in order of the row they read, so each row is built once and
+    only the current row is held.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
@@ -145,12 +149,11 @@ def verify_grid(powers: Iterable[int], k_max: int) -> list[IdentityCheck]:
             raise TableDepthError(kind, 2 * K, MAX_INDEX)
     tables = number_tables(*depths)
     checks = []
-    for deepest in range(min(shift.values()), max(depths) + 1):
+    # the row R_(2d+1) serves the identities whose deepest table order is d
+    for deepest, row in zip(range(max(depths) + 1), _rows()):
         for group, table in zip(groups, tables):
             live = [s for s in group if deepest - k_max <= s <= deepest]
             if live:
-                checks += _checks(2 * deepest + 1, live, table)
+                checks += _checks(row, live, table)
     checks.sort(key=lambda check: (check.p, check.k))
-    # the last two rows serve no later walk, which starts again at its smallest n
-    _row.cache_clear()
     return checks

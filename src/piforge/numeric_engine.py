@@ -18,14 +18,15 @@ evaluated by integer fixed-point summation of the alternating arctan
 series with explicit bookkeeping of every floor-division error, so the
 returned enclosure is rigorous without reference to any series under
 study elsewhere in this package.  Its powers are the bracket's bounds
-raised to the power, which is outward because pi > 0.
+raised to the power, which is outward because pi > 0.  Each call computes
+its value afresh and nothing is cached: a command asks once for the one
+power it compares against.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from numbers import Rational
 
 __all__ = [
@@ -75,16 +76,17 @@ class PrecisionContext(namedtuple("PrecisionContext", "precision_bits")):
 
     def pi(self) -> "CertifiedReal":
         """Enclosure of pi of width <= 2**-precision_bits (Machin formula)."""
-        lo, hi = _pi_mantissas(self.scale)
-        return CertifiedReal(self, lo, hi)
+        return self.pi_power(1)
 
     def pi_power(self, p: int) -> "CertifiedReal":
-        lo, hi = _pi_power_mantissas(self.scale, p)
-        return CertifiedReal(self, lo, hi)
+        lo, hi = _pi_mantissas(self.scale)
+        shift = self.scale * (p - 1)
+        return CertifiedReal(self, lo**p >> shift, -((-(hi**p)) >> shift))
 
     def inv_pi_squared(self) -> "CertifiedReal":
-        lo, hi = _inv_pi_squared_mantissas(self.scale)
-        return CertifiedReal(self, lo, hi)
+        pi2 = self.pi_power(2)
+        one_squared = 1 << (2 * self.scale)
+        return CertifiedReal(self, one_squared // pi2.hi_m, _ceil_div(one_squared, pi2.lo_m))
 
 
 class CertifiedReal:
@@ -194,19 +196,16 @@ def _arctan_inv_mantissas(q: int, work: int) -> tuple[int, int]:
     power = (1 << work) // q  # floor(2**work / q**(2i+1)), error <= 2 ulp
     acc = 0
     i = 0
-    terms = 0
     sign = 1
     while power:
         acc += sign * (power // (2 * i + 1))
         power //= q2
         sign = -sign
         i += 1
-        terms += 1
-    slack = 3 * terms + 4
+    slack = 3 * i + 4
     return acc - slack, acc + slack
 
 
-@lru_cache(maxsize=None)
 def _pi_mantissas(scale: int) -> tuple[int, int]:
     work = scale + 48
     lo5, hi5 = _arctan_inv_mantissas(5, work)
@@ -215,17 +214,3 @@ def _pi_mantissas(scale: int) -> tuple[int, int]:
     hi = 16 * hi5 - 4 * lo239
     shift = work - scale
     return lo >> shift, -((-hi) >> shift)
-
-
-@lru_cache(maxsize=None)
-def _pi_power_mantissas(scale: int, p: int) -> tuple[int, int]:
-    lo, hi = _pi_mantissas(scale)
-    shift = scale * (p - 1)
-    return lo**p >> shift, -((-(hi**p)) >> shift)
-
-
-@lru_cache(maxsize=None)
-def _inv_pi_squared_mantissas(scale: int) -> tuple[int, int]:
-    lo, hi = _pi_power_mantissas(scale, 2)
-    one_squared = 1 << (2 * scale)
-    return one_squared // hi, _ceil_div(one_squared, lo)

@@ -53,9 +53,6 @@ class EulerTable(namedtuple("EulerTable", "values")):
 
     __slots__ = ()
 
-    def covers(self, index: int) -> bool:
-        return 0 <= index <= 2 * (len(self.values) - 1)
-
 
 class BernoulliTable(namedtuple("BernoulliTable", "values scaled")):
     """B_0, B_2, ..., B_{2K} plus B_1; ``values[k]`` is B_{2k}.  ``scaled``
@@ -69,9 +66,6 @@ class BernoulliTable(namedtuple("BernoulliTable", "values scaled")):
         common = lcm(*(b.denominator for b in values))
         scaled = tuple(b.numerator * (common // b.denominator) for b in values)
         return super().__new__(cls, values, (common, scaled))
-
-    def covers(self, index: int) -> bool:
-        return 0 <= index <= 2 * (len(self.values) - 1)
 
 
 def _zigzag(n: int) -> list[int]:

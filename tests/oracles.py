@@ -124,7 +124,7 @@ def beta_pi_coeff(k: int, euler: EulerTable) -> PiMultiple:
     attached to pi^(2k+1)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if not euler.covers(2 * k):
+    if len(euler.values) <= k:
         raise TableDepthError("euler", 2 * k)
     coeff = Fraction(abs(euler.values[k]), (1 << (2 * k + 2)) * factorial(2 * k))
     return PiMultiple(coeff, 2 * k + 1)
@@ -135,7 +135,7 @@ def zeta_pi_coeff(k: int, bern: BernoulliTable) -> PiMultiple:
     attached to pi^(2k); always positive."""
     if k < 1:
         raise ValueError("k must be >= 1 (the k = 0 sum diverges)")
-    if not bern.covers(2 * k):
+    if len(bern.values) <= k:
         raise TableDepthError("bernoulli", 2 * k)
     sign = 1 if k % 2 == 1 else -1
     coeff = sign * (1 << (2 * k)) * bern.values[k] / (2 * factorial(2 * k))

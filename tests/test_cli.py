@@ -227,6 +227,12 @@ def test_verify_beyond_table_cap():
          ["--prec", "64"]),
         (["verify", "--k-max", "254"], ["--k-max", "254", "253", "512"]),
         (["verify", "--powers", "1,3,5", "--k-max", "255"], ["--k-max", "255", "254", "512"]),
+        (["sum", "--series", "kolbig", "--terms", "3", "--prec", str(10**22)],
+         ["--prec", "1048576"]),
+        (["sum", "--series", "kolbig", "--terms", "3", "--prec", "1048577"],
+         ["--prec", "1048576"]),
+        (["compare", "--target", "pi2", "--series", "kolbig", "--terms", "5",
+          "--prec", "1048577"], ["--prec", "1048576"]),
     ],
 )
 def test_parse_errors_are_located(argv, located):

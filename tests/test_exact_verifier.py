@@ -92,20 +92,17 @@ def test_integer_ratio_matches_fraction_oracle(cap_tables):
 
 
 def test_row_is_scaled_binomials():
-    for n in range(1, 514, 2):
-        assert exact_verifier._row(n) == tuple(comb(n, i) << (n - i) for i in range(n + 1))
+    for n, row in zip(range(1, 514, 2), exact_verifier._rows()):
+        assert row == [comb(n, i) << (n - i) for i in range(n + 1)]
 
 
 def test_cold_row_chain_to_table_cap(cap_tables):
     euler, bern = cap_tables
-    exact_verifier._row.cache_clear()
     assert reduce_exact(6, 253, bern=bern).holds
-    exact_verifier._row.cache_clear()
     assert reduce_exact(1, 256, euler=euler).holds
 
 
-# (p, k) pairs up to the table cap; a list of them arrives in random order,
-# so the two-row cache keeps missing
+# (p, k) pairs up to the table cap, in random order
 cases = st.integers(1, 6).flatmap(
     lambda p: st.tuples(st.just(p), st.integers(0, 256 - required_table_k(p, 0)))
 )

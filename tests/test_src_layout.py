@@ -18,6 +18,10 @@ with the reason each one stays.
 The benchmark reaches some members by name (``vars(cls)[attr]`` in
 ``perfbench/layers.py``); ``test_benchmark_lookups_exist`` loads that file
 and checks that every name it looks up is still there.
+
+Nothing in ``src/`` is memoised with ``functools``: each value is computed
+where it is used, and ``test_src_keeps_no_caches`` finds every use of a
+``functools`` memoiser.
 """
 
 from __future__ import annotations
@@ -57,6 +61,9 @@ DUNDERS = {
     "CertifiedReal": {"__add__", "__sub__", "__mul__", "__eq__", "__repr__"},
 }
 CONSTRUCTION = {"__new__", "__init__"}
+
+# The functools memoisers, found imported by name or read as functools.<name>.
+MEMOISERS = {"lru_cache", "cache", "cached_property"}
 
 
 def _parse(path: Path) -> ast.Module:
@@ -183,3 +190,27 @@ def test_benchmark_lookups_exist():
     assert callable(modules["exact_core"].set_memo_cap)
     assert callable(modules["gupta_series"].tail_bound)
     assert callable(modules["gupta_series"].prefactor)
+
+
+def test_src_keeps_no_caches():
+    uses = []
+    for name, tree in _modules():
+        imported = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "functools"
+            for alias in node.names
+            if alias.name in MEMOISERS
+        }
+        uses += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id in imported)
+            or (
+                isinstance(node, ast.Attribute)
+                and node.attr in MEMOISERS
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "functools"
+            )
+        ]
+    assert not uses, f"functools memoisers used in src/: {uses}"

@@ -4,8 +4,8 @@ Reports are byte-identical across releases and interpreters: these digests
 are the same on CPython 3.10 to 3.13, and a rewrite of the report rows, the
 identity checks or the JSON writer must keep them.  The set holds the
 README's four commands, ``verify`` in every format for each parity shape,
-pretty ``sum`` runs, and ``compare`` tables in csv and pretty that cover
-every baseline series.
+pretty ``sum`` runs, ``compare`` tables in csv and pretty that cover
+every baseline series, and ``compare`` tables against pi^3, pi^4 and pi^6.
 """
 
 from __future__ import annotations
@@ -103,6 +103,18 @@ PINNED = [
     (
         "sum --series alzer-koumandos:mu=3/4 --terms 1000 --format pretty",
         "a28bbf160ea7ca39a450ab7fe5a137705523d73c5e82373e7ddf35e79048e928",
+    ),
+    (
+        "compare --target pi^3 --series gupta:k=3,classical:p=3 --terms 1,2,3,50 --prec 65 --format csv",
+        "74d61253a914c7a8c77191d318ca04d5374fbcce5d9bc4e54d4e5828322d9325",
+    ),
+    (
+        "compare --target pi^4 --series gupta:k=2,classical:p=4 --terms 10,1000 --prec 256 --format json",
+        "638e349a6cff84179fe4ab93e2b97eeaa69b46410514e31528eee477f8cbb233",
+    ),
+    (
+        "compare --target pi^6 --series gupta:k=3,classical:p=6 --terms 1,2,3,50 --prec 200 --format pretty",
+        "023bc9e6db76ba348b7664a1c61f1c2af5c97a70f6866e38c9831992f7b1937e",
     ),
 ]
 
