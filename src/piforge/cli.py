@@ -6,14 +6,14 @@ deterministic: identical invocations produce byte-identical reports.  The
 ``--workers`` option is accepted for compatibility and ignored; everything
 runs in one thread.
 
-Euler and Bernoulli tables are rebuilt in memory by every run; nothing is
-read from or written to disk.
+Euler and Bernoulli tables are rebuilt in memory by every run, and nothing
+is read from or written to disk.  ``numbers`` prints their (index, value)
+pairs itself; every other report is rendered by :mod:`piforge.report`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -37,12 +37,14 @@ from .report import (
     render_report,
     render_signed,
 )
-from .special_numbers import MAX_INDEX, TableStore, _table_rows
+from .special_numbers import MAX_INDEX, TableStore
 
 __all__ = ["main"]
 
 FORMATS = ("csv", "json", "pretty")
 MAX_PREC = 1 << 20
+MAX_TERMS = 1 << 62  # the summation kernel counts terms in a C ssize_t
+MU_DIGITS = 4300  # Python's default int-to-str limit; series ids print mu
 WORKERS_HELP = "accepted for compatibility and ignored"
 
 
@@ -54,6 +56,26 @@ def _number(text: str, where: str, kind=int):
         raise ValueError(
             f"{where}: cannot read {text.strip()!r} as {kind.__name__}"
         ) from None
+
+
+def _parse_mu(text: str, where: str) -> Fraction:
+    """mu as a Fraction of at most MU_DIGITS digits above and below its bar,
+    its exponent bounded before Fraction expands it into a power of ten."""
+    mantissa, _, exponent = text.lower().partition("e")
+    try:  # past this bound, no mantissa brings 10^exponent back into range
+        too_far = abs(int(exponent)) > MU_DIGITS + len(mantissa)
+    except ValueError:  # no exponent, or none int() reads: Fraction decides
+        too_far = False
+    if not too_far:
+        mu = _number(text, where, Fraction)
+        if max(abs(mu.numerator), mu.denominator) < 10**MU_DIGITS:
+            return mu
+    raise ValueError(f"{where} needs a numerator and denominator of at most {MU_DIGITS} digits")
+
+
+def _check_terms(counts: list[int]) -> None:
+    if not counts or not 1 <= min(counts) <= max(counts) <= MAX_TERMS:
+        raise ValueError(f"--terms needs counts from 1 to {MAX_TERMS}")
 
 
 def _parse_powers(text: str) -> list[int]:
@@ -158,7 +180,7 @@ def _parse_series(text: str, default_p: int | None = None) -> SeriesSelector:
             raise ValueError(f"{where} needs {key}=<value>")
     p = series.p or (_number(args["p"], f"{where} p") if "p" in args else default_p)
     k = _number(args.get("k", "0"), f"{where} k")
-    mu = _number(args["mu"], f"{where} mu", Fraction) if "mu" in args else None
+    mu = _parse_mu(args["mu"], f"{where} mu") if "mu" in args else None
     if not 1 <= p <= 6:
         raise ValueError(f"{where} needs p in 1..6")
     k_max = _k_limit(p)
@@ -189,14 +211,11 @@ def _value_row(
     """One report row for ``value``, with its residual against ``target``,
     the enclosure of pi^p."""
     residual = render_signed(value.mid - target.mid)
-    digits_full = decimal_digits(value.ctx.precision_bits)
+    digits, width = decimal_digits(value.ctx.precision_bits), None
     if fmt == "pretty":
-        digits = distinguishing_digits(value, digits_full)
-        lo, hi = render_interval(value, digits)
+        digits = distinguishing_digits(value, digits)
         width = render_bound(value.width, 3, "ceiling")
-    else:
-        lo, hi = render_interval(value, digits_full)
-        width = None
+    lo, hi = render_interval(value, digits)
     return ReportRow(
         sel.series_id,
         sel.p,
@@ -217,26 +236,24 @@ def _value_row(
 def _cmd_numbers(args: argparse.Namespace) -> int:
     if args.max_index < 0 or args.max_index % 2 != 0:
         raise ValueError("--max-index must be even and >= 0")
-    store = TableStore()
-    if args.kind == "euler":
-        rows = _table_rows(store.euler(args.max_index // 2))
-        symbol = "E"
+    K = args.max_index // 2
+    euler = args.kind == "euler"
+    table = TableStore().euler(K) if euler else TableStore().bernoulli(K)
+    # (index, value) pairs in index order, B_1 between B_0 and B_2; an Euler
+    # value is an int, which has a numerator and a denominator too
+    pairs = [(2 * k, q) for k, q in enumerate(table.values)]
+    if not euler and K:
+        pairs.insert(1, (1, table.b1))
+    if args.format == "pretty":
+        lines = [f"{'E' if euler else 'B'}_{i} = {q}" for i, q in pairs]
     else:
-        rows = _table_rows(store.bernoulli(args.max_index // 2))
-        symbol = "B"
-    if args.format == "json":
-        text = json.dumps([[str(i), num, den] for i, num, den in rows], indent=2) + "\n"
-    elif args.format == "csv":
-        lines = ["index,numerator,denominator"]
-        lines += [f"{i},{num},{den}" for i, num, den in rows]
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = []
-        for i, num, den in rows:
-            shown = num if den == "1" else f"{num}/{den}"
-            lines.append(f"{symbol}_{i} = {shown}")
-        text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
+        cells = [(str(i), str(q.numerator), str(q.denominator)) for i, q in pairs]
+        if args.format == "csv":
+            lines = ["index,numerator,denominator", *map(",".join, cells)]
+        else:  # json.dumps(cells, indent=2); no cell needs escaping
+            arrays = ('  [\n    "' + '",\n    "'.join(c) + '"\n  ]' for c in cells)
+            lines = ["[", ",\n".join(arrays), "]"]
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -275,8 +292,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_sum(args: argparse.Namespace) -> int:
     sel = _parse_series(args.series)
     ctx = _context(args.prec)
-    if args.terms < 1:
-        raise ValueError("--terms must be >= 1")
+    _check_terms([args.terms])
     [value] = SERIES[sel.kind].evaluate(sel, [args.terms], ctx)
     rows = [_value_row(sel, args.terms, value, ctx.pi_power(sel.p), args.format)]
     sys.stdout.write(render_report(rows, args.format))
@@ -304,8 +320,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                 f"not {_target_name(target_p)}"
             )
     terms_list = [_number(t, "--terms") for t in args.terms.split(",") if t.strip()]
-    if not terms_list or any(t < 1 for t in terms_list):
-        raise ValueError("--terms needs a comma-separated list of counts >= 1")
+    _check_terms(terms_list)
     ctx = _context(args.prec)
     columns = [SERIES[sel.kind].evaluate(sel, terms_list, ctx) for sel in selectors]
     target = ctx.pi_power(target_p)

@@ -3,7 +3,8 @@
 All numeric strings are produced through the ``decimal`` module from exact
 rationals with explicit rounding directions (lower bounds toward -inf,
 upper bounds toward +inf, single summary numbers half-even), so identical
-invocations are byte-identical and no float ever enters a report.
+invocations are byte-identical and no float ever enters a report.  The math
+modules return numbers; this module and :mod:`piforge.cli` alone format them.
 """
 
 from __future__ import annotations
@@ -101,25 +102,21 @@ class ReportRow(namedtuple("ReportRow", [*CSV_HEADER, "width"], defaults=(None, 
 
     __slots__ = ()
 
-    def as_dict(self) -> dict:
-        return dict(zip(CSV_HEADER, self))
+
+_CSV_OK = {None: "", True: "true", False: "false"}
+_PRETTY_OK = {None: "-", True: "ok", False: "FAIL"}
 
 
 def render_csv(rows: list[ReportRow]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for row in rows:
-        record = row.as_dict()
-        record["exact_ok"] = (
-            "" if row.exact_ok is None else ("true" if row.exact_ok else "false")
-        )
-        writer.writerow([record[name] for name in CSV_HEADER])
+    writer.writerows((*row[:8], _CSV_OK[row.exact_ok]) for row in rows)
     return buffer.getvalue()
 
 
-# The bytes of json.dumps([row.as_dict() for row in rows], indent=2), built
-# without its pure-Python indenting encoder.
+# The bytes of json.dumps([dict(zip(CSV_HEADER, row)) for row in rows],
+# indent=2), built without its pure-Python indenting encoder.
 _JSON_KEYS = [f"    {encode_basestring_ascii(name)}: " for name in CSV_HEADER]
 _JSON_LITERALS = {None: "null", True: "true", False: "false"}
 
@@ -149,13 +146,10 @@ def render_pretty(rows: list[ReportRow]) -> str:
         header.insert(6, "+/-width")
     table = [header]
     for row in rows:
-        record = row.as_dict()
-        record["exact_ok"] = (
-            "-" if row.exact_ok is None else ("ok" if row.exact_ok else "FAIL")
-        )
+        cells = [*map(str, row[:8]), _PRETTY_OK[row.exact_ok]]
         if with_width:
-            record["+/-width"] = row.width if row.width is not None else "-"
-        table.append([str(record[name]) for name in header])
+            cells.insert(6, "-" if row.width is None else str(row.width))
+        table.append(cells)
     return align_table(table)
 
 

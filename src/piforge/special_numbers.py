@@ -14,8 +14,8 @@ Every step is an integer addition; the only division is the final one of
 each Bernoulli number (Brent & Harvey, "Fast computation of Bernoulli,
 Tangent and Secant numbers", arXiv:1108.0286).  One run to index n serves
 both tables: ``number_tables`` builds the Euler table from its even entries
-and the Bernoulli table from its odd ones.  Tables are immutable snapshots;
-:class:`TableStore` builds them on request up to index ``MAX_INDEX = 512``.
+and the Bernoulli table from its odd ones.  :class:`TableStore` builds them
+on request up to index ``MAX_INDEX = 512``; only :mod:`piforge.cli` prints them.
 """
 
 from __future__ import annotations
@@ -112,17 +112,6 @@ def number_tables(k_euler: int, k_bern: int) -> tuple[EulerTable, BernoulliTable
         value = Fraction(2 * n * a[2 * n - 1], four_n * (four_n - 1))
         vals.append(value if n % 2 else -value)
     return euler, BernoulliTable(tuple(vals))
-
-
-def _table_rows(table: EulerTable | BernoulliTable) -> list[list]:
-    """[index, numerator, denominator] rows in ascending index order, with
-    B_1 in its place between B_0 and B_2 when the table reaches index 2."""
-    if isinstance(table, EulerTable):
-        return [[2 * k, str(value), "1"] for k, value in enumerate(table.values)]
-    entries = [(2 * k, value) for k, value in enumerate(table.values)]
-    if len(entries) > 1:
-        entries.insert(1, (1, table.b1))
-    return [[i, str(q.numerator), str(q.denominator)] for i, q in entries]
 
 
 class TableStore:

@@ -98,6 +98,44 @@ def test_huge_powers_range_exits_2_at_once():
     assert "powers must come from 1..6, got '1-100000000'" in result.stderr
 
 
+def test_huge_mu_exits_2_before_it_is_expanded():
+    """A mu exponent is bounded before Fraction builds its power of ten:
+    10^99999999999 would take ages and all memory, and a 5,000,001-digit
+    denominator is past the int-to-str limit the series id needs.  Both run
+    in one child process under a 512 MB address-space limit and a timeout."""
+    resource = pytest.importorskip("resource")
+
+    def limit_memory():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, hard))
+
+    mus = ["1e99999999999", "1e-5000000"]
+    code = (
+        "import sys\n"
+        "from piforge.cli import main\n"
+        "for mu in sys.argv[1:]:\n"
+        "    code = main(['sum', '--series', 'alzer-koumandos:mu=' + mu, '--terms', '3'])\n"
+        "    print(code, file=sys.stderr)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", code, *mus],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=limit_memory,
+        timeout=60,
+    )
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert lines[1::2] == ["2", "2"]
+    for mu, line in zip(mus, lines[::2]):
+        assert line == (
+            f"piforge: error: series 'alzer-koumandos:mu={mu}' mu needs a "
+            "numerator and denominator of at most 4300 digits"
+        )
+
+
 def test_stale_cache_files_are_ignored(tmp_path, monkeypatch):
     # a poisoned Bernoulli table (B_2 = 1/7) and a truncated Euler table
     # where older versions kept their number cache
@@ -233,6 +271,14 @@ def test_verify_beyond_table_cap():
          ["--prec", "1048576"]),
         (["compare", "--target", "pi2", "--series", "kolbig", "--terms", "5",
           "--prec", "1048577"], ["--prec", "1048576"]),
+        (["sum", "--series", "classical:p=2", "--terms", str(2**62 + 1)],
+         ["--terms", str(2**62)]),
+        (["sum", "--series", "classical:p=2", "--terms", str(10**20)],
+         ["--terms", str(2**62)]),
+        (["compare", "--target", "pi", "--series", "classical", "--terms",
+          f"10,{2**62 + 1}"], ["--terms", str(2**62)]),
+        (["compare", "--target", "pi", "--series", "classical", "--terms",
+          f"10,{10**20}"], ["--terms", str(2**62)]),
     ],
 )
 def test_parse_errors_are_located(argv, located):

@@ -19,6 +19,10 @@ The benchmark reaches some members by name (``vars(cls)[attr]`` in
 ``perfbench/layers.py``); ``test_benchmark_lookups_exist`` loads that file
 and checks that every name it looks up is still there.
 
+No module imports a ``_``-prefixed name from another piforge module: a name
+private to one module has no reader outside it, and
+``test_src_imports_no_private_names`` finds every such import.
+
 Nothing in ``src/`` is memoised with ``functools``: each value is computed
 where it is used, and ``test_src_keeps_no_caches`` finds every use of a
 ``functools`` memoiser.
@@ -214,3 +218,16 @@ def test_src_keeps_no_caches():
             )
         ]
     assert not uses, f"functools memoisers used in src/: {uses}"
+
+
+def test_src_imports_no_private_names():
+    imports = [
+        f"{name}:{node.lineno} {alias.name}"
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "piforge")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not imports, f"private names imported across src/ modules: {imports}"

@@ -5,7 +5,8 @@ are the same on CPython 3.10 to 3.13, and a rewrite of the report rows, the
 identity checks or the JSON writer must keep them.  The set holds the
 README's four commands, ``verify`` in every format for each parity shape,
 pretty ``sum`` runs, ``compare`` tables in csv and pretty that cover
-every baseline series, and ``compare`` tables against pi^3, pi^4 and pi^6.
+every baseline series, ``compare`` tables against pi^3, pi^4 and pi^6, and
+``numbers`` tables of both kinds in every format, up to the index cap.
 """
 
 from __future__ import annotations
@@ -115,6 +116,26 @@ PINNED = [
     (
         "compare --target pi^6 --series gupta:k=3,classical:p=6 --terms 1,2,3,50 --prec 200 --format pretty",
         "023bc9e6db76ba348b7664a1c61f1c2af5c97a70f6866e38c9831992f7b1937e",
+    ),
+    (
+        "numbers --kind euler --max-index 512 --format csv",
+        "c7a2adf1ce3e3147b89a7fc11dff386b747e3f36f8d63b17afbebf3471e41339",
+    ),
+    (
+        "numbers --kind euler --max-index 24 --format json",
+        "5eecdea5b70cbccb1dc34c8a9963f2db1d2d5779a98c1bd0ca84f46b173b52fa",
+    ),
+    (
+        "numbers --kind euler --max-index 24 --format pretty",
+        "2e8608380c2ecfdec409b1c63d83d3c0eca5e0b951e492afb195f1be939aa9e1",
+    ),
+    (
+        "numbers --kind bernoulli --max-index 512 --format csv",
+        "c8812eee44c46ed65da29211fd68ac452386ae6ecbfebf0012fdf31b4ba803ab",
+    ),
+    (
+        "numbers --kind bernoulli --max-index 24 --format pretty",
+        "218cfac4cbcd13266efd43f7db9f1ebfa61c24bfea4adb9d31405609ecda7a0f",
     ),
 ]
 
