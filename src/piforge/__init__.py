@@ -1,23 +1,30 @@
 """piforge: exact identity verification and certified convergence analysis
-for series representations of pi, pi^2, ..., pi^6."""
+for series representations of pi, pi^2, ..., pi^6.
 
-from .exact_core import factorial
-from .exact_verifier import IdentityCheck, reduce_exact, verify_grid
-from .gupta_series import partial_sum, prefactor, tail_bound
-from .numeric_engine import CertifiedReal, PrecisionContext
-from .prior_series import (
-    alzer_H_partials,
-    alzer_h_partials,
-    alzer_koumandos_partials,
-    kolbig_partials,
-)
-from .special_numbers import (
-    BernoulliTable,
-    EulerTable,
-    TableDepthError,
-    TableStore,
-    bernoulli_numbers,
-    euler_numbers,
-)
+``import piforge`` loads none of its modules.  Each public name below is
+imported from its module on first use (PEP 562), so ``from piforge import
+partial_sum`` loads what ``partial_sum`` needs, and a CLI run compiles and
+loads only the modules its subcommand calls.
+"""
 
+_EXPORTS = {
+    "exact_core": "factorial",
+    "exact_verifier": "IdentityCheck reduce_exact verify_grid",
+    "gupta_series": "partial_sum prefactor tail_bound",
+    "numeric_engine": "CertifiedReal PrecisionContext",
+    "prior_series": "alzer_H_partials alzer_h_partials alzer_koumandos_partials kolbig_partials",
+    "special_numbers": "BernoulliTable EulerTable TableDepthError TableStore "
+    "bernoulli_numbers euler_numbers",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = list(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)

@@ -9,37 +9,26 @@ runs in one thread.
 Euler and Bernoulli tables are rebuilt in memory by every run, and nothing
 is read from or written to disk.  ``numbers`` prints their (index, value)
 pairs itself; every other report is rendered by :mod:`piforge.report`.
+
+A run loads only what its subcommand calls: this module imports argument
+parsing and ``special_numbers`` (whose ``MAX_INDEX`` bounds every input), and
+each ``_cmd_*`` the modules it calls.  ``run``, the process entry, freezes
+the heap once ``main`` returns, so interpreter shutdown does not walk objects
+that die with the process anyway.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from importlib import import_module
 
-from .exact_verifier import required_table_k, verify_grid
-from .gupta_series import partial_sum
-from .numeric_engine import CertifiedReal, PrecisionContext
-from .prior_series import (
-    alzer_H_partials,
-    alzer_h_partials,
-    alzer_koumandos_partials,
-    kolbig_partials,
-)
-from .report import (
-    ReportRow,
-    align_table,
-    decimal_digits,
-    distinguishing_digits,
-    render_bound,
-    render_interval,
-    render_report,
-    render_signed,
-)
 from .special_numbers import MAX_INDEX, TableStore
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 FORMATS = ("csv", "json", "pretty")
 MAX_PREC = 1 << 20
@@ -108,8 +97,10 @@ def _parse_target(text: str) -> int:
 
 
 def _k_limit(p: int) -> int:
-    """The largest order verify can check for power p within the table cap."""
-    return MAX_INDEX // 2 - required_table_k(p, 0)
+    """The largest order verify can check for power p within the table cap:
+    identity (p, k) reads the tables to order k + p // 2, as
+    ``exact_verifier.required_table_k`` says."""
+    return MAX_INDEX // 2 - p // 2
 
 
 def _target_name(p: int) -> str:
@@ -127,28 +118,30 @@ class SeriesSelector(namedtuple("SeriesSelector", "kind p k mu", defaults=(0, No
 
 
 # keys: the keys its selector takes; p: the power of pi it targets, None for
-# the selector's p; evaluate(selector, Ns, ctx): the partial sums of N terms
-# for each N of a list, in its order
-Series = namedtuple("Series", "keys p evaluate")
+# the selector's p; module: the piforge module that sums it;
+# evaluate(module, selector, Ns, ctx): the partial sums of N terms for each N
+# of a list, in its order
+Series = namedtuple("Series", "keys p module evaluate")
 
 
-def _family_partials(s, Ns, ctx):
-    return [partial_sum(s.p, s.k, n, ctx) for n in Ns]
+def _family_partials(m, s, Ns, ctx):
+    return [m.partial_sum(s.p, s.k, n, ctx) for n in Ns]
 
 
-# The evaluators look their functions up at call time, so wrappers installed
-# on this module's names (as the benchmark's tracer does) see every call.
+# The evaluators look their functions up in the summing module at call time,
+# so wrappers installed there see every call: the benchmark's tracer replaces
+# a function by identity in every piforge namespace, its home module included.
 # `gupta` and `classical` share one evaluator: a classical selector has k = 0.
 # The four baselines make one pass to the largest N; the gupta family picks
 # its working precision from N, so it sums each N on its own.
 SERIES = {
-    "gupta": Series(("p", "k"), None, _family_partials),
-    "classical": Series(("p",), None, _family_partials),
-    "alzer-h": Series((), 2, lambda s, Ns, ctx: alzer_h_partials(Ns, ctx)),
-    "alzer-H": Series((), 2, lambda s, Ns, ctx: alzer_H_partials(Ns, ctx)),
-    "kolbig": Series((), 2, lambda s, Ns, ctx: kolbig_partials(Ns, ctx)),
+    "gupta": Series(("p", "k"), None, "gupta_series", _family_partials),
+    "classical": Series(("p",), None, "gupta_series", _family_partials),
+    "alzer-h": Series((), 2, "prior_series", lambda m, s, Ns, ctx: m.alzer_h_partials(Ns, ctx)),
+    "alzer-H": Series((), 2, "prior_series", lambda m, s, Ns, ctx: m.alzer_H_partials(Ns, ctx)),
+    "kolbig": Series((), 2, "prior_series", lambda m, s, Ns, ctx: m.kolbig_partials(Ns, ctx)),
     "alzer-koumandos": Series(
-        ("mu",), 1, lambda s, Ns, ctx: alzer_koumandos_partials(s.mu, Ns, ctx)
+        ("mu",), 1, "prior_series", lambda m, s, Ns, ctx: m.alzer_koumandos_partials(s.mu, Ns, ctx)
     ),
 }
 SERIES_HELP = " | ".join(
@@ -191,42 +184,36 @@ def _parse_series(text: str, default_p: int | None = None) -> SeriesSelector:
     return SeriesSelector(name, p, k, mu)
 
 
-def _context(prec: int) -> PrecisionContext:
+def _partials(sel: SeriesSelector, Ns: list[int], ctx) -> list:
+    series = SERIES[sel.kind]
+    return series.evaluate(import_module(f"{__package__}.{series.module}"), sel, Ns, ctx)
+
+
+def _context(prec: int):
     if prec < 64:
         raise ValueError(f"--prec needs at least 64 bits, got {prec}")
     # a 3-term kolbig sum at 2^20 bits still finishes, in minutes; far larger
     # precisions exhaust memory or the int-to-str digit limit
     if prec > MAX_PREC:
         raise ValueError(f"--prec allows at most {MAX_PREC} bits, got {prec}")
+    from .numeric_engine import PrecisionContext
+
     return PrecisionContext(prec)
 
 
-def _value_row(
-    sel: SeriesSelector,
-    terms: int,
-    value: CertifiedReal,
-    target: CertifiedReal,
-    fmt: str,
-) -> ReportRow:
+def _value_row(sel: SeriesSelector, terms: int, value, target, fmt: str):
     """One report row for ``value``, with its residual against ``target``,
     the enclosure of pi^p."""
-    residual = render_signed(value.mid - target.mid)
-    digits, width = decimal_digits(value.ctx.precision_bits), None
+    from . import report
+
+    residual = report.render_signed(value.mid - target.mid)
+    digits, width = report.decimal_digits(value.ctx.precision_bits), None
     if fmt == "pretty":
-        digits = distinguishing_digits(value, digits)
-        width = render_bound(value.width, 3, "ceiling")
-    lo, hi = render_interval(value, digits)
-    return ReportRow(
-        sel.series_id,
-        sel.p,
-        sel.k,
-        terms,
-        lo,
-        hi,
-        _target_name(sel.p),
-        residual,
-        None,
-        width,
+        digits = report.distinguishing_digits(value, digits)
+        width = report.render_bound(value.width, 3, "ceiling")
+    lo, hi = report.render_interval(value, digits)
+    return report.ReportRow(
+        sel.series_id, sel.p, sel.k, terms, lo, hi, _target_name(sel.p), residual, None, width
     )
 
 
@@ -258,6 +245,9 @@ def _cmd_numbers(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .exact_verifier import verify_grid
+    from .report import ReportRow, render_report, render_signed
+
     powers = _parse_powers(args.powers)
     if args.k_max < 0:
         raise ValueError("--k-max must be >= 0")
@@ -272,34 +262,27 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for check in checks:
         shown = "1" if check.ratio == 1 else render_signed(check.ratio, 30)
         residual = "0" if check.holds else render_signed(check.ratio - 1, 12)
-        rows.append(
-            ReportRow(
-                f"gupta:p={check.p},k={check.k}",
-                check.p,
-                check.k,
-                0,
-                shown,
-                shown,
-                "1",
-                residual,
-                check.holds,
-            )
-        )
+        row = (f"gupta:p={check.p},k={check.k}", check.p, check.k, 0, shown, shown, "1")
+        rows.append(ReportRow(*row, residual, check.holds))
     sys.stdout.write(render_report(rows, args.format))
     return 0 if all(check.holds for check in checks) else 1
 
 
 def _cmd_sum(args: argparse.Namespace) -> int:
+    from .report import render_report
+
     sel = _parse_series(args.series)
     ctx = _context(args.prec)
     _check_terms([args.terms])
-    [value] = SERIES[sel.kind].evaluate(sel, [args.terms], ctx)
+    [value] = _partials(sel, [args.terms], ctx)
     rows = [_value_row(sel, args.terms, value, ctx.pi_power(sel.p), args.format)]
     sys.stdout.write(render_report(rows, args.format))
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .report import align_table, render_report
+
     target_p = _parse_target(args.target)
     selector_texts = [s for s in args.series.split(",") if s.strip()]
     # series arguments may themselves contain commas (gupta:p=2,k=1), so
@@ -322,7 +305,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     terms_list = [_number(t, "--terms") for t in args.terms.split(",") if t.strip()]
     _check_terms(terms_list)
     ctx = _context(args.prec)
-    columns = [SERIES[sel.kind].evaluate(sel, terms_list, ctx) for sel in selectors]
+    columns = [_partials(sel, terms_list, ctx) for sel in selectors]
     target = ctx.pi_power(target_p)
     # one line of rows per N, one row per series
     lines = [
@@ -394,5 +377,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> int:
+    """``main()`` on ``sys.argv``, then ``gc.freeze()``: the process entry of
+    ``python -m piforge.cli`` and the ``piforge`` script.  ``main`` never
+    freezes, as tests and the benchmark call it many times in one process."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -5,17 +5,16 @@ rationals with explicit rounding directions (lower bounds toward -inf,
 upper bounds toward +inf, single summary numbers half-even), so identical
 invocations are byte-identical and no float ever enters a report.  The math
 modules return numbers; this module and :mod:`piforge.cli` alone format them.
+``csv`` and ``json.encoder`` are imported by the writer that uses them.
 """
 
 from __future__ import annotations
 
-import csv
 import decimal
 import io
 import math
 from collections import namedtuple
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
 from .numeric_engine import CertifiedReal
 
@@ -108,6 +107,8 @@ _PRETTY_OK = {None: "-", True: "ok", False: "FAIL"}
 
 
 def render_csv(rows: list[ReportRow]) -> str:
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)
@@ -115,27 +116,25 @@ def render_csv(rows: list[ReportRow]) -> str:
     return buffer.getvalue()
 
 
-# The bytes of json.dumps([dict(zip(CSV_HEADER, row)) for row in rows],
-# indent=2), built without its pure-Python indenting encoder.
-_JSON_KEYS = [f"    {encode_basestring_ascii(name)}: " for name in CSV_HEADER]
 _JSON_LITERALS = {None: "null", True: "true", False: "false"}
 
 
-def _json_value(value) -> str:
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None or isinstance(value, bool):
-        return _JSON_LITERALS[value]
-    return int.__repr__(value)
-
-
 def render_json(rows: list[ReportRow]) -> str:
+    """The bytes of json.dumps([dict(zip(CSV_HEADER, row)) for row in rows],
+    indent=2), built without its pure-Python indenting encoder."""
+    from json.encoder import encode_basestring_ascii as quote
+
+    def value(cell) -> str:
+        if isinstance(cell, str):
+            return quote(cell)
+        if cell is None or isinstance(cell, bool):
+            return _JSON_LITERALS[cell]
+        return int.__repr__(cell)
+
     if not rows:
         return "[]\n"
-    objects = [
-        ",\n".join(key + _json_value(value) for key, value in zip(_JSON_KEYS, row))
-        for row in rows
-    ]
+    keys = [f"    {quote(name)}: " for name in CSV_HEADER]
+    objects = [",\n".join(key + value(cell) for key, cell in zip(keys, row)) for row in rows]
     return "[\n  {\n" + "\n  },\n  {\n".join(objects) + "\n  }\n]\n"
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from piforge import exact_verifier, special_numbers
+from piforge import exact_verifier, prior_series, special_numbers
 from piforge.cli import SERIES, _parse_series, main
 from piforge.exact_verifier import IdentityCheck
 from piforge.report import CSV_HEADER, render_signed
@@ -202,12 +203,11 @@ def test_verify_bad_flags():
 
 
 def test_verify_failure_exit_code(monkeypatch):
-    import piforge.cli as cli_module
-
     def fake_grid(powers, k_max):
         return [IdentityCheck(1, 0, Fraction(2), False)]
 
-    monkeypatch.setattr(cli_module, "verify_grid", fake_grid)
+    # cli imports verify_grid from its module when verify runs
+    monkeypatch.setattr(exact_verifier, "verify_grid", fake_grid)
     code, out, _ = run_cli(["verify", "--powers", "1", "--k-max", "0", "--format", "csv"])
     assert code == 1
     assert "false" in out
@@ -445,17 +445,16 @@ PI2_KERNELS = ("kolbig_partials", "alzer_h_partials", "alzer_H_partials")
 
 
 def test_compare_sums_each_pi2_baseline_once(monkeypatch):
-    import piforge.cli as cli_module
-
+    # cli looks each kernel up in prior_series when it sums
     calls = {name: [] for name in PI2_KERNELS}
     for name in PI2_KERNELS:
-        kernel = getattr(cli_module, name)
+        kernel = getattr(prior_series, name)
 
         def counted(Ns, ctx, _kernel=kernel, _calls=calls[name]):
             _calls.append(list(Ns))
             return _kernel(Ns, ctx)
 
-        monkeypatch.setattr(cli_module, name, counted)
+        monkeypatch.setattr(prior_series, name, counted)
     code, out, _ = run_cli(
         ["compare", "--target", "pi2", "--series", "kolbig,alzer-h,alzer-H",
          "--terms", "100,1000,10000", "--format", "csv"]
@@ -573,6 +572,87 @@ def test_pretty_has_width_column():
     )
     assert code == 0
     assert "+/-width" in out.splitlines()[0]
+
+
+ENGINE = {
+    f"piforge.{name}"
+    for name in ("report", "exact_verifier", "gupta_series", "numeric_engine", "prior_series",
+                 "closed_forms")
+}
+# The process entry, run as `python -m piforge.cli` runs it; at exit, the
+# child prints whether the heap was frozen and every module it loaded.
+ENTRY = (
+    "import atexit, gc, runpy, sys\n"
+    "atexit.register(lambda: print(gc.get_freeze_count() > 0, *sys.modules, file=sys.stderr))\n"
+    "runpy.run_module('piforge.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, loads, skips",
+    [
+        ("numbers --kind euler --max-index 24 --format csv", {"piforge.special_numbers"},
+         ENGINE | {"json"}),
+        ("numbers --kind bernoulli --max-index 12 --format json", {"piforge.special_numbers"},
+         ENGINE | {"json", "csv"}),
+        ("sum --series gupta:p=2,k=2 --terms 100 --format csv", {"piforge.gupta_series", "csv"},
+         {"piforge.exact_verifier", "piforge.prior_series", "json"}),
+        ("compare --target pi2 --series gupta:k=1,kolbig,alzer-H --terms 10,100 --format json",
+         {"piforge.gupta_series", "piforge.prior_series", "json"},
+         {"piforge.exact_verifier", "csv"}),
+        ("verify --powers 1-6 --k-max 8 --format csv", {"piforge.exact_verifier", "csv"},
+         {"piforge.prior_series", "json"}),
+        ("verify --powers 1-6 --k-max 8 --format json", {"piforge.exact_verifier", "json"},
+         {"piforge.prior_series", "csv"}),
+    ],
+)
+def test_each_run_loads_only_what_it_calls(argv, loads, skips):
+    """The process entry loads a subcommand's own modules and no others, and
+    freezes the heap before the interpreter exits.  -S keeps the site hooks,
+    which may import json themselves, out of the list."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", ENTRY, *argv.split()],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert result.returncode == 0 and result.stdout
+    frozen, *modules = result.stderr.split()
+    assert frozen == "True"
+    assert loads <= set(modules)
+    assert not skips & set(modules)
+
+
+def test_package_import_loads_no_submodule():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys, piforge\n"
+        "print(sorted(m for m in sys.modules if m.startswith('piforge.')))\n"
+        "from piforge import PrecisionContext, euler_numbers\n"
+        "print(sorted(m for m in sys.modules if m.startswith('piforge.')))\n"
+        "print(hasattr(piforge, 'no_such_name'))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert result.stdout.splitlines() == [
+        "[]",
+        "['piforge.numeric_engine', 'piforge.special_numbers']",
+        "False",
+    ]
+
+
+def test_main_never_freezes_the_heap():
+    before = gc.get_freeze_count()
+    assert run_cli(["numbers", "--kind", "euler", "--max-index", "4"])[0] == 0
+    assert run_cli(["sum", "--series", "kolbig", "--terms", "3"])[0] == 0
+    assert gc.get_freeze_count() == before
 
 
 def test_import_loads_no_heavy_modules():
