@@ -8,9 +8,10 @@ loads only the modules its subcommand calls.
 """
 
 _EXPORTS = {
+    "closed_forms": "prefactor",
     "exact_core": "factorial",
     "exact_verifier": "IdentityCheck reduce_exact verify_grid",
-    "gupta_series": "partial_sum prefactor tail_bound",
+    "gupta_series": "partial_sum tail_bound",
     "numeric_engine": "CertifiedReal PrecisionContext",
     "prior_series": "alzer_H_partials alzer_h_partials alzer_koumandos_partials kolbig_partials",
     "special_numbers": "BernoulliTable EulerTable TableDepthError TableStore "

@@ -1,10 +1,10 @@
 """Command-line front end: verification reports and convergence tables.
 
 Exit codes: 0 on success, 1 when an exact identity check fails (a genuine
-mathematical or implementation discrepancy), 2 on usage errors.  Output is
-deterministic: identical invocations produce byte-identical reports.  The
-``--workers`` option is accepted for compatibility and ignored; everything
-runs in one thread.
+mathematical or implementation discrepancy), 2 on usage errors and on a
+report that cannot be written.  Output is deterministic: identical
+invocations produce byte-identical reports.  The ``--workers`` option is
+accepted for compatibility and ignored; everything runs in one thread.
 
 Euler and Bernoulli tables are rebuilt in memory by every run, and nothing
 is read from or written to disk.  ``numbers`` prints their (index, value)
@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from collections import namedtuple
 from fractions import Fraction
 from importlib import import_module
 
-from .special_numbers import MAX_INDEX, TableStore
+from .special_numbers import MAX_INDEX, TableStore, required_table_k
 
 __all__ = ["main", "run"]
 
@@ -94,13 +95,6 @@ def _parse_target(text: str) -> int:
         if 1 <= p <= 6:
             return p
     raise ValueError(f"target must be pi, pi^2, ..., pi^6, got {text!r}")
-
-
-def _k_limit(p: int) -> int:
-    """The largest order verify can check for power p within the table cap:
-    identity (p, k) reads the tables to order k + p // 2, as
-    ``exact_verifier.required_table_k`` says."""
-    return MAX_INDEX // 2 - p // 2
 
 
 def _target_name(p: int) -> str:
@@ -176,7 +170,7 @@ def _parse_series(text: str, default_p: int | None = None) -> SeriesSelector:
     mu = _parse_mu(args["mu"], f"{where} mu") if "mu" in args else None
     if not 1 <= p <= 6:
         raise ValueError(f"{where} needs p in 1..6")
-    k_max = _k_limit(p)
+    k_max = MAX_INDEX // 2 - required_table_k(p, 0)
     if not 0 <= k <= k_max:
         raise ValueError(f"{where} needs k in 0..{k_max} for p={p}")
     if mu is not None and mu <= 0:
@@ -220,9 +214,11 @@ def _value_row(sel: SeriesSelector, terms: int, value, target, fmt: str):
 # -- subcommands ---------------------------------------------------------------
 
 
-def _cmd_numbers(args: argparse.Namespace) -> int:
+def _cmd_numbers(args: argparse.Namespace) -> tuple[str, int]:
     if args.max_index < 0 or args.max_index % 2 != 0:
         raise ValueError("--max-index must be even and >= 0")
+    if args.max_index > MAX_INDEX:
+        raise ValueError(f"--max-index allows at most {MAX_INDEX}, got {args.max_index}")
     K = args.max_index // 2
     euler = args.kind == "euler"
     table = TableStore().euler(K) if euler else TableStore().bernoulli(K)
@@ -240,18 +236,17 @@ def _cmd_numbers(args: argparse.Namespace) -> int:
         else:  # json.dumps(cells, indent=2); no cell needs escaping
             arrays = ('  [\n    "' + '",\n    "'.join(c) + '"\n  ]' for c in cells)
             lines = ["[", ",\n".join(arrays), "]"]
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     from .exact_verifier import verify_grid
     from .report import ReportRow, render_report, render_signed
 
     powers = _parse_powers(args.powers)
     if args.k_max < 0:
         raise ValueError("--k-max must be >= 0")
-    allowed = min(_k_limit(p) for p in powers)
+    allowed = MAX_INDEX // 2 - max(required_table_k(p, 0) for p in powers)
     if args.k_max > allowed:
         raise ValueError(
             f"--k-max {args.k_max} is too deep: --powers {args.powers} allow at "
@@ -264,11 +259,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         residual = "0" if check.holds else render_signed(check.ratio - 1, 12)
         row = (f"gupta:p={check.p},k={check.k}", check.p, check.k, 0, shown, shown, "1")
         rows.append(ReportRow(*row, residual, check.holds))
-    sys.stdout.write(render_report(rows, args.format))
-    return 0 if all(check.holds for check in checks) else 1
+    return render_report(rows, args.format), 0 if all(check.holds for check in checks) else 1
 
 
-def _cmd_sum(args: argparse.Namespace) -> int:
+def _cmd_sum(args: argparse.Namespace) -> tuple[str, int]:
     from .report import render_report
 
     sel = _parse_series(args.series)
@@ -276,11 +270,10 @@ def _cmd_sum(args: argparse.Namespace) -> int:
     _check_terms([args.terms])
     [value] = _partials(sel, [args.terms], ctx)
     rows = [_value_row(sel, args.terms, value, ctx.pi_power(sel.p), args.format)]
-    sys.stdout.write(render_report(rows, args.format))
-    return 0
+    return render_report(rows, args.format), 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: argparse.Namespace) -> tuple[str, int]:
     from .report import align_table, render_report
 
     target_p = _parse_target(args.target)
@@ -315,10 +308,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.format == "pretty":
         table = [["N"] + [sel.series_id for sel in selectors]]
         table += [[str(N)] + [row.residual for row in line] for N, line in zip(terms_list, lines)]
-        sys.stdout.write(align_table(table))
-    else:
-        sys.stdout.write(render_report([row for line in lines for row in line], args.format))
-    return 0
+        return align_table(table), 0
+    return render_report([row for line in lines for row in line], args.format), 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -371,17 +362,37 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        report, code = args.func(args)
     except (ValueError, LookupError) as exc:
-        sys.stderr.write(f"piforge: error: {exc}\n")
-        return 2
+        return _error(exc)
+    try:
+        sys.stdout.write(report)
+    except OSError as exc:
+        return _error(f"cannot write the report: {exc.strerror or exc}")
+    return code
+
+
+def _error(message: object) -> int:
+    sys.stderr.write(f"piforge: error: {message}\n")
+    return 2
 
 
 def run() -> int:
-    """``main()`` on ``sys.argv``, then ``gc.freeze()``: the process entry of
-    ``python -m piforge.cli`` and the ``piforge`` script.  ``main`` never
-    freezes, as tests and the benchmark call it many times in one process."""
+    """``main()`` on ``sys.argv``, a flush of stdout, then ``gc.freeze()``:
+    the process entry of ``python -m piforge.cli`` and the ``piforge``
+    script.  ``main`` never freezes, as tests and the benchmark call it many
+    times in one process.  A failed flush exits 2 with one error line, unless
+    ``main`` returned 2 and so has written it, and sends the unwritten bytes
+    to the null device, so the interpreter's shutdown flush stays quiet."""
     code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        if code != 2:
+            code = _error(f"cannot write the report: {exc.strerror or exc}")
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
     gc.freeze()
     return code
 

@@ -1,4 +1,5 @@
-"""The one power-sum kernel behind every partial sum in piforge.
+"""The paper's prefactors, read by both the exact verifier and the numeric
+series, and the one power-sum kernel behind every partial sum in piforge.
 
 ``power_sums`` brackets the finite left-hand sides
 
@@ -20,14 +21,42 @@ kernel.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import repeat
 from operator import floordiv, mul
 
-__all__ = ["power_sums"]
+from .exact_core import factorial
+
+__all__ = ["power_sums", "prefactor"]
 
 # Bases per block: large enough that the per-block Python overhead is small,
 # small enough that a block of floors at 1024 bits stays a fraction of a MB.
 BLOCK = 256
+
+
+def prefactor(p: int, k: int) -> Fraction:
+    """Exact rational multiplier of family p at truncation order k."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if p == 1:
+        return Fraction((1 << (2 * k + 2)) * factorial(2 * k + 1))
+    if p == 3:
+        return Fraction(
+            (1 << (2 * k + 4)) * factorial(2 * k + 3), (1 << (2 * k + 2)) - 1
+        )
+    if p == 5:
+        den = ((1 << (2 * k + 2)) * (2 * k * k + 9 * k + 6)) + 1
+        return Fraction((1 << (2 * k + 6)) * factorial(2 * k + 5), den)
+    if p == 2:
+        return Fraction(2 * (2 * k + 3) * factorial(2 * k + 1))
+    if p == 4:
+        return Fraction(6 * (2 * k + 5) * (2 * k + 3) * factorial(2 * k + 1))
+    if p == 6:
+        return Fraction(
+            45 * (2 * k + 7) * (2 * k + 5) * (2 * k + 3) * factorial(2 * k + 1),
+            k + 5,
+        )
+    raise ValueError(f"power p must be in 1..6, got {p}")
 
 
 def _floor_sums(bases: range, q: int, count: int, one: int) -> list[int]:

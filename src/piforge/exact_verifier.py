@@ -10,7 +10,7 @@ m = j + s and n = 2k + 2s + 1 each summand has the denominator
 (2m)! (n-2m)!, so the sum times its scale is an integer T.  Every identity
 with the same n reads one row of scaled binomials
 
-    R_n[i] = C(n, i) 2^(n-i),  built by  R_(n+1)[i] = 2 R_n[i] + R_n[i-1],
+    R_n[i] = C(n, i) 2^(n-i),  built by  R_(n+2)[i] = 4 R_n[i] + 4 R_n[i-1] + R_n[i-2],
 
 and T is half the dot product of that row with the table, over m = s..k+s:
 
@@ -18,21 +18,22 @@ and T is half the dot product of that row with the table, over m = s..k+s:
     even p:  T = (-1)^(s-1) 1/2 sum_m R_n[n-2m] B_2m D,  scale = D n!
 
 with the signed Euler numbers, C(n, 2m) 4^m = R_n[n-2m], and D the lcm of
-the denominators of the whole Bernoulli table.  Every term is even, so the
-halving is exact.  The identity holds iff prefactor * T == scale: one
-integer cross-multiplication, with no tolerance anywhere.  A larger D
-multiplies T and the scale alike, so the reported ratio, the one Fraction
-built per identity, does not depend on it.
+the denominators of the whole Bernoulli table (D = 1 for the Euler table,
+whose values are ints, so one integer form (D, [v D]) serves both).  Every
+term is even, so the halving is exact.  The identity holds iff prefactor * T
+== scale: one integer cross-multiplication, with no tolerance anywhere.  A
+larger D multiplies T and the scale alike, so the reported ratio, the one
+Fraction built per identity, does not depend on it.
 
 At one n, k + s = (n-1)/2 is fixed, so the families of one parity sum
 suffixes of the same products: p = 1, 3, 5 from m = 0, 1, 2 and p = 2, 4, 6
 from m = 1, 2, 3.  ``_checks`` forms the products once, from the smallest
 requested s, sums them once, and gives each larger s that sum minus its few
-head products.  ``reduce_exact`` builds its one row from the closed form and
-asks for one s; ``verify_grid`` walks the rows R_1, R_3, ... upwards, each
-built by the recurrence from the one before, and asks for every requested s
-of both parities at each n.  Running the grid over many k
-extends the published hand checks (k <= 4) to arbitrary order.
+head products.  One walk builds the rows R_1, R_3, ..., each by the
+recurrence from the one before: ``reduce_exact`` takes its one row from it
+and asks for one s; ``verify_grid`` asks for every requested s of both
+parities at each n.  Running the grid over many k extends the published
+hand checks (k <= 4) to arbitrary order.
 """
 
 from __future__ import annotations
@@ -40,12 +41,20 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from math import comb
-from operator import add, mul
+from itertools import islice, repeat
+from math import lcm
+from operator import add, lshift, mul
 
+from .closed_forms import prefactor
 from .exact_core import factorial
-from .gupta_series import prefactor
-from .special_numbers import MAX_INDEX, BernoulliTable, EulerTable, TableDepthError, number_tables
+from .special_numbers import (
+    MAX_INDEX,
+    BernoulliTable,
+    EulerTable,
+    TableDepthError,
+    number_tables,
+    required_table_k,
+)
 
 __all__ = [
     "IdentityCheck",
@@ -61,43 +70,35 @@ class IdentityCheck(namedtuple("IdentityCheck", "p k ratio holds")):
     __slots__ = ()
 
 
-def required_table_k(p: int, k: int) -> int:
-    """Deepest coefficient order touched by the reduction of (p, k)."""
-    if not 1 <= p <= 6:
-        raise ValueError(f"power p must be in 1..6, got {p}")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return k + p // 2
-
-
 def _rows() -> Iterator[list[int]]:
-    """R_1, R_3, R_5, ... with R_n[i] = C(n, i) 2^(n-i), each two recurrence
-    steps past the one before."""
+    """R_1, R_3, R_5, ... with R_n[i] = C(n, i) 2^(n-i), the coefficients of
+    (x + 2)^n, each the one before times (x + 2)^2 = x^2 + 4x + 4."""
     row = [2, 1]
     while True:
         yield row
-        for _ in range(2):
-            padded = [*row, 0]
-            row = list(map(add, map(add, padded, padded), [0, *row]))
+        quads = map(lshift, map(add, [*row, 0, 0], [0, *row, 0]), repeat(2))
+        row = list(map(add, quads, [0, 0, *row]))
+
+
+def _integer_form(table: EulerTable | BernoulliTable) -> tuple[int, list[int]]:
+    """(D, [v D for each value v]), D the lcm of the values' denominators."""
+    common = lcm(*(v.denominator for v in table.values))
+    return common, [v.numerator * (common // v.denominator) for v in table.values]
 
 
 def _checks(
-    row: list[int], shifts: list[int], table: EulerTable | BernoulliTable
+    row: list[int], shifts: list[int], form: tuple[int, list[int]], odd: int
 ) -> list[IdentityCheck]:
     """The checks of the families of one parity at odd n = len(row) - 1,
-    read from the row R_n, one per shift s (ascending; p = 2s + 1 for the
-    Euler table, p = 2s for the Bernoulli table), from one set of products
-    summed once."""
-    odd = isinstance(table, EulerTable)
+    read from the row R_n and the integer form of that parity's table, one
+    per shift s (ascending; p = 2s + odd), from one set of products summed
+    once."""
+    common, scaled = form
     n = len(row) - 1
     top, first = n // 2, shifts[0]
-    if odd:
-        products = list(map(mul, row[2 * first :: 2], table.values[first : top + 1]))
-        scale = factorial(n) << (n + 1)
-    else:
-        common, scaled = table.scaled
-        products = list(map(mul, row[n - 2 * first :: -2], scaled[first : top + 1]))
-        scale = common * factorial(n)
+    weights = row[2 * first :: 2] if odd else row[n - 2 * first :: -2]
+    products = list(map(mul, weights, scaled[first : top + 1]))
+    scale = common * factorial(n) << (n + 1 if odd else 0)
     full = sum(products)
     checks = []
     for s in shifts:
@@ -122,9 +123,8 @@ def reduce_exact(
     kind, table = ("euler", euler) if p % 2 == 1 else ("bernoulli", bern)
     if table is None or len(table.values) <= deepest:
         raise TableDepthError(kind, 2 * deepest)
-    n = 2 * deepest + 1
-    row = [comb(n, i) << (n - i) for i in range(n + 1)]
-    return _checks(row, [deepest - k], table)[0]
+    row = next(islice(_rows(), deepest, None))
+    return _checks(row, [deepest - k], _integer_form(table), p % 2)[0]
 
 
 def verify_grid(powers: Iterable[int], k_max: int) -> list[IdentityCheck]:
@@ -147,13 +147,13 @@ def verify_grid(powers: Iterable[int], k_max: int) -> list[IdentityCheck]:
     for kind, K in zip(("euler", "bernoulli"), depths):
         if 2 * K > MAX_INDEX:
             raise TableDepthError(kind, 2 * K, MAX_INDEX)
-    tables = number_tables(*depths)
+    forms = list(map(_integer_form, number_tables(*depths)))
     checks = []
     # the row R_(2d+1) serves the identities whose deepest table order is d
     for deepest, row in zip(range(max(depths) + 1), _rows()):
-        for group, table in zip(groups, tables):
+        for group, form, odd in zip(groups, forms, (1, 0)):
             live = [s for s in group if deepest - k_max <= s <= deepest]
             if live:
-                checks += _checks(row, live, table)
+                checks += _checks(row, live, form, odd)
     checks.sort(key=lambda check: (check.p, check.k))
     return checks

@@ -3,7 +3,8 @@
 Every family shares one shape: an outer sum over a base sequence (odd
 denominators 2n-1 with alternating sign for the odd powers, plain integers n
 with positive sign for the even powers), an exact rational prefactor
-depending on the truncation order k, and an inner polynomial
+depending on the truncation order k (``closed_forms.prefactor``), and an
+inner polynomial
 
     sum_{j=0}^{k} (-x)^j / (2k - 2j + 1)!
 
@@ -36,44 +37,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .closed_forms import power_sums
+from .closed_forms import power_sums, prefactor
 from .exact_core import factorial
 from .numeric_engine import CertifiedReal, PrecisionContext
 
-__all__ = [
-    "partial_sum",
-    "prefactor",
-    "tail_bound",
-]
+__all__ = ["partial_sum", "tail_bound"]
 
 # Rational lower bound on pi (a continued-fraction convergent), used only to
 # keep analytic tail bounds valid: 1/pi^2 <= (106/333)^2.
 PI_LOWER = Fraction(333, 106)
-
-
-def prefactor(p: int, k: int) -> Fraction:
-    """Exact rational multiplier of family p at truncation order k."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if p == 1:
-        return Fraction((1 << (2 * k + 2)) * factorial(2 * k + 1))
-    if p == 3:
-        return Fraction(
-            (1 << (2 * k + 4)) * factorial(2 * k + 3), (1 << (2 * k + 2)) - 1
-        )
-    if p == 5:
-        den = ((1 << (2 * k + 2)) * (2 * k * k + 9 * k + 6)) + 1
-        return Fraction((1 << (2 * k + 6)) * factorial(2 * k + 5), den)
-    if p == 2:
-        return Fraction(2 * (2 * k + 3) * factorial(2 * k + 1))
-    if p == 4:
-        return Fraction(6 * (2 * k + 5) * (2 * k + 3) * factorial(2 * k + 1))
-    if p == 6:
-        return Fraction(
-            45 * (2 * k + 7) * (2 * k + 5) * (2 * k + 3) * factorial(2 * k + 1),
-            k + 5,
-        )
-    raise ValueError(f"power p must be in 1..6, got {p}")
 
 
 def tail_bound(p: int, k: int, N: int) -> Fraction:

@@ -5,7 +5,9 @@ rationals with explicit rounding directions (lower bounds toward -inf,
 upper bounds toward +inf, single summary numbers half-even), so identical
 invocations are byte-identical and no float ever enters a report.  The math
 modules return numbers; this module and :mod:`piforge.cli` alone format them.
-``csv`` and ``json.encoder`` are imported by the writer that uses them.
+``csv`` and ``json.encoder`` are imported by the writer that uses them, and
+``numeric_engine.CertifiedReal`` is named in annotations only, so rendering
+an exact report loads no numeric code.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ import io
 import math
 from collections import namedtuple
 from fractions import Fraction
-
-from .numeric_engine import CertifiedReal
 
 __all__ = [
     "CSV_HEADER",

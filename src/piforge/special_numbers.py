@@ -16,13 +16,14 @@ Tangent and Secant numbers", arXiv:1108.0286).  One run to index n serves
 both tables: ``number_tables`` builds the Euler table from its even entries
 and the Bernoulli table from its odd ones.  :class:`TableStore` builds them
 on request up to index ``MAX_INDEX = 512``; only :mod:`piforge.cli` prints them.
+``required_table_k`` is the one depth rule, k + p // 2, of identity (p, k):
+with the cap, it bounds every order the CLI accepts, in every run.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
 
 __all__ = [
     "BernoulliTable",
@@ -33,9 +34,19 @@ __all__ = [
     "bernoulli_numbers",
     "euler_numbers",
     "number_tables",
+    "required_table_k",
 ]
 
 MAX_INDEX = 512
+
+
+def required_table_k(p: int, k: int) -> int:
+    """Deepest table order k + p // 2 that identity (p, k) reads."""
+    if not 1 <= p <= 6:
+        raise ValueError(f"power p must be in 1..6, got {p}")
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    return k + p // 2
 
 
 class TableDepthError(LookupError):
@@ -54,18 +65,11 @@ class EulerTable(namedtuple("EulerTable", "values")):
     __slots__ = ()
 
 
-class BernoulliTable(namedtuple("BernoulliTable", "values scaled")):
-    """B_0, B_2, ..., B_{2K} plus B_1; ``values[k]`` is B_{2k}.  ``scaled``
-    is (D, (B_0 D, B_2 D, ...)) with D the lcm of every denominator in the
-    table, so each B_2k D is an integer; it is computed with the table."""
+class BernoulliTable(namedtuple("BernoulliTable", "values")):
+    """B_0, B_2, ..., B_{2K} plus B_1; ``values[k]`` is B_{2k}."""
 
     __slots__ = ()
     b1 = Fraction(-1, 2)
-
-    def __new__(cls, values: tuple[Fraction, ...]) -> BernoulliTable:
-        common = lcm(*(b.denominator for b in values))
-        scaled = tuple(b.numerator * (common // b.denominator) for b in values)
-        return super().__new__(cls, values, (common, scaled))
 
 
 def _zigzag(n: int) -> list[int]:

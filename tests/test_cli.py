@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import gc
 import io
 import json
@@ -265,6 +266,8 @@ def test_verify_beyond_table_cap():
          ["--prec", "64"]),
         (["verify", "--k-max", "254"], ["--k-max", "254", "253", "512"]),
         (["verify", "--powers", "1,3,5", "--k-max", "255"], ["--k-max", "255", "254", "512"]),
+        (["numbers", "--kind", "euler", "--max-index", "514"], ["--max-index", "514", "512"]),
+        (["numbers", "--kind", "bernoulli", "--max-index", str(10**30)], ["--max-index", "512"]),
         (["sum", "--series", "kolbig", "--terms", "3", "--prec", str(10**22)],
          ["--prec", "1048576"]),
         (["sum", "--series", "kolbig", "--terms", "3", "--prec", "1048577"],
@@ -601,9 +604,9 @@ ENTRY = (
          {"piforge.gupta_series", "piforge.prior_series", "json"},
          {"piforge.exact_verifier", "csv"}),
         ("verify --powers 1-6 --k-max 8 --format csv", {"piforge.exact_verifier", "csv"},
-         {"piforge.prior_series", "json"}),
+         {"piforge.prior_series", "piforge.numeric_engine", "piforge.gupta_series", "json"}),
         ("verify --powers 1-6 --k-max 8 --format json", {"piforge.exact_verifier", "json"},
-         {"piforge.prior_series", "csv"}),
+         {"piforge.prior_series", "piforge.numeric_engine", "piforge.gupta_series", "csv"}),
     ],
 )
 def test_each_run_loads_only_what_it_calls(argv, loads, skips):
@@ -630,6 +633,8 @@ def test_package_import_loads_no_submodule():
     code = (
         "import sys, piforge\n"
         "print(sorted(m for m in sys.modules if m.startswith('piforge.')))\n"
+        "from piforge import prefactor\n"
+        "print(sorted(m for m in sys.modules if m.startswith('piforge.')))\n"
         "from piforge import PrecisionContext, euler_numbers\n"
         "print(sorted(m for m in sys.modules if m.startswith('piforge.')))\n"
         "print(hasattr(piforge, 'no_such_name'))\n"
@@ -643,9 +648,70 @@ def test_package_import_loads_no_submodule():
     )
     assert result.stdout.splitlines() == [
         "[]",
-        "['piforge.numeric_engine', 'piforge.special_numbers']",
+        "['piforge.closed_forms', 'piforge.exact_core']",
+        "['piforge.closed_forms', 'piforge.exact_core', 'piforge.numeric_engine', "
+        "'piforge.special_numbers']",
         "False",
     ]
+
+
+def run_entry(argv: str, stdout, unbuffered: bool) -> subprocess.CompletedProcess:
+    """The process entry, as `python -m piforge.cli` runs it, with its
+    stdout on ``stdout``."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "piforge.cli", *argv.split()],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
+def assert_one_write_error(result: subprocess.CompletedProcess) -> None:
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("piforge: error: cannot write the report: ")
+    assert result.stderr.count("\n") == 1, result.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", ["verify --k-max 64", "numbers --kind euler --max-index 4"])
+def test_report_to_a_full_device_exits_2(argv, unbuffered):
+    """A report the device refuses exits 2 with one error line, whether the
+    write or the flush before shutdown fails, and shutdown stays silent."""
+    with open("/dev/full", "w") as full:
+        assert_one_write_error(run_entry(argv, full, unbuffered))
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_report_to_a_closed_pipe_exits_2(unbuffered):
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the first byte is written
+    try:
+        result = run_entry("verify --k-max 253 --format json", write, unbuffered)
+    finally:
+        os.close(write)
+    assert_one_write_error(result)
+    assert "Broken pipe" in result.stderr
+
+
+def test_main_returns_2_when_the_report_cannot_be_written():
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    err = io.StringIO()
+    with redirect_stdout(Full()), redirect_stderr(err):
+        code = main(["verify", "--k-max", "2"])
+    assert code == 2
+    assert err.getvalue() == (
+        f"piforge: error: cannot write the report: {os.strerror(errno.ENOSPC)}\n"
+    )
 
 
 def test_main_never_freezes_the_heap():

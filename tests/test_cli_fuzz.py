@@ -1,7 +1,8 @@
 """Property test of the CLI's input grammar: whatever argv holds, ``main``
 returns 0, 1 or 2, lets no exception escape, returns 1 only from ``verify``,
-and says what was wrong in one located ``piforge: error:`` line (or in
-argparse's usage error) whenever it returns 2.
+says what was wrong in one located ``piforge: error:`` line (or in
+argparse's usage error) whenever it returns 2, and prints the same bytes
+when a run that returned 0 is repeated.
 
 The grammar covers every subcommand, option, format and series kind, with
 missing, repeated, unknown and empty selector keys, commas inside and between
@@ -30,11 +31,11 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
-PER_SITE = 3  # 360 examples, about 4 s in one child process (CPython 3.11.7, 2 cores)
+PER_SITE = 3  # 360 examples, about 5 s in one child process (CPython 3.11.7, 2 cores)
 ALARM_S = 5  # the costliest cheap input runs in about 0.4 s
 ADDRESS_SPACE = 1 << 30
 # An error message names the option or the input it rejects.
-LOCATORS = ("--", "series", "powers", "target", "index")
+LOCATORS = ("--", "series", "powers", "target")
 
 
 def forms(value: int) -> st.SearchStrategy[str]:
@@ -216,16 +217,21 @@ def argvs(draw, command: str, site: str | None, way: int | None) -> list[str]:
     return argv
 
 
-def check_run(argv: list[str]) -> None:
+def run_main(argv: list[str]) -> tuple[int, str, str]:
     from piforge.cli import main
 
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
-    stdout, stderr = out.getvalue(), err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_run(argv: list[str]) -> None:
+    code, stdout, stderr = run_main(argv)
     assert code in (0, 1, 2), (code, stderr)
     if code == 0:
         assert stdout and not stderr
+        assert run_main(argv) == (0, stdout, ""), "a repeated run printed other bytes"
     elif code == 1:
         assert argv[0] == "verify" and stdout and not stderr
     elif stderr.startswith("usage: "):  # argparse's usage error

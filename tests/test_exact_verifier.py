@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -94,6 +94,14 @@ def test_integer_ratio_matches_fraction_oracle(cap_tables):
 def test_row_is_scaled_binomials():
     for n, row in zip(range(1, 514, 2), exact_verifier._rows()):
         assert row == [comb(n, i) << (n - i) for i in range(n + 1)]
+
+
+def test_integer_form_of_both_tables(cap_tables):
+    euler, bern = cap_tables
+    assert exact_verifier._integer_form(euler) == (1, list(euler.values))
+    common, scaled = exact_verifier._integer_form(bern)
+    assert common == lcm(*(b.denominator for b in bern.values))
+    assert [Fraction(v, common) for v in scaled] == list(bern.values)
 
 
 def test_cold_row_chain_to_table_cap(cap_tables):

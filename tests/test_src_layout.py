@@ -26,6 +26,10 @@ private to one module has no reader outside it, and
 Nothing in ``src/`` is memoised with ``functools``: each value is computed
 where it is used, and ``test_src_keeps_no_caches`` finds every use of a
 ``functools`` memoiser.
+
+The exact layer (``EXACT_LAYER``), on which ``verify`` runs, imports no
+piforge module outside itself, so proving an identity loads no interval or
+series code; ``test_exact_layer_imports_only_itself`` checks it.
 """
 
 from __future__ import annotations
@@ -70,6 +74,8 @@ CONSTRUCTION = {"__new__", "__init__"}
 
 # The functools memoisers, found imported by name or read as functools.<name>.
 MEMOISERS = {"lru_cache", "cache", "cached_property"}
+
+EXACT_LAYER = {"special_numbers", "exact_core", "closed_forms", "exact_verifier"}
 
 
 def _parse(path: Path) -> ast.Module:
@@ -233,3 +239,41 @@ def test_src_imports_no_private_names():
         if alias.name.startswith("_")
     ]
     assert not imports, f"private names imported across src/ modules: {imports}"
+
+
+def piforge_imports(tree: ast.Module) -> set[str]:
+    """The names a module imports from piforge: the module of a relative or
+    ``piforge.<module>`` import, or each name imported from the package."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(
+                alias.name.removeprefix("piforge.")
+                for alias in node.names
+                if alias.name.startswith("piforge.")
+            )
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and not module.startswith("piforge"):
+                continue
+            module = module.removeprefix("piforge").removeprefix(".")
+            found.update([module] if module else [alias.name for alias in node.names])
+    return found
+
+
+def test_exact_layer_imports_only_itself():
+    outside = {
+        f"{name} imports {module}"
+        for name, tree in _modules()
+        if name.removesuffix(".py") in EXACT_LAYER
+        for module in piforge_imports(tree) - EXACT_LAYER
+    }
+    assert not outside, f"the exact layer imports outside itself: {sorted(outside)}"
+
+
+def test_each_rule_has_one_home():
+    import piforge
+    from piforge import closed_forms, exact_verifier, gupta_series, special_numbers
+
+    assert piforge.prefactor is gupta_series.prefactor is closed_forms.prefactor
+    assert exact_verifier.required_table_k is special_numbers.required_table_k
