@@ -10,7 +10,7 @@ loads only the modules its subcommand calls.
 _EXPORTS = {
     "closed_forms": "prefactor",
     "exact_core": "factorial",
-    "exact_verifier": "IdentityCheck reduce_exact verify_grid",
+    "exact_verifier": "IdentityCheck verify_grid",
     "gupta_series": "partial_sum tail_bound",
     "numeric_engine": "CertifiedReal PrecisionContext",
     "prior_series": "alzer_H_partials alzer_h_partials alzer_koumandos_partials kolbig_partials",

@@ -312,8 +312,13 @@ def _cmd_compare(args: argparse.Namespace) -> tuple[str, int]:
     return render_report([row for line in lines for row in line], args.format), 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):  # argparse's own swallows an OSError
+        (file or sys.stdout).write(self.format_help())
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="piforge",
         description="Exact identity verification and certified convergence "
         "measurement for series representations of powers of pi.",
@@ -358,9 +363,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv)  # --help writes its text here
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code or 0)
+    except OSError as exc:
+        return _unwritten(exc)
     try:
         report, code = args.func(args)
     except (ValueError, LookupError) as exc:
@@ -368,13 +375,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         sys.stdout.write(report)
     except OSError as exc:
-        return _error(f"cannot write the report: {exc.strerror or exc}")
+        return _unwritten(exc)
     return code
 
 
 def _error(message: object) -> int:
     sys.stderr.write(f"piforge: error: {message}\n")
     return 2
+
+
+def _unwritten(exc: OSError) -> int:
+    return _error(f"cannot write the report: {exc.strerror or exc}")
 
 
 def run() -> int:
@@ -389,7 +400,7 @@ def run() -> int:
         sys.stdout.flush()
     except OSError as exc:
         if code != 2:
-            code = _error(f"cannot write the report: {exc.strerror or exc}")
+            code = _unwritten(exc)
         null = os.open(os.devnull, os.O_WRONLY)
         os.dup2(null, sys.stdout.fileno())
         os.close(null)

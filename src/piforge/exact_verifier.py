@@ -30,10 +30,9 @@ suffixes of the same products: p = 1, 3, 5 from m = 0, 1, 2 and p = 2, 4, 6
 from m = 1, 2, 3.  ``_checks`` forms the products once, from the smallest
 requested s, sums them once, and gives each larger s that sum minus its few
 head products.  One walk builds the rows R_1, R_3, ..., each by the
-recurrence from the one before: ``reduce_exact`` takes its one row from it
-and asks for one s; ``verify_grid`` asks for every requested s of both
-parities at each n.  Running the grid over many k extends the published
-hand checks (k <= 4) to arbitrary order.
+recurrence from the one before, and ``verify_grid``, the one entry point,
+asks for every requested s of both parities at each n.  Running the grid
+over many k extends the published hand checks (k <= 4) to arbitrary order.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import repeat
 from math import lcm
 from operator import add, lshift, mul
 
@@ -58,7 +57,6 @@ from .special_numbers import (
 
 __all__ = [
     "IdentityCheck",
-    "reduce_exact",
     "required_table_k",
     "verify_grid",
 ]
@@ -112,24 +110,10 @@ def _checks(
     return checks
 
 
-def reduce_exact(
-    p: int,
-    k: int,
-    euler: EulerTable | None = None,
-    bern: BernoulliTable | None = None,
-) -> IdentityCheck:
-    """Exactly reduce family (p, k); the identity holds iff the ratio is 1."""
-    deepest = required_table_k(p, k)
-    kind, table = ("euler", euler) if p % 2 == 1 else ("bernoulli", bern)
-    if table is None or len(table.values) <= deepest:
-        raise TableDepthError(kind, 2 * deepest)
-    row = next(islice(_rows(), deepest, None))
-    return _checks(row, [deepest - k], _integer_form(table), p % 2)[0]
-
-
 def verify_grid(powers: Iterable[int], k_max: int) -> list[IdentityCheck]:
     """One check per (p, k) with p over ``powers`` and k = 0..k_max, in
-    deterministic order (p ascending, then k ascending).
+    deterministic order (p ascending, then k ascending), so the last check
+    of ``verify_grid([p], k)`` is identity (p, k).
 
     Both tables come from one zigzag run, up to the ``MAX_INDEX`` cap.  The
     checks run in order of the row they read, so each row is built once and

@@ -29,7 +29,7 @@ operation that only the tests need.
 * ``power_sums_loop``, the per-term ``divmod`` loop that
   ``closed_forms.power_sums`` replaces: it tests every remainder where the
   kernel sums whole blocks and counts the inexact terms.
-* The ``Fraction`` oracle of ``exact_verifier.reduce_exact``.
+* The ``Fraction`` oracle of each check of ``exact_verifier.verify_grid``.
 * The inner polynomial of the six families and the numeric residual of a
   partial sum against pi^p.
 * The exact weight generators of the four baseline series, and their

@@ -680,10 +680,13 @@ def assert_one_write_error(result: subprocess.CompletedProcess) -> None:
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("unbuffered", [False, True])
-@pytest.mark.parametrize("argv", ["verify --k-max 64", "numbers --kind euler --max-index 4"])
+@pytest.mark.parametrize(
+    "argv", ["verify --k-max 64", "numbers --kind euler --max-index 4", "--help", "verify --help"]
+)
 def test_report_to_a_full_device_exits_2(argv, unbuffered):
-    """A report the device refuses exits 2 with one error line, whether the
-    write or the flush before shutdown fails, and shutdown stays silent."""
+    """A report or help text the device refuses exits 2 with one error
+    line, whether the write or the flush before shutdown fails, and
+    shutdown stays silent."""
     with open("/dev/full", "w") as full:
         assert_one_write_error(run_entry(argv, full, unbuffered))
 

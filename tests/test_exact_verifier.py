@@ -7,9 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from piforge import exact_verifier
-from piforge.exact_verifier import reduce_exact, required_table_k, verify_grid
+from piforge.exact_verifier import required_table_k, verify_grid
 from piforge.gupta_series import prefactor, tail_bound
-from piforge.numeric_engine import PrecisionContext
 from piforge.special_numbers import (
     BernoulliTable,
     EulerTable,
@@ -64,31 +63,34 @@ def test_required_depth():
         required_table_k(7, 0)
 
 
+def identity(p: int, k: int):
+    """The check of identity (p, k): the last cell of its one-power grid."""
+    check = verify_grid([p], k)[-1]
+    assert (check.p, check.k) == (p, k)
+    return check
+
+
 def test_reduce_k1_p1_matches_hand_reduction(euler_table):
     summands = reduction_summands(1, 1, euler=euler_table)
     assert summands == [Fraction(1, 24), Fraction(-1, 32)]
-    check = reduce_exact(1, 1, euler=euler_table)
+    check = identity(1, 1)
     assert check.ratio == 96 * (Fraction(1, 24) - Fraction(1, 32)) == 1
     assert check.holds
 
 
-def test_reduce_trivial_and_deep(euler_table, bernoulli_table):
-    check = reduce_exact(1, 0, euler=euler_table)
+def test_reduce_trivial_and_deep():
+    check = identity(1, 0)
     assert check.ratio == 1 and check.holds
-    euler = euler_numbers(10)
-    check = reduce_exact(5, 4, euler=euler)
-    assert check.holds
-    check = reduce_exact(6, 3, bern=bernoulli_table)
-    assert check.holds
+    assert identity(5, 4).holds
+    assert identity(6, 3).holds
 
 
 def test_integer_ratio_matches_fraction_oracle(cap_tables):
-    euler, bern = cap_tables
-    for p in range(1, 7):
-        for k in range(65):
-            check = reduce_exact(p, k, euler, bern)
-            assert check.ratio == oracle_ratio(p, k, euler, bern) == 1, (p, k)
-            assert check.holds
+    checks = verify_grid(range(1, 7), 64)
+    assert [(c.p, c.k) for c in checks] == [(p, k) for p in range(1, 7) for k in range(65)]
+    for check in checks:
+        assert check.ratio == oracle_ratio(check.p, check.k, *cap_tables) == 1, check
+        assert check.holds
 
 
 def test_row_is_scaled_binomials():
@@ -104,10 +106,9 @@ def test_integer_form_of_both_tables(cap_tables):
     assert [Fraction(v, common) for v in scaled] == list(bern.values)
 
 
-def test_cold_row_chain_to_table_cap(cap_tables):
-    euler, bern = cap_tables
-    assert reduce_exact(6, 253, bern=bern).holds
-    assert reduce_exact(1, 256, euler=euler).holds
+def test_cold_row_chain_to_table_cap():
+    assert identity(6, 253).holds
+    assert identity(1, 256).holds
 
 
 # (p, k) pairs up to the table cap, in random order
@@ -120,10 +121,9 @@ cases = st.integers(1, 6).flatmap(
 @given(st.lists(cases, min_size=1, max_size=4))
 @example([(1, 256), (6, 253), (1, 0), (6, 252)])
 def test_integer_ratio_matches_oracle_to_table_cap(cap_tables, pairs):
-    euler, bern = cap_tables
     for p, k in pairs:
-        check = reduce_exact(p, k, euler, bern)
-        assert check.ratio == oracle_ratio(p, k, euler, bern) == 1
+        check = identity(p, k)
+        assert check.ratio == oracle_ratio(p, k, *cap_tables) == 1
         assert check.holds
 
 
@@ -134,19 +134,10 @@ def touched_by_poison(p: int, k: int) -> bool:
     return s <= 3 <= k + s if p % 2 == 1 else s == 1
 
 
-def test_poisoned_tables_fail_with_oracle_ratio(cap_tables):
-    euler, bern = poisoned_tables(*cap_tables, 40)
-    failed = 0
-    for p in range(1, 7):
-        for k in range(30):
-            check = reduce_exact(p, k, euler, bern)
-            assert check.ratio == oracle_ratio(p, k, euler, bern), (p, k)
-            assert check.holds == (check.ratio == 1) == (not touched_by_poison(p, k)), (p, k)
-            failed += not check.holds
-    assert failed == 114
-
-
 def test_grid_under_poisoned_tables(cap_tables, monkeypatch):
+    """Every cell of the poisoned 6 x 30 grid carries the Fraction oracle's
+    ratio under the same tables, and exactly the 114 cells that read E_6 or
+    B_2 fail."""
     # verify_grid builds its own tables, so poison them where it gets them;
     # B_2 = 1/7 brings a denominator the true table does not have
     euler, bern = poisoned_tables(*cap_tables, 40)
@@ -169,15 +160,22 @@ def test_grid_under_poisoned_tables(cap_tables, monkeypatch):
 SHARED_SUM_POWERS = [{5}, {3, 5}, {4, 6}, {2, 6}, {1, 6}]
 
 
-def cell_by_cell(powers, k_max, euler, bern):
-    return [reduce_exact(p, k, euler, bern) for p in sorted(powers) for k in range(k_max + 1)]
+def assert_grid_matches_its_members(checks, powers, k_max, euler, bern):
+    """A grid over several powers equals the one-power grids of its members.
+    A one-power grid is its own member, so it meets the Fraction oracle
+    instead, at every 25th cell and the last."""
+    if len(powers) > 1:
+        assert checks == [c for p in sorted(powers) for c in verify_grid([p], k_max)]
+    else:
+        for check in checks[::25] + checks[-1:]:
+            assert check.ratio == oracle_ratio(check.p, check.k, euler, bern), check
 
 
 @pytest.mark.parametrize("powers", SHARED_SUM_POWERS, ids=str)
-def test_shared_parity_sum_matches_reduce_exact(cap_tables, powers):
+def test_shared_parity_sum_matches_single_power_grids(cap_tables, powers):
     k_max = 256 - max(required_table_k(p, 0) for p in powers)
     checks = verify_grid(powers, k_max)
-    assert checks == cell_by_cell(powers, k_max, *cap_tables)
+    assert_grid_matches_its_members(checks, powers, k_max, *cap_tables)
     assert all(check.holds for check in checks)
 
 
@@ -193,7 +191,7 @@ def test_shared_parity_sum_under_poisoned_tables(cap_tables, powers, monkeypatch
         ),
     )
     checks = verify_grid(powers, 29)
-    assert checks == cell_by_cell(powers, 29, *poisoned_tables(*cap_tables, 40))
+    assert_grid_matches_its_members(checks, powers, 29, *poisoned_tables(*cap_tables, 40))
     assert [check.holds for check in checks] == [
         not touched_by_poison(check.p, check.k) for check in checks
     ]
@@ -234,14 +232,7 @@ def test_grid_order_and_holds():
     assert all(c.holds for c in checks)
 
 
-def test_table_depth_errors(euler_table, bernoulli_table, monkeypatch):
-    with pytest.raises(TableDepthError):
-        reduce_exact(1, 40, euler=euler_table)
-    with pytest.raises(TableDepthError):
-        reduce_exact(2, 40, bern=bernoulli_table)
-    with pytest.raises(TableDepthError):
-        reduce_exact(1, 1)  # no table supplied at all
-
+def test_table_depth_errors(monkeypatch):
     def must_not_build(*orders):
         raise AssertionError("a table was built past the cap")
 

@@ -20,7 +20,7 @@ def fenced_blocks(language: str) -> list[str]:
 
 def test_readme_python_example_runs():
     (code,) = fenced_blocks("python")
-    assert "reduce_exact(5, 4, euler=euler_numbers(6))" in code
+    assert "check = verify_grid([5], 4)[-1]" in code
     with redirect_stdout(io.StringIO()) as out:
         exec(compile(code, "README.md", "exec"), {})
     assert "+/-" in out.getvalue()

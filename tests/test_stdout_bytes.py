@@ -5,8 +5,11 @@ are the same on CPython 3.10 to 3.13, and a rewrite of the report rows, the
 identity checks or the JSON writer must keep them.  The set holds the
 README's four commands, ``verify`` in every format for each parity shape,
 pretty ``sum`` runs, ``compare`` tables in csv and pretty that cover
-every baseline series, ``compare`` tables against pi^3, pi^4 and pi^6, and
-``numbers`` tables of both kinds in every format, up to the index cap.
+every baseline series, ``compare`` tables against pi^3, pi^4 and pi^6,
+``numbers`` tables of both kinds in every format, up to the index cap, and
+the ``--help`` texts of the parser and of three subcommands.  argparse wraps
+help to the terminal width, so every command runs with ``COLUMNS=80``; the
+help digests were taken on CPython 3.11.
 """
 
 from __future__ import annotations
@@ -137,11 +140,16 @@ PINNED = [
         "numbers --kind bernoulli --max-index 24 --format pretty",
         "218cfac4cbcd13266efd43f7db9f1ebfa61c24bfea4adb9d31405609ecda7a0f",
     ),
+    ("--help", "5ffb7e4ee03bc677f111d7d8dfd9b261ddd32b5986cb69d3e3e00119c373e314"),
+    ("verify --help", "8a6377dd1f508587bb59a987c66601b8de8bdde9b4e1085add1145970241a16e"),
+    ("sum --help", "7964624693afa13c37619dc0303fdfcafd37d726f581e8a0fb57a1a647b111f0"),
+    ("compare --help", "ab6bf3402a505e1f90888da56056aaf4a02665aad2359b38f76251964c97c555"),
 ]
 
 
 @pytest.mark.parametrize("command, digest", PINNED, ids=[c for c, _ in PINNED])
-def test_stdout_bytes_are_pinned(command, digest):
+def test_stdout_bytes_are_pinned(command, digest, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
     out = io.StringIO()
     with redirect_stdout(out):
         assert main(shlex.split(command)) == 0
