@@ -32,6 +32,10 @@ operation that only the tests need.
 * The ``Fraction`` oracle of each check of ``exact_verifier.verify_grid``.
 * The inner polynomial of the six families and the numeric residual of a
   partial sum against pi^p.
+* ``hurwitz_tail`` and ``hurwitz_row``, the tails R_q(N) and a family's
+  partial sum at any N from mpmath's Hurwitz zeta and digamma functions:
+  the independent reference of ``closed_forms.tail_sums`` and of the tail
+  path of ``gupta_series.partial_sum``.
 * The exact weight generators of the four baseline series, and their
   partial sums as ``CertifiedReal`` loops, one interval operation at a time:
   the slow, wider oracle of the one-sided recurrences of ``prior_series``.
@@ -43,6 +47,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterator
+
+import pytest
 
 from piforge.closed_forms import power_sums
 from piforge.exact_core import factorial
@@ -231,6 +237,55 @@ def inner_poly(k: int, x: Fraction) -> Fraction:
     for j in range(k, -1, -1):
         acc = Fraction(1, factorial(2 * k - 2 * j + 1)) - x * acc
     return acc
+
+
+def _hurwitz(mpmath, q, a):
+    """zeta(q, a), with -digamma(a) in its place at q = 1, where each sum
+    diverges but the differences taken here do not."""
+    return -mpmath.digamma(a) if q == 1 else mpmath.zeta(q, a)
+
+
+def _tail(mpmath, alternating: bool, q: int, N: int):
+    """R_q(N) = sum_{n>N} sign_n / base_n^q at mpmath's working precision.
+    The alternating sum past N splits by the parity of n into two Hurwitz
+    sums of step 4 in the odd bases 2N+1, 2N+5, ... and 2N+3, 2N+7, ..."""
+    if not alternating:
+        return mpmath.zeta(q, N + 1)
+    a, b = mpmath.mpf(2 * N + 1) / 4, mpmath.mpf(2 * N + 3) / 4
+    return (-1) ** N * (_hurwitz(mpmath, q, a) - _hurwitz(mpmath, q, b)) / mpmath.mpf(4) ** q
+
+
+def _exact(value) -> Fraction:
+    man, exp = value.man_exp  # the mantissa is unsigned
+    return (-1 if value < 0 else 1) * Fraction(man) * Fraction(2) ** exp
+
+
+def hurwitz_tail(alternating: bool, q: int, N: int, bits: int) -> Fraction:
+    """The tail R_q(N) of ``closed_forms.tail_sums`` from mpmath's Hurwitz
+    zeta (digamma at q = 1) at ``bits`` bits, as an exact rational."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(bits):
+        return _exact(_tail(mpmath, alternating, q, N))
+
+
+def hurwitz_row(p: int, k: int, N: int, bits: int) -> Fraction:
+    """The row partial_sum(p, k, N) in mpmath at ``bits`` bits, as an exact
+    rational, from Hurwitz zeta values at any N, independent of the
+    power-sum kernels and of their tails: S_q(N) = R_q(0) - R_q(N), with
+    R_q(0) = zeta(q) for even p and 4^-q (zeta(q, 1/4) - zeta(q, 3/4)),
+    digamma at q = 1, for odd p.  The row is then
+    prefactor * sum_j (-1)^j pi^(-2j) S_(p+2j)(N) / (2k-2j+1)!."""
+    mpmath = pytest.importorskip("mpmath")
+    alternating = p % 2 == 1
+    pref = prefactor(p, k)
+    with mpmath.workprec(bits):
+        total = sum(
+            (-1 / mpmath.pi**2) ** j
+            * (_tail(mpmath, alternating, q, 0) - _tail(mpmath, alternating, q, N))
+            / factorial(2 * k - 2 * j + 1)
+            for j, q in enumerate(range(p, p + 2 * k + 1, 2))
+        )
+        return _exact(total * pref.numerator / pref.denominator)
 
 
 def residual_numeric(p: int, k: int, N: int, ctx: PrecisionContext) -> CertifiedReal:

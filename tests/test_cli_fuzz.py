@@ -8,8 +8,13 @@ The grammar covers every subcommand, option, format and series kind, with
 missing, repeated, unknown and empty selector keys, commas inside and between
 selectors, ``--powers`` ranges, and numbers in decimal, fraction, exponent,
 signed, padded, non-ASCII-digit and huge forms.  A valid input is kept cheap
-(``--terms`` <= 10^3, ``--prec`` <= 4096, ``--k-max`` and gupta orders <= 64);
-a huge one is past its option's bound, so it must be refused, not run.
+(``--prec`` <= 4096, ``--k-max`` and gupta orders <= 64, ``--terms`` <= 10^3);
+a huge one is past its option's bound, so it must be refused, not run.  The
+gupta and classical selectors of ``sum`` also draw ``--terms`` from past the
+direct limit of ``gupta_series`` (10^7) up to 2^62, where a row costs what a
+thousand terms do.  Between the two, a row the tail path leaves to the
+term-by-term walk costs time linear in N, and the baselines, whose
+recurrences stay linear in N, keep ``--terms`` <= 10^3 everywhere.
 
 All examples run in one child process, under an address-space limit and a
 per-example alarm, so a hang or a runaway allocation fails one example
@@ -30,6 +35,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
+
+from piforge.gupta_series import DIRECT_LIMIT
 
 PER_SITE = 3  # 360 examples, about 5 s in one child process (CPython 3.11.7, 2 cores)
 ALARM_S = 5  # the costliest cheap input runs in about 0.4 s
@@ -155,6 +162,8 @@ FORMAT = choice(["csv", "json", "pretty"], ["xml", "", "CSV"])
 WORKERS = integer((0, 4), 4)
 PREC = integer((64, 4096), 1 << 20)
 TERMS = integer((1, 1000), 1 << 62)
+# cheap for the gupta and classical rows of sum, past the direct limit
+FAR_TERMS = st.one_of(TERMS[0], st.integers(DIRECT_LIMIT + 1, 1 << 62).flatmap(forms))
 # even indices are good; an odd one is refused like an out-of-range one
 MAX_INDEX = (st.integers(0, 256).map(lambda i: str(2 * i)),
              (*integer((0, 512), 512)[1], st.integers(0, 256).map(lambda i: str(2 * i + 1))))
@@ -207,6 +216,9 @@ def argvs(draw, command: str, site: str | None, way: int | None) -> list[str]:
     target = 1 if isinstance(fault, tuple) and fault[0] == "mu" else draw(st.integers(1, 6))
     argv = [command]
     for flag, (good, bads) in options(command, target).items():
+        if flag == "--terms" and "--series" in argv and command == "sum":
+            if argv[argv.index("--series") + 1].startswith(("gupta", "classical")):
+                good = FAR_TERMS
         if flag != site:
             argv += [flag, draw(good)]
         elif way is not None:

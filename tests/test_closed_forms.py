@@ -7,12 +7,19 @@ from hypothesis import example, given, settings, strategies as st
 
 from piforge import closed_forms
 from piforge.closed_forms import power_sums
-from piforge.special_numbers import TableDepthError, bernoulli_numbers, euler_numbers
+from piforge.special_numbers import (
+    MAX_INDEX,
+    TableDepthError,
+    bernoulli_numbers,
+    euler_numbers,
+    number_tables,
+)
 
 from oracles import (
     beta_partial,
     beta_pi_coeff,
     contains,
+    hurwitz_tail,
     pi_multiple_interval,
     power_sums_loop,
     zeta_partial,
@@ -201,3 +208,31 @@ def test_partial_validation(ctx128):
         beta_partial(0, 0, ctx128)
     with pytest.raises(ValueError):
         zeta_partial(0, 10, ctx128)
+
+
+def test_pi_coefficients_match_oracles():
+    """c_q of every q the tables reach: beta(q) up to q = 513 from E_512,
+    zeta(q) up to q = 512 from B_512."""
+    K = MAX_INDEX // 2
+    euler, bern = number_tables(K, K)
+    odd = closed_forms.pi_coefficients(True, 1, K + 1, euler, bern)
+    assert odd == [beta_pi_coeff(m, euler).coeff for m in range(K + 1)]
+    even = closed_forms.pi_coefficients(False, 2, K, euler, bern)
+    assert even == [zeta_pi_coeff(m, bern).coeff for m in range(1, K + 1)]
+
+
+@pytest.mark.parametrize("alternating, q", [(True, 1), (True, 3), (False, 2), (False, 6)])
+@pytest.mark.parametrize("N", [1, 10, 1000, 10**6, 10**12])
+def test_tail_sums_enclose_hurwitz_tails(alternating, q, N):
+    """Each bracket holds the mpmath tail, with any number of terms, the
+    diverging ones included; where the terms fall below a unit it is a few
+    units per term wide."""
+    work, count = 256, 3
+    bern = bernoulli_numbers(40).values
+    for terms in (1, 5, 40):
+        brackets = closed_forms.tail_sums(alternating, q, count, N, work, bern[: terms + 1])
+        for j, (lo, hi) in enumerate(brackets):
+            tail = hurwitz_tail(alternating, q + 2 * j, N, work + 64)
+            assert Fraction(lo, 2**work) <= tail <= Fraction(hi, 2**work), (terms, j)
+            if N >= 1000 and terms == 40:
+                assert hi - lo <= 2 * terms + 4 + work // 16

@@ -4,12 +4,14 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from piforge import gupta_series
+from piforge.closed_forms import power_sums
 from piforge.gupta_series import partial_sum, prefactor, tail_bound
-from piforge.numeric_engine import PrecisionContext
+from piforge.numeric_engine import CertifiedReal, PrecisionContext
 
-from oracles import CLASSICAL_COEFF, contains, inner_poly, widened
+from oracles import CLASSICAL_COEFF, contains, hurwitz_row, inner_poly, widened
 
 small_rationals = st.fractions(
     min_value=Fraction(0), max_value=Fraction(1, 4), max_denominator=10**4
@@ -188,3 +190,112 @@ def test_validation(ctx128):
         partial_sum(1, 0, 0, ctx128)
     with pytest.raises(ValueError):
         partial_sum(7, 0, 10, ctx128)
+
+
+# The two paths of partial_sum: the tail's enclosure (None where the path
+# rule picks the direct walk) and the walk itself.
+def tail(p, k, N, ctx):
+    return gupta_series._tail_sum(p, k, N, prefactor(p, k), ctx)
+
+
+def walk(p, k, N, ctx):
+    return gupta_series._direct_sum(p, k, N, prefactor(p, k), ctx).rounded_to(ctx)
+
+
+@pytest.mark.parametrize("prec", (64, 1024))
+def test_walk_is_narrower_than_W(prec):
+    """The premise of the rounding decision: before its final rounding the
+    walk's enclosure is at most W = 2^-DIRECT_SLACK_BITS units of the
+    context wide, from N = 16 on, at the worst N for their bit length."""
+    ctx = PrecisionContext(prec)
+    W = Fraction(1, 2 ** (ctx.scale + gupta_series.DIRECT_SLACK_BITS))
+    for p, k, N in ((1, 0, 16), (2, 0, 2**14 - 1), (3, 2, 127), (6, 5, 1023), (5, 8, 2**14 - 1)):
+        assert gupta_series._direct_sum(p, k, N, prefactor(p, k), ctx).width <= W
+
+
+def test_settled_decides_only_clear_roundings():
+    """An enclosure settles the walk's rounding only when every walk within
+    W of it rounds alike: not just above a grid point, where the walk's
+    lower bound may fall below it, nor just below one."""
+    ctx, value_ctx = PrecisionContext(64), PrecisionContext(64 + 40)
+    unit = 1 << 40  # one unit of ctx on the scale of value_ctx
+    W = unit >> gupta_series.DIRECT_SLACK_BITS
+    settled = gupta_series._settled
+    mid = CertifiedReal(value_ctx, 5 * unit + unit // 2, 5 * unit + unit // 2 + 1)
+    assert settled(mid, ctx) == CertifiedReal(ctx, 5, 6)
+    for lo in (5 * unit, 5 * unit + W - 1, 6 * unit - W, 6 * unit - 2):
+        assert settled(CertifiedReal(value_ctx, lo, lo + 1), ctx) is None, lo - 5 * unit
+    assert settled(CertifiedReal(value_ctx, 5 * unit + W, 5 * unit + W + 1), ctx) is not None
+
+
+def test_path_rule():
+    """N = 1 walks and N = 10^5 takes the tail at 128 bits; compare's
+    1024-bit rows at N = 100 and 1000 walk, and at 10^4 take the tail."""
+    ctx, wide = PrecisionContext(128), PrecisionContext(1024)
+    for p in range(1, 7):
+        for k in (0, 1, 8):
+            assert tail(p, k, 1, ctx) is None
+            assert tail(p, k, 10**5, ctx) is not None
+    for p, k in ((1, 0), (1, 8), (2, 0), (2, 2)):
+        assert tail(p, k, 100, wide) is None and tail(p, k, 1000, wide) is None
+        assert tail(p, k, 10**4, wide) is not None
+    # orders whose c_q lie past the tables always walk
+    assert gupta_series._tail_terms(2, 256, 10**12, 256) == 0
+
+
+@given(
+    st.integers(1, 6),
+    st.integers(0, 8),
+    st.integers(330, 30_000),
+    st.sampled_from((64, 96, 128, 256, 1024)),
+)
+@example(1, 8, 30_000, 1024)
+@example(3, 2, 65_974, 128)  # a converge-sum deck row the tail leaves to the walk
+@settings(max_examples=20, deadline=None)
+def test_tail_settles_only_to_the_walked_row(p, k, N, prec):
+    """Wherever the rule picks the tail, a rounding it settles is the
+    walk's, and partial_sum returns the walk's row bit for bit."""
+    ctx = PrecisionContext(prec)
+    value = tail(p, k, N, ctx)
+    assume(value is not None)
+    walked = walk(p, k, N, ctx)
+    settled = gupta_series._settled(value, ctx)
+    assert settled is None or settled == walked
+    assert partial_sum(p, k, N, ctx) == walked
+
+
+def test_undecided_rows_walk(monkeypatch):
+    """With W too large to decide any rounding, every row up to the direct
+    limit walks and prints the walk's row, and rows past it keep the
+    tail's own rounding."""
+    ctx = PrecisionContext(128)
+    rows = ((1, 8, 20_000), (6, 5, 40_152), (2, 0, 10**4))
+    expected = [partial_sum(p, k, N, ctx) for p, k, N in rows]
+    far = partial_sum(2, 3, 10**9, ctx)
+    walks = []
+    monkeypatch.setattr(gupta_series, "DIRECT_SLACK_BITS", -64)  # W = 2^64 units
+    monkeypatch.setattr(gupta_series, "power_sums", lambda *a: walks.append(a) or power_sums(*a))
+    for (p, k, N), row in zip(rows, expected):
+        assert gupta_series._settled(tail(p, k, N, ctx), ctx) is None
+        assert partial_sum(p, k, N, ctx) == row == walk(p, k, N, ctx)
+    assert len(walks) == 2 * len(rows)
+    assert partial_sum(2, 3, 10**9, ctx) == far == tail(2, 3, 10**9, ctx).rounded_to(ctx)
+    assert len(walks) == 2 * len(rows)
+
+
+@pytest.mark.parametrize("prec", (128, 1024))
+def test_tail_encloses_hurwitz_row(prec):
+    """The tail's enclosure holds the mpmath row from Hurwitz zeta values
+    at N up to 10^12; past the direct limit it is the row partial_sum
+    returns."""
+    ctx = PrecisionContext(prec)
+    rows = [(1, 8, 10**4), (6, 5, 10**5), (3, 2, 10**7 + 1), (2, 0, 10**9), (5, 3, 10**12)]
+    if prec == 128:
+        rows += [(1, 0, 10**12), (4, 1, 3 * 10**10), (2, 8, 10**6)]
+    for p, k, N in rows:
+        value = tail(p, k, N, ctx)
+        row = hurwitz_row(p, k, N, value.ctx.scale + 64)
+        assert contains(widened(value, Fraction(1, 2 ** (value.ctx.scale + 8))), row), (p, k, N)
+        if N > gupta_series.DIRECT_LIMIT:
+            assert partial_sum(p, k, N, ctx) == value.rounded_to(ctx)
+        assert value.width < Fraction(1, 2 ** (ctx.scale + 16))

@@ -2,9 +2,11 @@
 
 Reports are byte-identical across releases and interpreters: these digests
 are the same on CPython 3.10 to 3.13, and a rewrite of the report rows, the
-identity checks or the JSON writer must keep them.  The set holds the
-README's four commands, ``verify`` in every format for each parity shape,
-pretty ``sum`` runs, ``compare`` tables in csv and pretty that cover
+identity checks, the partial sums or the JSON writer must keep them.  The
+set holds the README's four commands, ``verify`` in every format for each
+parity shape, pretty ``sum`` runs, rows that ``partial_sum`` takes from
+its tail path instead of the term-by-term walk (the digests were taken
+before that path existed), ``compare`` tables in csv and pretty that cover
 every baseline series, ``compare`` tables against pi^3, pi^4 and pi^6,
 ``numbers`` tables of both kinds in every format, up to the index cap, and
 the ``--help`` texts of the parser and of three subcommands.  argparse wraps
@@ -139,6 +141,20 @@ PINNED = [
     (
         "numbers --kind bernoulli --max-index 24 --format pretty",
         "218cfac4cbcd13266efd43f7db9f1ebfa61c24bfea4adb9d31405609ecda7a0f",
+    ),
+    # rows the tail path settles: the deck's widest sum, a converge-sum row
+    # at even p, and a 1024-bit compare with a walked and a tail row per series
+    (
+        "sum --series gupta:p=1,k=8 --terms 100000 --prec 128 --format pretty",
+        "13bc41362e1d14717f23ec24cc3161d4a48e1fcc84b9f5adea0ba240fa855d18",
+    ),
+    (
+        "sum --series gupta:p=6,k=5 --terms 40152 --prec 128 --format pretty",
+        "29607d6b47154d5755b8a7d9942e8cc1d4e568381e451dc8f82945fe31393ccc",
+    ),
+    (
+        "compare --target pi --series gupta:k=8,classical:p=1 --terms 1000,10000 --prec 1024 --format csv",
+        "264c72d6776ba208699434ec95eb19e105af1d5453ad96d8d2273bbaf8b9b30a",
     ),
     ("--help", "5ffb7e4ee03bc677f111d7d8dfd9b261ddd32b5986cb69d3e3e00119c373e314"),
     ("verify --help", "8a6377dd1f508587bb59a987c66601b8de8bdde9b4e1085add1145970241a16e"),
