@@ -17,7 +17,9 @@ both tables: ``number_tables`` builds the Euler table from its even entries
 and the Bernoulli table from its odd ones.  :class:`TableStore` builds them
 on request up to index ``MAX_INDEX = 512``; only :mod:`piforge.cli` prints them.
 ``required_table_k`` is the one depth rule, k + p // 2, of identity (p, k):
-with the cap, it bounds every order the CLI accepts, in every run.
+with the cap, it bounds every order the CLI accepts, in every run.  The cap
+bounds what the CLI accepts, not ``number_tables``: a certified tail in
+``gupta_series`` reads as many Bernoulli numbers as its precision needs.
 """
 
 from __future__ import annotations

@@ -251,6 +251,8 @@ def _tail(mpmath, alternating: bool, q: int, N: int):
     sums of step 4 in the odd bases 2N+1, 2N+5, ... and 2N+3, 2N+7, ..."""
     if not alternating:
         return mpmath.zeta(q, N + 1)
+    if q == 1 and N == 0:  # (psi(3/4) - psi(1/4)) / 4 = pi cot(pi/4) / 4 (DLMF 5.5.4)
+        return mpmath.pi / 4  # digamma at 1/4 takes 40 s at 9,000 bits
     a, b = mpmath.mpf(2 * N + 1) / 4, mpmath.mpf(2 * N + 3) / 4
     return (-1) ** N * (_hurwitz(mpmath, q, a) - _hurwitz(mpmath, q, b)) / mpmath.mpf(4) ** q
 

@@ -192,40 +192,76 @@ def test_validation(ctx128):
         partial_sum(7, 0, 10, ctx128)
 
 
-# The two paths of partial_sum: the tail's enclosure (None where the path
-# rule picks the direct walk) and the walk itself.
+# The two sources of a row's power-sum brackets, on the context partial_sum
+# evaluates both on, each made into the unrounded row by the one Horner
+# evaluation: the tail's (None where the path rule picks the direct walk),
+# widened up to the direct limit, and the walk's.
+def work_context(p, k, N, ctx):
+    bits = N.bit_length() + prefactor(p, k).numerator.bit_length() + 8
+    return PrecisionContext(ctx.precision_bits + bits)
+
+
 def tail(p, k, N, ctx):
-    return gupta_series._tail_sum(p, k, N, prefactor(p, k), ctx)
+    work = work_context(p, k, N, ctx)
+    brackets = gupta_series._tail_brackets(p, k, N, work)
+    return None if brackets is None else gupta_series._row(work, brackets, k, prefactor(p, k))
 
 
 def walk(p, k, N, ctx):
-    return gupta_series._direct_sum(p, k, N, prefactor(p, k), ctx).rounded_to(ctx)
+    work = work_context(p, k, N, ctx)
+    brackets = power_sums(p % 2 == 1, p, k + 1, N, work.scale)
+    return gupta_series._row(work, brackets, k, prefactor(p, k))
 
 
-@pytest.mark.parametrize("prec", (64, 1024))
-def test_walk_is_narrower_than_W(prec):
-    """The premise of the rounding decision: before its final rounding the
-    walk's enclosure is at most W = 2^-DIRECT_SLACK_BITS units of the
-    context wide, from N = 16 on, at the worst N for their bit length."""
+@given(
+    st.integers(1, 6),
+    st.integers(0, 30),
+    st.integers(330, 5_000),
+    st.integers(64, 1024),
+)
+@example(2, 0, 2**12 - 1, 64)  # the widest walk for its N.bit_length()
+@example(6, 30, 5_000, 1024)
+@settings(max_examples=25, deadline=None)
+def test_widened_tail_holds_the_walk(p, k, N, prec):
+    """The premise of the rounding: each tail bracket, widened by N units,
+    holds the walk's, and so the tail's row E holds the walk's unrounded
+    row D on the walk's own scale."""
     ctx = PrecisionContext(prec)
-    W = Fraction(1, 2 ** (ctx.scale + gupta_series.DIRECT_SLACK_BITS))
-    for p, k, N in ((1, 0, 16), (2, 0, 2**14 - 1), (3, 2, 127), (6, 5, 1023), (5, 8, 2**14 - 1)):
-        assert gupta_series._direct_sum(p, k, N, prefactor(p, k), ctx).width <= W
+    work = work_context(p, k, N, ctx)
+    brackets = gupta_series._tail_brackets(p, k, N, work)
+    assume(brackets is not None)
+    walked = power_sums(p % 2 == 1, p, k + 1, N, work.scale)
+    for (lo, hi), (walk_lo, walk_hi) in zip(brackets, walked):
+        assert lo <= walk_lo <= walk_hi <= hi
+    assert contains(tail(p, k, N, ctx), walk(p, k, N, ctx))
 
 
-def test_settled_decides_only_clear_roundings():
-    """An enclosure settles the walk's rounding only when every walk within
-    W of it rounds alike: not just above a grid point, where the walk's
-    lower bound may fall below it, nor just below one."""
-    ctx, value_ctx = PrecisionContext(64), PrecisionContext(64 + 40)
-    unit = 1 << 40  # one unit of ctx on the scale of value_ctx
-    W = unit >> gupta_series.DIRECT_SLACK_BITS
-    settled = gupta_series._settled
-    mid = CertifiedReal(value_ctx, 5 * unit + unit // 2, 5 * unit + unit // 2 + 1)
-    assert settled(mid, ctx) == CertifiedReal(ctx, 5, 6)
-    for lo in (5 * unit, 5 * unit + W - 1, 6 * unit - W, 6 * unit - 2):
-        assert settled(CertifiedReal(value_ctx, lo, lo + 1), ctx) is None, lo - 5 * unit
-    assert settled(CertifiedReal(value_ctx, 5 * unit + W, 5 * unit + W + 1), ctx) is not None
+def test_one_cell_rule():
+    """An enclosure decides the rounding only when both of its ends have one
+    floor and one ceiling on the coarser grid: not with a grid point inside
+    it, nor with an end on one, unless it is that grid point alone."""
+    ctx, fine = PrecisionContext(64), PrecisionContext(64 + 40)
+    unit = 1 << 40  # one unit of ctx on the scale of fine
+    one_cell = gupta_series._one_cell
+    for lo, hi in ((5 * unit - 1, 5 * unit + 1), (5 * unit + 7, 7 * unit - 7)):  # a grid point inside
+        assert not one_cell(CertifiedReal(fine, lo, hi), ctx)
+    for lo, hi in ((5 * unit, 5 * unit + 1), (6 * unit - 1, 6 * unit)):  # an end on a grid point
+        assert not one_cell(CertifiedReal(fine, lo, hi), ctx)
+    inside = CertifiedReal(fine, 5 * unit + 1, 6 * unit - 1)  # strictly inside one cell
+    assert one_cell(inside, ctx) and inside.rounded_to(ctx) == CertifiedReal(ctx, 5, 6)
+    point = CertifiedReal(fine, 5 * unit, 5 * unit)  # one grid point
+    assert one_cell(point, ctx) and point.rounded_to(ctx) == CertifiedReal(ctx, 5, 5)
+
+
+@given(st.integers(-40, 40), st.integers(0, 40), st.data())
+def test_one_cell_rounds_every_inner_enclosure_alike(lo, width, data):
+    """Where the rule holds, every enclosure inside rounds as the outer one."""
+    ctx, fine = PrecisionContext(64), PrecisionContext(64 + 3)
+    outer = CertifiedReal(fine, lo, lo + width)
+    inner_lo = data.draw(st.integers(lo, lo + width))
+    inner = CertifiedReal(fine, inner_lo, data.draw(st.integers(inner_lo, lo + width)))
+    if gupta_series._one_cell(outer, ctx):
+        assert inner.rounded_to(ctx) == outer.rounded_to(ctx)
 
 
 def test_path_rule():
@@ -241,6 +277,8 @@ def test_path_rule():
         assert tail(p, k, 10**4, wide) is not None
     # orders whose c_q lie past the tables always walk
     assert gupta_series._tail_terms(2, 256, 10**12, 256) == 0
+    # the count of terms ends on the cost rule, not at the tables' depth
+    assert gupta_series._tail_terms(1, 0, 10**7 + 1, 9000 + 32 + 24 + 3 + 8) > 256
 
 
 @given(
@@ -250,7 +288,10 @@ def test_path_rule():
     st.sampled_from((64, 96, 128, 256, 1024)),
 )
 @example(1, 8, 30_000, 1024)
-@example(3, 2, 65_974, 128)  # a converge-sum deck row the tail leaves to the walk
+@example(3, 2, 65_974, 128)  # a converge-sum deck row that needed the walk before
+@example(4, 0, 28_523, 128)  # the one such row that still does
+@example(2, 0, 31_312, 128)  # unwidened, the tail would round these two off the walk's
+@example(6, 0, 1_024_231, 128)
 @settings(max_examples=20, deadline=None)
 def test_tail_settles_only_to_the_walked_row(p, k, N, prec):
     """Wherever the rule picks the tail, a rounding it settles is the
@@ -258,40 +299,55 @@ def test_tail_settles_only_to_the_walked_row(p, k, N, prec):
     ctx = PrecisionContext(prec)
     value = tail(p, k, N, ctx)
     assume(value is not None)
-    walked = walk(p, k, N, ctx)
-    settled = gupta_series._settled(value, ctx)
-    assert settled is None or settled == walked
+    walked = walk(p, k, N, ctx).rounded_to(ctx)
+    assert not gupta_series._one_cell(value, ctx) or value.rounded_to(ctx) == walked
     assert partial_sum(p, k, N, ctx) == walked
 
 
 def test_undecided_rows_walk(monkeypatch):
-    """With W too large to decide any rounding, every row up to the direct
-    limit walks and prints the walk's row, and rows past it keep the
-    tail's own rounding."""
+    """With no rounding decided, every row up to the direct limit walks and
+    prints the walk's row, and rows past it keep the tail's own rounding."""
     ctx = PrecisionContext(128)
     rows = ((1, 8, 20_000), (6, 5, 40_152), (2, 0, 10**4))
     expected = [partial_sum(p, k, N, ctx) for p, k, N in rows]
     far = partial_sum(2, 3, 10**9, ctx)
     walks = []
-    monkeypatch.setattr(gupta_series, "DIRECT_SLACK_BITS", -64)  # W = 2^64 units
+    monkeypatch.setattr(gupta_series, "_one_cell", lambda value, ctx: False)
     monkeypatch.setattr(gupta_series, "power_sums", lambda *a: walks.append(a) or power_sums(*a))
     for (p, k, N), row in zip(rows, expected):
-        assert gupta_series._settled(tail(p, k, N, ctx), ctx) is None
-        assert partial_sum(p, k, N, ctx) == row == walk(p, k, N, ctx)
-    assert len(walks) == 2 * len(rows)
+        assert partial_sum(p, k, N, ctx) == row == walk(p, k, N, ctx).rounded_to(ctx)
+    assert len(walks) == len(rows)
     assert partial_sum(2, 3, 10**9, ctx) == far == tail(2, 3, 10**9, ctx).rounded_to(ctx)
-    assert len(walks) == 2 * len(rows)
+    assert len(walks) == len(rows)
 
 
-@pytest.mark.parametrize("prec", (128, 1024))
+def test_deck_rows_walk_only_at_k0(monkeypatch):
+    """The ten converge-sum deck rows (seeds 1-5) that a tail proved only to
+    a k = 0 width left to the walk: each returns the walk's row, and none
+    with k >= 1 walks."""
+    ctx = PrecisionContext(128)
+    rows = [
+        (2, 0, 27189), (3, 2, 65974), (3, 2, 68529), (3, 2, 69187), (4, 0, 28523),
+        (5, 3, 48790), (5, 3, 49103), (5, 3, 50130), (5, 3, 51211), (6, 5, 39859),
+    ]
+    walks = []
+    monkeypatch.setattr(gupta_series, "power_sums", lambda *a: walks.append(a) or power_sums(*a))
+    for p, k, N in rows:
+        assert partial_sum(p, k, N, ctx) == walk(p, k, N, ctx).rounded_to(ctx), (p, k, N)
+    assert all(count == 1 for _, _, count, _, _ in walks)  # k + 1 exponents: k = 0
+
+
+@pytest.mark.parametrize("prec", (128, 1024, 9000))
 def test_tail_encloses_hurwitz_row(prec):
-    """The tail's enclosure holds the mpmath row from Hurwitz zeta values
-    at N up to 10^12; past the direct limit it is the row partial_sum
+    """The tail's row holds the mpmath row from Hurwitz zeta values at N up
+    to 10^12; past the direct limit, unwidened, it is the row partial_sum
     returns."""
     ctx = PrecisionContext(prec)
     rows = [(1, 8, 10**4), (6, 5, 10**5), (3, 2, 10**7 + 1), (2, 0, 10**9), (5, 3, 10**12)]
     if prec == 128:
         rows += [(1, 0, 10**12), (4, 1, 3 * 10**10), (2, 8, 10**6)]
+    if prec == 9000:  # more Euler-Maclaurin terms than the tables' 256 Bernoulli numbers
+        rows = [(1, 0, 10**7 + 1)]
     for p, k, N in rows:
         value = tail(p, k, N, ctx)
         row = hurwitz_row(p, k, N, value.ctx.scale + 64)

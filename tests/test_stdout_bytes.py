@@ -5,8 +5,8 @@ are the same on CPython 3.10 to 3.13, and a rewrite of the report rows, the
 identity checks, the partial sums or the JSON writer must keep them.  The
 set holds the README's four commands, ``verify`` in every format for each
 parity shape, pretty ``sum`` runs, rows that ``partial_sum`` takes from
-its tail path instead of the term-by-term walk (the digests were taken
-before that path existed), ``compare`` tables in csv and pretty that cover
+its tail path instead of the term-by-term walk, or past the walk's reach
+(each digest taken before the evaluation that now prints it), ``compare`` tables in csv and pretty that cover
 every baseline series, ``compare`` tables against pi^3, pi^4 and pi^6,
 ``numbers`` tables of both kinds in every format, up to the index cap, and
 the ``--help`` texts of the parser and of three subcommands.  argparse wraps
@@ -155,6 +155,20 @@ PINNED = [
     (
         "compare --target pi --series gupta:k=8,classical:p=1 --terms 1000,10000 --prec 1024 --format csv",
         "264c72d6776ba208699434ec95eb19e105af1d5453ad96d8d2273bbaf8b9b30a",
+    ),
+    # deck rows whose rounding the tail once left to the walk, at k >= 1,
+    # and a row far past the walk's reach, from the tail alone
+    (
+        "sum --series gupta:p=5,k=3 --terms 50130 --format pretty",
+        "a1df40daf75632e15023ae4bc9898213665607d1e4c869194c38022a693d6a9f",
+    ),
+    (
+        "sum --series gupta:p=3,k=2 --terms 65974 --format csv",
+        "410cff8fbc7ad3268171ff2cd494354c24213bce35c434da53f2221f8e427ef5",
+    ),
+    (
+        "sum --series gupta:p=1,k=8 --terms 1000000000000 --format pretty",
+        "c85bab0d2787adffe31b0134f7fb7c47f8d587115877d4441aa2769b329a27d0",
     ),
     ("--help", "5ffb7e4ee03bc677f111d7d8dfd9b261ddd32b5986cb69d3e3e00119c373e314"),
     ("verify --help", "8a6377dd1f508587bb59a987c66601b8de8bdde9b4e1085add1145970241a16e"),
