@@ -10,22 +10,25 @@ Euler and Bernoulli tables are rebuilt in memory by every run, and nothing
 is read from or written to disk.  ``numbers`` prints their (index, value)
 pairs itself; every other report is rendered by :mod:`piforge.report`.
 
-A run loads only what its subcommand calls: this module imports argument
-parsing and ``special_numbers`` (whose ``MAX_INDEX`` bounds every input), and
-each ``_cmd_*`` the modules it calls.  ``run``, the process entry, freezes
+A run loads only what its subcommand calls: this module imports
+``special_numbers`` (whose ``MAX_INDEX`` bounds every input), and each
+``_cmd_*`` the modules it calls.  ``_GRAMMAR`` holds every subcommand and
+option once.  ``_parse`` reads from it the one shape of a well-formed job,
+and argparse, built from it too, is imported only for anything else (--help,
+abbreviations, --option=value, errors).  ``run``, the process entry, freezes
 the heap once ``main`` returns, so interpreter shutdown does not walk objects
 that die with the process anyway.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
 from collections import namedtuple
 from fractions import Fraction
 from importlib import import_module
+from types import SimpleNamespace
 
 from .special_numbers import MAX_INDEX, TableStore, required_table_k
 
@@ -214,7 +217,7 @@ def _value_row(sel: SeriesSelector, terms: int, value, target, fmt: str):
 # -- subcommands ---------------------------------------------------------------
 
 
-def _cmd_numbers(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_numbers(args) -> tuple[str, int]:
     if args.max_index < 0 or args.max_index % 2 != 0:
         raise ValueError("--max-index must be even and >= 0")
     if args.max_index > MAX_INDEX:
@@ -239,7 +242,7 @@ def _cmd_numbers(args: argparse.Namespace) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_verify(args) -> tuple[str, int]:
     from .exact_verifier import verify_grid
     from .report import ReportRow, render_report, render_signed
 
@@ -262,7 +265,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     return render_report(rows, args.format), 0 if all(check.holds for check in checks) else 1
 
 
-def _cmd_sum(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_sum(args) -> tuple[str, int]:
     from .report import render_report
 
     sel = _parse_series(args.series)
@@ -273,7 +276,7 @@ def _cmd_sum(args: argparse.Namespace) -> tuple[str, int]:
     return render_report(rows, args.format), 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_compare(args) -> tuple[str, int]:
     from .report import align_table, render_report
 
     target_p = _parse_target(args.target)
@@ -312,58 +315,95 @@ def _cmd_compare(args: argparse.Namespace) -> tuple[str, int]:
     return render_report([row for line in lines for row in line], args.format), 0
 
 
-class _Parser(argparse.ArgumentParser):
-    def print_help(self, file=None):  # argparse's own swallows an OSError
-        (file or sys.stdout).write(self.format_help())
+# subcommand: (handler, help, {flag: (int, str or a tuple of choices, default,
+# help)}), the options in the order --help lists them; a default of None
+# marks a required option
+_FORMAT, _WORKERS = (FORMATS, "pretty", None), (int, 1, WORKERS_HELP)
+_GRAMMAR = {
+    "numbers": (_cmd_numbers, "print Euler or Bernoulli tables", {
+        "--kind": (("euler", "bernoulli"), None, None),
+        "--max-index": (int, None, None),
+        "--format": _FORMAT,
+    }),
+    "verify": (_cmd_verify, "exact identity checks over a (p, k) grid", {
+        "--powers": (str, "1-6", "e.g. 1,3,5 or 1-6"),
+        "--k-max": (int, 64, None),
+        "--format": _FORMAT,
+        "--workers": _WORKERS,
+    }),
+    "sum": (_cmd_sum, "certified partial sum of one series", {
+        "--series": (str, None, SERIES_HELP),
+        "--terms": (int, None, None),
+        "--prec": (int, 128, "precision bits"),
+        "--format": _FORMAT,
+        "--workers": _WORKERS,
+    }),
+    "compare": (_cmd_compare, "residual table for several series sharing one target", {
+        "--target": (str, None, "pi, pi^2, ..., pi^6"),
+        "--series": (str, None, "comma-separated selectors"),
+        "--terms": (str, None, "comma-separated term counts"),
+        "--prec": (int, 128, None),
+        "--format": _FORMAT,
+        "--workers": _WORKERS,
+    }),
+}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """argparse's namespace for an argv of a subcommand and then distinct
+    spelled-out ``--option value`` pairs, each value without a leading "-"
+    and read by int() or among the choices, every required option given;
+    None for any other argv, which argparse then parses or refuses."""
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    func, _, options = _GRAMMAR[argv[0]]
+    pairs = dict(zip(argv[1::2], argv[2::2]))
+    if 2 * len(pairs) + 1 != len(argv) or not pairs.keys() <= options.keys():
+        return None  # a flag without a value, a repeated flag or an unknown one
+    args = {"command": argv[0], "func": func}
+    for flag, (kind, default, _) in options.items():
+        value = pairs.get(flag, default)
+        if flag in pairs:
+            if value.startswith("-") or isinstance(kind, tuple) and value not in kind:
+                return None
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    return None
+        elif value is None:
+            return None  # a required option left out
+        args[flag[2:].replace("-", "_")] = value
+    return SimpleNamespace(**args)
+
+
+def _build_parser():
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def print_help(self, file=None):  # argparse's own swallows an OSError
+            (file or sys.stdout).write(self.format_help())
+
     parser = _Parser(
         prog="piforge",
         description="Exact identity verification and certified convergence "
         "measurement for series representations of powers of pi.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    numbers = sub.add_parser("numbers", help="print Euler or Bernoulli tables")
-    numbers.add_argument("--kind", choices=("euler", "bernoulli"), required=True)
-    numbers.add_argument("--max-index", type=int, required=True)
-    numbers.add_argument("--format", choices=FORMATS, default="pretty")
-    numbers.set_defaults(func=_cmd_numbers)
-
-    verify = sub.add_parser("verify", help="exact identity checks over a (p, k) grid")
-    verify.add_argument("--powers", default="1-6", help="e.g. 1,3,5 or 1-6")
-    verify.add_argument("--k-max", type=int, default=64)
-    verify.add_argument("--format", choices=FORMATS, default="pretty")
-    verify.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
-    verify.set_defaults(func=_cmd_verify)
-
-    sum_cmd = sub.add_parser("sum", help="certified partial sum of one series")
-    sum_cmd.add_argument("--series", required=True, help=SERIES_HELP)
-    sum_cmd.add_argument("--terms", type=int, required=True)
-    sum_cmd.add_argument("--prec", type=int, default=128, help="precision bits")
-    sum_cmd.add_argument("--format", choices=FORMATS, default="pretty")
-    sum_cmd.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
-    sum_cmd.set_defaults(func=_cmd_sum)
-
-    compare = sub.add_parser(
-        "compare", help="residual table for several series sharing one target"
-    )
-    compare.add_argument("--target", required=True, help="pi, pi^2, ..., pi^6")
-    compare.add_argument("--series", required=True, help="comma-separated selectors")
-    compare.add_argument("--terms", required=True, help="comma-separated term counts")
-    compare.add_argument("--prec", type=int, default=128)
-    compare.add_argument("--format", choices=FORMATS, default="pretty")
-    compare.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
-    compare.set_defaults(func=_cmd_compare)
-
+    for name, (func, summary, options) in _GRAMMAR.items():
+        command = sub.add_parser(name, help=summary)
+        for flag, (kind, default, help_text) in options.items():
+            typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            given = {"required": True} if default is None else {"default": default}
+            command.add_argument(flag, **typed, **given, help=help_text)
+        command.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)  # --help writes its text here
+    argv = sys.argv[1:] if argv is None else argv
+    try:  # argparse writes --help here
+        args = _parse(argv) or _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code or 0)
     except OSError as exc:

@@ -1,25 +1,25 @@
-"""Exact Euler and Bernoulli number tables from the zigzag numbers.
+"""Exact Euler and Bernoulli number tables from the secant and tangent numbers.
 
-Both families come from one all-integer generator: a Seidel boustrophedon
-over the up/down (zigzag) numbers A_0, A_1, ..., whose exponential
-generating function is sec x + tan x.  The even-index ones are the secant
-numbers and the odd-index ones the tangent numbers, so
+The up/down (zigzag) numbers A_0, A_1, ..., whose exponential generating
+function is sec x + tan x, are the secant numbers S_n = A_2n and the tangent
+numbers T_n = A_(2n-1).  Each parity has its own all-integer recurrence, of
+about K^2/2 small-by-big products for K values (Brent & Harvey, "Fast
+computation of Bernoulli, Tangent and Secant numbers", arXiv:1108.0286):
 
-* Euler numbers:  E_{2n} = (-1)^n A_{2n}.  Odd-index Euler numbers are
+* Euler numbers:  E_{2n} = (-1)^n S_n.  Odd-index Euler numbers are
   identically zero and are not stored.
-* Bernoulli numbers:  B_{2n} = (-1)^(n-1) 2n A_{2n-1} / (4^n (4^n - 1)) for
+* Bernoulli numbers:  B_{2n} = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)) for
   n >= 1, B_0 = 1 and B_1 = -1/2 (all other odd Bernoulli numbers vanish).
 
-Every step is an integer addition; the only division is the final one of
-each Bernoulli number (Brent & Harvey, "Fast computation of Bernoulli,
-Tangent and Secant numbers", arXiv:1108.0286).  One run to index n serves
-both tables: ``number_tables`` builds the Euler table from its even entries
-and the Bernoulli table from its odd ones.  :class:`TableStore` builds them
-on request up to index ``MAX_INDEX = 512``; only :mod:`piforge.cli` prints them.
-``required_table_k`` is the one depth rule, k + p // 2, of identity (p, k):
-with the cap, it bounds every order the CLI accepts, in every run.  The cap
-bounds what the CLI accepts, not ``number_tables``: a certified tail in
-``gupta_series`` reads as many Bernoulli numbers as its precision needs.
+The only division is the final one of each Bernoulli number.
+``number_tables`` runs each recurrence only as deep as its table, so a
+request for one table computes none of the other.  :class:`TableStore`
+builds a table on request up to index ``MAX_INDEX = 512``; only
+:mod:`piforge.cli` prints them.  ``required_table_k`` is the one depth rule,
+k + p // 2, of identity (p, k): with the cap, it bounds every order the CLI
+accepts, in every run.  The cap bounds what the CLI accepts, not
+``number_tables``: a certified tail in ``gupta_series`` reads as many
+Bernoulli numbers as its precision needs.
 """
 
 from __future__ import annotations
@@ -74,26 +74,18 @@ class BernoulliTable(namedtuple("BernoulliTable", "values")):
     b1 = Fraction(-1, 2)
 
 
-def _zigzag(n: int) -> list[int]:
-    """The up/down numbers A_0 .. A_n.
-
-    Each boustrophedon row is 0 followed by the running sums of the previous
-    row read backwards; its last entry is the next A.  Updating one row in
-    place, rather than building a new list per row, keeps the memory
-    allocator from fragmenting: for A_0 .. A_404, peak RSS grows by about
-    0.8 MB instead of 2.6 MB (CPython 3.11, x86-64).
-    """
-    out = [1]
-    row = [1]
-    for _ in range(n):
-        row.reverse()
-        acc = 0
-        for i, value in enumerate(row):
-            acc += value
-            row[i] = acc
-        row.insert(0, 0)
-        out.append(acc)
-    return out
+def _zigzag_parity(K: int, odd: int) -> list[int]:
+    """The secant numbers S_0 .. S_K (odd = 0) or the tangent numbers
+    T_1 .. T_K (odd = 1), as a_0 .. a_(n-1), n = K + 1 - odd: start from
+    a_j = j a_(j-1), then for k = 1 .. n-1 in turn replace a_j by
+    (j - k) a_(j-1) + (j - k + 1 + odd) a_j for j = k .. n-1."""
+    n, a = K + 1 - odd, [1]
+    for j in range(1, n):
+        a.append(j * a[-1])
+    for k in range(1, n):
+        for j in range(k, n):
+            a[j] = (j - k) * a[j - 1] + (j - k + 1 + odd) * a[j]
+    return a[:n]
 
 
 def euler_numbers(K: int) -> EulerTable:
@@ -107,15 +99,14 @@ def bernoulli_numbers(K: int) -> BernoulliTable:
 
 
 def number_tables(k_euler: int, k_bern: int) -> tuple[EulerTable, BernoulliTable]:
-    """E_0 .. E_{2 k_euler} and B_0 .. B_{2 k_bern} from one zigzag run."""
+    """E_0 .. E_{2 k_euler} and B_0 .. B_{2 k_bern}, each from its own parity."""
     if min(k_euler, k_bern) < 0:
         raise ValueError("K must be >= 0")
-    a = _zigzag(max(2 * k_euler, 2 * k_bern - 1))
-    euler = EulerTable(tuple(-a[2 * n] if n % 2 else a[2 * n] for n in range(k_euler + 1)))
+    euler = EulerTable(tuple(-v if n % 2 else v for n, v in enumerate(_zigzag_parity(k_euler, 0))))
     vals = [Fraction(1)]
-    for n in range(1, k_bern + 1):
+    for n, t in enumerate(_zigzag_parity(k_bern, 1), 1):
         four_n = 1 << (2 * n)
-        value = Fraction(2 * n * a[2 * n - 1], four_n * (four_n - 1))
+        value = Fraction(2 * n * t, four_n * (four_n - 1))
         vals.append(value if n % 2 else -value)
     return euler, BernoulliTable(tuple(vals))
 

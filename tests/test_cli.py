@@ -591,28 +591,15 @@ ENTRY = (
 )
 
 
-@pytest.mark.parametrize(
-    "argv, loads, skips",
-    [
-        ("numbers --kind euler --max-index 24 --format csv", {"piforge.special_numbers"},
-         ENGINE | {"json"}),
-        ("numbers --kind bernoulli --max-index 12 --format json", {"piforge.special_numbers"},
-         ENGINE | {"json", "csv"}),
-        ("sum --series gupta:p=2,k=2 --terms 100 --format csv", {"piforge.gupta_series", "csv"},
-         {"piforge.exact_verifier", "piforge.prior_series", "json"}),
-        ("compare --target pi2 --series gupta:k=1,kolbig,alzer-H --terms 10,100 --format json",
-         {"piforge.gupta_series", "piforge.prior_series", "json"},
-         {"piforge.exact_verifier", "csv"}),
-        ("verify --powers 1-6 --k-max 8 --format csv", {"piforge.exact_verifier", "csv"},
-         {"piforge.prior_series", "piforge.numeric_engine", "piforge.gupta_series", "json"}),
-        ("verify --powers 1-6 --k-max 8 --format json", {"piforge.exact_verifier", "json"},
-         {"piforge.prior_series", "piforge.numeric_engine", "piforge.gupta_series", "csv"}),
-    ],
-)
-def test_each_run_loads_only_what_it_calls(argv, loads, skips):
-    """The process entry loads a subcommand's own modules and no others, and
-    freezes the heap before the interpreter exits.  -S keeps the site hooks,
-    which may import json themselves, out of the list."""
+# argument parsing: a well-formed argv never imports argparse, with its
+# gettext and locale
+PARSER = {"argparse", "gettext", "locale"}
+
+
+def run_entry_modules(argv: str) -> tuple[str, bool, set[str]]:
+    """The process entry's stdout for ``argv``, whether it froze the heap, and
+    the modules it loaded.  -S keeps the site hooks, which may import json
+    themselves, out of the list."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     result = subprocess.run(
         [sys.executable, "-S", "-c", ENTRY, *argv.split()],
@@ -623,9 +610,45 @@ def test_each_run_loads_only_what_it_calls(argv, loads, skips):
     )
     assert result.returncode == 0 and result.stdout
     frozen, *modules = result.stderr.split()
-    assert frozen == "True"
-    assert loads <= set(modules)
-    assert not skips & set(modules)
+    return result.stdout, frozen == "True", set(modules)
+
+
+@pytest.mark.parametrize(
+    "argv, loads, skips",
+    [
+        ("numbers --kind euler --max-index 24 --format csv", {"piforge.special_numbers"},
+         ENGINE | PARSER | {"json"}),
+        ("numbers --kind bernoulli --max-index 12 --format json", {"piforge.special_numbers"},
+         ENGINE | PARSER | {"json", "csv"}),
+        ("sum --series gupta:p=2,k=2 --terms 100 --format csv", {"piforge.gupta_series", "csv"},
+         PARSER | {"piforge.exact_verifier", "piforge.prior_series", "json"}),
+        ("compare --target pi2 --series gupta:k=1,kolbig,alzer-H --terms 10,100 --format json",
+         {"piforge.gupta_series", "piforge.prior_series", "json"},
+         PARSER | {"piforge.exact_verifier", "csv"}),
+        ("verify --powers 1-6 --k-max 8 --format csv", {"piforge.exact_verifier", "csv"},
+         PARSER | {"piforge.prior_series", "piforge.numeric_engine", "piforge.gupta_series",
+                   "json"}),
+        ("verify --powers 1-6 --k-max 8 --format json", {"piforge.exact_verifier", "json"},
+         PARSER | {"piforge.prior_series", "piforge.numeric_engine", "piforge.gupta_series",
+                   "csv"}),
+        # --help and an abbreviated flag go to argparse
+        ("sum --help", {"argparse"}, {"piforge.gupta_series", "piforge.exact_verifier"}),
+        ("sum --series gupta:p=2,k=2 --term 100 --format csv",
+         {"argparse", "piforge.gupta_series", "csv"},
+         {"piforge.exact_verifier", "piforge.prior_series", "json"}),
+    ],
+)
+def test_each_run_loads_only_what_it_calls(argv, loads, skips):
+    """The process entry loads a subcommand's own modules and no others, and
+    freezes the heap before the interpreter exits.  argparse parses only what
+    the fast path declines, and an abbreviation prints what its spelled-out
+    form prints."""
+    stdout, frozen, modules = run_entry_modules(argv)
+    assert frozen
+    assert loads <= modules
+    assert not skips & modules
+    if " --term " in argv:
+        assert stdout == run_entry_modules(argv.replace(" --term ", " --terms "))[0]
 
 
 def test_package_import_loads_no_submodule():

@@ -2,7 +2,8 @@
 returns 0, 1 or 2, lets no exception escape, returns 1 only from ``verify``,
 says what was wrong in one located ``piforge: error:`` line (or in
 argparse's usage error) whenever it returns 2, and prints the same bytes
-when a run that returned 0 is repeated.
+when a run that returned 0 is repeated.  The same argvs, and near misses,
+go to the fast parser, which must return argparse's namespace or decline.
 
 The grammar covers every subcommand, option, format and series kind, with
 missing, repeated, unknown and empty selector keys, commas inside and between
@@ -36,6 +37,7 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
+from piforge.cli import _build_parser, _parse
 from piforge.gupta_series import DIRECT_LIMIT
 
 PER_SITE = 3  # 360 examples, about 5 s in one child process (CPython 3.11.7, 2 cores)
@@ -280,6 +282,50 @@ def fuzz(per_site: int, derandomize: bool) -> None:
                     suppress_health_check=list(HealthCheck))
     for site in SITES:
         each(given(argvs(*site))(runs))()
+
+
+# argvs the fast path must decline: an option with "=", an abbreviation, a
+# repeated option, -h, negative values, another subcommand's option, a
+# required option left out, and nothing at all
+NEAR_MISSES = [
+    ["sum", "--series", "gupta:p=1,k=2", "--terms=5"],
+    ["sum", "--series", "gupta:p=1,k=2", "--term", "5"],
+    ["verify", "--k-max", "3", "--k-max", "4"],
+    ["verify", "-h"],
+    ["sum", "--series", "gupta:p=1,k=2", "--terms", "-5"],
+    ["verify", "--powers", "-1-6"],
+    ["numbers", "--kind", "euler", "--max-index", "4", "--terms", "5"],
+    ["sum", "--terms", "5"],
+    [],
+]
+
+
+def argparse_vars(argv: list[str]) -> dict | None:
+    """vars() of argparse's namespace for ``argv``, None where it refuses."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(_build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def check_parse(argv: list[str], well_formed: bool) -> None:
+    fast = _parse(argv)
+    assert fast is not None or not well_formed, argv
+    if fast is not None:
+        assert vars(fast) == argparse_vars(argv), argv
+
+
+def test_fast_parse_is_argparse_or_declines():
+    """``_parse`` returns exactly argparse's namespace, ``func`` included, or
+    declines; on every argv of the grammar, and on near misses, which it must
+    decline.  The argvs that go wrong nowhere it must accept."""
+    assert not any(_parse(argv) for argv in NEAR_MISSES)
+    each = settings(max_examples=PER_SITE, deadline=None, database=None, derandomize=True,
+                    suppress_health_check=list(HealthCheck))
+    for command, site, way in SITES:
+        well_formed = site is None and command in COMMANDS
+        each(given(argvs(command, site, way))(lambda argv: check_parse(argv, well_formed)))()
 
 
 def test_cli_grammar_fuzz():

@@ -93,9 +93,24 @@ def test_integer_ratio_matches_fraction_oracle(cap_tables):
         assert check.holds
 
 
-def test_row_is_scaled_binomials():
-    for n, row in zip(range(1, 514, 2), exact_verifier._rows()):
-        assert row == [comb(n, i) << (n - i) for i in range(n + 1)]
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(-(10**40), 10**40), min_size=1, max_size=40),
+    st.integers(0, 3),
+    st.sampled_from([1, 0]),
+)
+def test_triangle_levels_are_the_direct_sums(table, first, odd):
+    """Every level n of the triangle, up to the top L = 2 len(table) - 1 and
+    even n too, is the sum over m >= first of C(n, 2m) 2^(n-2m) v_m (odd) or
+    C(n, 2m) 4^m v_m (even): so at odd p the shift by L - n is exact at every
+    level."""
+    top = 2 * len(table) - 1
+    direct = [
+        sum(comb(n, 2 * m) * v << (n - 2 * m if odd else 2 * m)
+            for m, v in enumerate(table[: n // 2 + 1]) if m >= first)
+        for n in range(1, top + 1)
+    ]
+    assert list(exact_verifier._dot_products(table, first, odd)) == direct
 
 
 def test_integer_form_of_both_tables(cap_tables):

@@ -58,11 +58,17 @@ def reference_bernoulli(K: int) -> list[Fraction]:
 
 
 @pytest.mark.parametrize("K", [0, 1, 2, 256])
-def test_zigzag_tables_match_recurrences(K):
+def test_secant_and_tangent_tables_match_recurrences(K, monkeypatch):
     euler_ref, bern_ref = brute_force_euler(K + 3), reference_bernoulli(K + 3)
+    # each table runs the generator of its own parity, the secant numbers for
+    # the Euler table and the tangent numbers for the Bernoulli table, only
+    # as deep as that table: a request for one table computes none of the other
+    depths, generator = [], special_numbers._zigzag_parity
+    monkeypatch.setattr(special_numbers, "_zigzag_parity",
+                        lambda n, odd: depths.append((n, odd)) or generator(n, odd))
     assert list(euler_numbers(K).values) == euler_ref[: K + 1]
     assert list(bernoulli_numbers(K).values) == bern_ref[: K + 1]
-    # one zigzag run serves both tables, whichever of them needs the longer run
+    assert depths == [(K, 0), (0, 1), (0, 0), (K, 1)]
     for k_euler, k_bern in ((K, K + 3), (K + 3, K)):
         euler, bern = number_tables(k_euler, k_bern)
         assert list(euler.values) == euler_ref[: k_euler + 1]

@@ -58,9 +58,6 @@ ALLOWED_MEMBERS = {
     # perfbench/layers.py COUNTED_OPS counts it and its microbenchmark times
     # it; it is the layer-by-layer operation the ROADMAP's north star names.
     "PrecisionContext.from_rational",
-    # argparse's --help action calls it; cli._Parser overrides it so that a
-    # help text the device refuses raises instead of vanishing.
-    "_Parser.print_help",
 }
 
 # The dunders each class may define.  Construction (``__new__``,
