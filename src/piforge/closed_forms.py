@@ -8,6 +8,9 @@ certified expansion.
     S_q(N) = sum_{n<=N} sign_n / base_n^q
 
 for several exponents q, q+2, q+4, ... in one pure-integer pass over n.
+The parity of q picks the series, here and in every function below: odd q
+sums the alternating series over the odd bases 2n-1, with sign (-1)^(n+1),
+and even q the plain series over the bases n.
 The terms split into sign classes (odd and even n for the alternating
 series, one positive class otherwise), and each class is walked in blocks
 of ``BLOCK`` bases: one ``map`` gives floor(2**work / base**q) for the
@@ -127,18 +130,13 @@ def _floor_sums(bases: range, q: int, count: int, one: int) -> list[int]:
     return sums
 
 
-def power_sums(
-    alternating: bool, q: int, count: int, N: int, work: int
-) -> list[tuple[int, int]]:
-    """Integer brackets ``(lo, hi)`` of 2**work * S_{q+2j}(N) for j < count.
-
-    The base sequence is 2n-1 with sign (-1)^(n+1) when ``alternating``,
-    else n with sign +1; q must be at least 1.  Each bracket is at most N
-    units wide."""
+def power_sums(q: int, count: int, N: int, work: int) -> list[tuple[int, int]]:
+    """Integer brackets ``(lo, hi)`` of 2**work * S_{q+2j}(N) for j < count,
+    q >= 1; each is at most N units wide."""
     if q < 1:
         raise ValueError("q must be >= 1")
     one = 1 << work
-    if alternating:
+    if q % 2:
         classes = ((range(1, 2 * N, 4), False), (range(3, 2 * N, 4), True))
     else:
         classes = ((range(1, N + 1), False),)
@@ -158,18 +156,18 @@ def power_sums(
     return list(zip(lo, hi))
 
 
-def pi_coefficients(alternating: bool, q: int, count: int, euler, bernoulli) -> list[Fraction]:
+def pi_coefficients(q: int, count: int, table) -> list[Fraction]:
     """The exact c_e with S_e(infinity) = c_e * pi^e, for e = q, q+2, ...,
-    q + 2(count-1): from ``euler.values`` for the alternating sums (odd
-    e), from ``bernoulli.values`` for the plain ones (even e >= 2)."""
+    q + 2(count-1), from ``table.values``: the Euler numbers for odd q, the
+    Bernoulli numbers for even q >= 2."""
     coefficients = []
     for e in range(q, q + 2 * count, 2):
-        m = e // 2
-        if alternating:
-            coefficients.append(Fraction(abs(euler.values[m]), (1 << (e + 1)) * factorial(e - 1)))
+        value = table.values[e // 2]
+        if q % 2:
+            coefficients.append(Fraction(abs(value), (1 << (e + 1)) * factorial(e - 1)))
         else:
-            value = (1 << (e - 1)) * bernoulli.values[m] / factorial(e)
-            coefficients.append(value if m % 2 else -value)
+            value = (1 << (e - 1)) * value / factorial(e)
+            coefficients.append(value if e % 4 else -value)
     return coefficients
 
 
@@ -179,15 +177,14 @@ def _floor_ceil(num: int, den: int, work: int) -> tuple[int, int]:
     return f, f + (r != 0)
 
 
-def tail_sums(
-    alternating: bool, q: int, count: int, N: int, work: int, bernoulli: tuple
-) -> list[tuple[int, int]]:
+def tail_sums(q: int, count: int, N: int, work: int, bernoulli: tuple) -> list[tuple[int, int]]:
     """Integer brackets ``(lo, hi)`` of 2**work * R_{q+2j}(N) for j < count,
     the tails past n = N of the sums ``power_sums`` walks, from the
     Euler-Maclaurin expansion of the module docstring with the Bernoulli
     numbers ``bernoulli`` = (B_0, B_2, ..., B_2M), M >= 1: each tail takes
     terms until one is below a unit, or M of them.  q >= 2 for the plain
     sums."""
+    alternating = q % 2
     y, h_bits = (2 * N + 1, 2) if alternating else (N + 1, 0)
 
     def diff(r: int) -> tuple[int, int]:  # D_r(y) as (numerator, denominator)

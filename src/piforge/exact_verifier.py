@@ -30,10 +30,11 @@ c_0 = sum_i C(n, i) c_i of the start: 2^(L-n) F(n) for odd p, so F is an
 exact shift of it, and F(n) for even p.  The triangle forms no big-by-big
 product.  At one n, k + s = (n-1)/2 is fixed, so the families of one parity
 read suffixes of the same sum: p = 1, 3, 5 from m = 0, 1, 2 and p = 2, 4, 6
-from m = 1, 2, 3.  The triangle starts at the smallest requested s, and each
-larger s subtracts its at most two head terms.  ``verify_grid``, the one
-entry point, runs one triangle per requested parity.  Running the grid over
-many k extends the published hand checks (k <= 4) to arbitrary order.
+from m = 1, 2, 3, and share the scale of n.  The triangle starts at the
+smallest requested s, and each larger s subtracts its at most two head
+terms.  ``verify_grid``, the one entry point, runs one triangle per parity
+and reads each family's checks from it in order of k.  Running the grid
+over many k extends the published hand checks (k <= 4) to arbitrary order.
 """
 
 from __future__ import annotations
@@ -88,28 +89,27 @@ def _integer_form(table: EulerTable | BernoulliTable) -> tuple[int, list[int]]:
 
 
 def _checks(
-    group: list[int], form: tuple[int, list[int]], odd: int, k_max: int
-) -> list[IdentityCheck]:
-    """The checks of the families of one parity, one per shift s of ``group``
-    (ascending; p = 2s + odd) and k = 0..k_max, at each odd n from one
-    triangle over the integer form of that parity's table."""
+    powers: list[int], form: tuple[int, list[int]], k_max: int
+) -> dict[int, list[IdentityCheck]]:
+    """The checks of ``powers``, ascending and of one parity, each for
+    k = 0..k_max in order, from one triangle over the integer form of that
+    parity's table: identity (p, k) reads F at n = 2t + 1, t = k + p // 2."""
     common, scaled = form
-    first, checks = group[0], []
-    for n, full in enumerate(_dot_products(scaled, first, odd), 1):
-        top = n // 2
-        live = [s for s in group if top - k_max <= s <= top] if n % 2 else []
-        if not live:
-            continue
-        scale = common * factorial(n) << (n + 1 if odd else 0)
-        for s in live:
+    odd, first = powers[0] % 2, powers[0] // 2
+    full = list(_dot_products(scaled, first, odd))[::2]  # F(2t + 1) at t
+    scales = [common * factorial(2 * t + 1) << (2 * t + 2 if odd else 0) for t in range(len(full))]
+    checks = {}
+    for p in powers:
+        s, checks[p] = p // 2, []
+        for t in range(s, s + k_max + 1):
+            n = 2 * t + 1
             heads = (comb(n, 2 * m) * scaled[m] << (n - 2 * m if odd else 2 * m)
                      for m in range(first, s))
-            total = (-1) ** (s + odd + 1) * ((full - sum(heads)) >> 1)
-            p, k = 2 * s + odd, top - s
-            pref = prefactor(p, k)
-            num, den = pref.numerator * total, pref.denominator * scale
+            total = (-1) ** (s + odd + 1) * ((full[t] - sum(heads)) >> 1)
+            pref = prefactor(p, t - s)
+            num, den = pref.numerator * total, pref.denominator * scales[t]
             ratio = Fraction(1) if num == den else Fraction(num, den)
-            checks.append(IdentityCheck(p, k, ratio, num == den))
+            checks[p].append(IdentityCheck(p, t - s, ratio, num == den))
     return checks
 
 
@@ -123,20 +123,15 @@ def verify_grid(powers: Iterable[int], k_max: int) -> list[IdentityCheck]:
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    shift = {p: required_table_k(p, 0) for p in set(powers)}
-    if not shift:
-        return []
-    # the shifts s of the requested odd and even families, and the table
-    # order each parity needs (0 for a parity nobody asked for)
-    groups = [sorted(s for p, s in shift.items() if p % 2 == odd) for odd in (1, 0)]
-    depths = [k_max + group[-1] if group else 0 for group in groups]
+    powers = sorted(set(powers))
+    # the table order each parity needs (0 for a parity nobody asked for)
+    groups = [[p for p in powers if p % 2 == odd] for odd in (1, 0)]
+    depths = [max((required_table_k(p, k_max) for p in group), default=0) for group in groups]
     for kind, K in zip(("euler", "bernoulli"), depths):
         if 2 * K > MAX_INDEX:
             raise TableDepthError(kind, 2 * K, MAX_INDEX)
-    forms = map(_integer_form, number_tables(*depths))
-    checks = []
-    for group, form, odd in zip(groups, forms, (1, 0)):
+    checks = {}
+    for group, table in zip(groups, number_tables(*depths)):
         if group:
-            checks += _checks(group, form, odd, k_max)
-    checks.sort(key=lambda check: (check.p, check.k))
-    return checks
+            checks.update(_checks(group, _integer_form(table), k_max))
+    return [check for p in powers for check in checks[p]]

@@ -163,11 +163,10 @@ def _tail_brackets(p: int, k: int, N: int, work: PrecisionContext) -> list[tuple
     terms = _tail_terms(p, k, N, work.scale)
     if not terms:
         return None
-    alternating = p % 2 == 1
-    top = required_table_k(p, k)  # the deepest c_q reads E_2top or B_2top
-    euler, bernoulli = number_tables(top if alternating else 0, max(terms, top))
-    coeffs = pi_coefficients(alternating, p, k + 1, euler, bernoulli)
-    tails = tail_sums(alternating, p, k + 1, N, work.scale, bernoulli.values[: terms + 1])
+    top = required_table_k(p, k)  # the deepest c_q reads E_2top (odd p) or B_2top
+    euler, bernoulli = number_tables(top, terms) if p % 2 else number_tables(0, max(terms, top))
+    coeffs = pi_coefficients(p, k + 1, euler if p % 2 else bernoulli)
+    tails = tail_sums(p, k + 1, N, work.scale, bernoulli.values[: terms + 1])
     power, pi2 = work.pi_power(p), work.pi_power(2)
     lo, hi = power.lo_m, power.hi_m  # of pi^q, all bounds positive
     slack = N if N <= DIRECT_LIMIT else 0  # so that each holds the walk's bracket
@@ -198,5 +197,5 @@ def partial_sum(p: int, k: int, N: int, ctx: PrecisionContext) -> CertifiedReal:
         row = _row(work, brackets, k, pref)
         if N > DIRECT_LIMIT or _one_cell(row, ctx):
             return row.rounded_to(ctx)
-    walked = power_sums(p % 2 == 1, p, k + 1, N, work.scale)
+    walked = power_sums(p, k + 1, N, work.scale)
     return _row(work, walked, k, pref).rounded_to(ctx)

@@ -18,9 +18,12 @@ evaluated by integer fixed-point summation of the alternating arctan
 series with explicit bookkeeping of every floor-division error, so the
 returned enclosure is rigorous without reference to any series under
 study elsewhere in this package.  Its powers are the bracket's bounds
-raised to the power, which is outward because pi > 0.  Each call computes
-its value afresh and nothing is cached: a command asks once for the one
-power it compares against.
+raised to the power, which is outward because pi > 0.  Nothing is cached:
+a command asks once for the power it compares against, and a gupta row, on
+its work context, once per Horner evaluation (``inv_pi_squared``) and, on
+the tail path, for the pi^p and pi^2 of its heads: one Machin run for a
+walked row, three for a tail row, four where the tail leaves the row to the
+walk.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ __all__ = [
 
 
 GUARD_BITS = 32
+_PI_GUARD = 48  # Machin work bits past the scale; sound with any number
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -202,12 +206,15 @@ def _arctan_inv_mantissas(q: int, work: int) -> tuple[int, int]:
         power //= q2
         sign = -sign
         i += 1
+    # Each term is a nested floor, under a unit off, and the tail under a
+    # unit: the loss is below i + 1 units, so a narrower slack down to that
+    # passes every test too.  Budget shrinks stay proof-only.
     slack = 3 * i + 4
     return acc - slack, acc + slack
 
 
 def _pi_mantissas(scale: int) -> tuple[int, int]:
-    work = scale + 48
+    work = scale + _PI_GUARD
     lo5, hi5 = _arctan_inv_mantissas(5, work)
     lo239, hi239 = _arctan_inv_mantissas(239, work)
     lo = 16 * lo5 - 4 * hi239

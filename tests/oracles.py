@@ -158,7 +158,7 @@ def beta_partial(k: int, N: int, ctx: PrecisionContext) -> TailedInterval:
     if N < 1:
         raise ValueError("N must be >= 1")
     power = 2 * k + 1
-    [(lo, hi)] = power_sums(True, power, 1, N, ctx.scale)
+    [(lo, hi)] = power_sums(power, 1, N, ctx.scale)
     tail = Fraction(1, (2 * N + 1) ** power)
     return TailedInterval(CertifiedReal(ctx, lo, hi), tail)
 
@@ -171,7 +171,7 @@ def zeta_partial(k: int, N: int, ctx: PrecisionContext) -> TailedInterval:
         raise ValueError("k must be >= 1")
     if N < 1:
         raise ValueError("N must be >= 1")
-    [(lo, hi)] = power_sums(False, 2 * k, 1, N, ctx.scale)
+    [(lo, hi)] = power_sums(2 * k, 1, N, ctx.scale)
     tail = Fraction(1, (2 * k - 1) * N ** (2 * k - 1))
     return TailedInterval(CertifiedReal(ctx, lo, hi), tail)
 

@@ -130,65 +130,64 @@ def test_partials_equal_per_term_interval_sums(ctx128):
 
 
 def test_power_sums_bracket_exact_sums():
+    """Odd q sums the alternating series over the odd bases, even q the
+    plain one."""
     work = 64
-    for alternating in (True, False):
-        for q, count, N in ((1, 3, 1), (2, 4, 7), (3, 2, 40)):
-            brackets = power_sums(alternating, q, count, N, work)
-            assert len(brackets) == count
-            for j, (lo, hi) in enumerate(brackets):
-                exact = sum(
-                    Fraction(
-                        -1 if alternating and n % 2 == 0 else 1,
-                        (2 * n - 1 if alternating else n) ** (q + 2 * j),
-                    )
-                    for n in range(1, N + 1)
+    for q, count, N in ((1, 3, 1), (2, 4, 7), (3, 2, 40), (4, 2, 40)):
+        alternating = q % 2 == 1
+        brackets = power_sums(q, count, N, work)
+        assert len(brackets) == count
+        for j, (lo, hi) in enumerate(brackets):
+            exact = sum(
+                Fraction(
+                    -1 if alternating and n % 2 == 0 else 1,
+                    (2 * n - 1 if alternating else n) ** (q + 2 * j),
                 )
-                assert lo <= exact * 2**work <= hi
-                assert hi - lo <= N
+                for n in range(1, N + 1)
+            )
+            assert lo <= exact * 2**work <= hi
+            assert hi - lo <= N
     # dyadic terms stay exact: 1 + 1/4 at j = 0, 1 + 1/16 at j = 1
-    assert power_sums(False, 2, 2, 2, 8) == [(320, 320), (272, 272)]
-    assert power_sums(True, 1, 1, 1, 8) == [(256, 256)]
+    assert power_sums(2, 2, 2, 8) == [(320, 320), (272, 272)]
+    assert power_sums(1, 1, 1, 8) == [(256, 256)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    alternating=st.booleans(),
     q=st.integers(min_value=1, max_value=17),
     count=st.integers(min_value=0, max_value=9),
     N=st.integers(min_value=0, max_value=3000),
     work=st.integers(min_value=0, max_value=420),
 )
-@example(alternating=True, q=3, count=4, N=255, work=200)
-@example(alternating=True, q=3, count=4, N=256, work=200)
-@example(alternating=True, q=3, count=4, N=257, work=200)
-@example(alternating=True, q=3, count=4, N=511, work=200)
-@example(alternating=True, q=3, count=4, N=512, work=200)
-@example(alternating=True, q=3, count=4, N=513, work=200)
-@example(alternating=True, q=3, count=4, N=1025, work=200)
-@example(alternating=False, q=2, count=4, N=255, work=200)
-@example(alternating=False, q=2, count=4, N=256, work=200)
-@example(alternating=False, q=2, count=4, N=257, work=200)
-@example(alternating=False, q=2, count=4, N=511, work=200)
-@example(alternating=False, q=2, count=4, N=512, work=200)
-@example(alternating=False, q=2, count=4, N=513, work=200)
-@example(alternating=False, q=2, count=4, N=1025, work=200)
+@example(q=3, count=4, N=255, work=200)
+@example(q=3, count=4, N=256, work=200)
+@example(q=3, count=4, N=257, work=200)
+@example(q=3, count=4, N=511, work=200)
+@example(q=3, count=4, N=512, work=200)
+@example(q=3, count=4, N=513, work=200)
+@example(q=3, count=4, N=1025, work=200)
+@example(q=2, count=4, N=255, work=200)
+@example(q=2, count=4, N=256, work=200)
+@example(q=2, count=4, N=257, work=200)
+@example(q=2, count=4, N=511, work=200)
+@example(q=2, count=4, N=512, work=200)
+@example(q=2, count=4, N=513, work=200)
+@example(q=2, count=4, N=1025, work=200)
 # 8**2 = 2**6: exact at j = 0 with work 6, inexact at j = 1 and with work 5
-@example(alternating=False, q=2, count=2, N=8, work=6)
-@example(alternating=False, q=2, count=2, N=8, work=5)
+@example(q=2, count=2, N=8, work=6)
+@example(q=2, count=2, N=8, work=5)
 # the widest converge-sum cell, gupta p = 1, k = 8 at N = 10**5
-@example(alternating=True, q=1, count=9, N=100000, work=252)
-def test_power_sums_equals_loop_oracle(alternating, q, count, N, work):
-    assert power_sums(alternating, q, count, N, work) == power_sums_loop(
-        alternating, q, count, N, work
-    )
+@example(q=1, count=9, N=100000, work=252)
+def test_power_sums_equals_loop_oracle(q, count, N, work):
+    assert power_sums(q, count, N, work) == power_sums_loop(q % 2 == 1, q, count, N, work)
 
 
 def test_power_sums_empty_cases():
-    for alternating in (True, False):
-        assert power_sums(alternating, 3, 4, 0, 64) == [(0, 0)] * 4
-        assert power_sums(alternating, 3, 0, 1000, 64) == []
+    for q in (3, 4):
+        assert power_sums(q, 4, 0, 64) == [(0, 0)] * 4
+        assert power_sums(q, 0, 1000, 64) == []
     with pytest.raises(ValueError):
-        power_sums(True, 0, 1, 10, 64)
+        power_sums(0, 1, 10, 64)
 
 
 @pytest.mark.parametrize("block", [1, 7, 256])
@@ -196,11 +195,9 @@ def test_power_sums_independent_of_block_size(monkeypatch, block):
     """The grid crosses block edges in both classes of the alternating
     series (each holds about N/2 bases) and in the one even class."""
     monkeypatch.setattr(closed_forms, "BLOCK", block)
-    for alternating in (True, False):
-        for q in (1, 2, 5):
-            for N in (1, 6, 14, 15, 300, 513, 600):
-                args = (alternating, q, 3, N, 150)
-                assert power_sums(*args) == power_sums_loop(*args)
+    for q in (1, 2, 5, 6):
+        for N in (1, 6, 14, 15, 300, 513, 600):
+            assert power_sums(q, 3, N, 150) == power_sums_loop(q % 2 == 1, q, 3, N, 150)
 
 
 def test_partial_validation(ctx128):
@@ -215,22 +212,22 @@ def test_pi_coefficients_match_oracles():
     zeta(q) up to q = 512 from B_512."""
     K = MAX_INDEX // 2
     euler, bern = number_tables(K, K)
-    odd = closed_forms.pi_coefficients(True, 1, K + 1, euler, bern)
+    odd = closed_forms.pi_coefficients(1, K + 1, euler)
     assert odd == [beta_pi_coeff(m, euler).coeff for m in range(K + 1)]
-    even = closed_forms.pi_coefficients(False, 2, K, euler, bern)
+    even = closed_forms.pi_coefficients(2, K, bern)
     assert even == [zeta_pi_coeff(m, bern).coeff for m in range(1, K + 1)]
 
 
 @pytest.mark.parametrize("alternating, q", [(True, 1), (True, 3), (False, 2), (False, 6)])
 @pytest.mark.parametrize("N", [1, 10, 1000, 10**6, 10**12])
 def test_tail_sums_enclose_hurwitz_tails(alternating, q, N):
-    """Each bracket holds the mpmath tail, with any number of terms, the
-    diverging ones included; where the terms fall below a unit it is a few
-    units per term wide."""
+    """Each bracket holds the mpmath tail of the series the parity of q
+    picks, with any number of terms, the diverging ones included; where the
+    terms fall below a unit it is a few units per term wide."""
     work, count = 256, 3
     bern = bernoulli_numbers(40).values
     for terms in (1, 5, 40):
-        brackets = closed_forms.tail_sums(alternating, q, count, N, work, bern[: terms + 1])
+        brackets = closed_forms.tail_sums(q, count, N, work, bern[: terms + 1])
         for j, (lo, hi) in enumerate(brackets):
             tail = hurwitz_tail(alternating, q + 2 * j, N, work + 64)
             assert Fraction(lo, 2**work) <= tail <= Fraction(hi, 2**work), (terms, j)

@@ -209,7 +209,7 @@ def tail(p, k, N, ctx):
 
 def walk(p, k, N, ctx):
     work = work_context(p, k, N, ctx)
-    brackets = power_sums(p % 2 == 1, p, k + 1, N, work.scale)
+    brackets = power_sums(p, k + 1, N, work.scale)
     return gupta_series._row(work, brackets, k, prefactor(p, k))
 
 
@@ -230,7 +230,7 @@ def test_widened_tail_holds_the_walk(p, k, N, prec):
     work = work_context(p, k, N, ctx)
     brackets = gupta_series._tail_brackets(p, k, N, work)
     assume(brackets is not None)
-    walked = power_sums(p % 2 == 1, p, k + 1, N, work.scale)
+    walked = power_sums(p, k + 1, N, work.scale)
     for (lo, hi), (walk_lo, walk_hi) in zip(brackets, walked):
         assert lo <= walk_lo <= walk_hi <= hi
     assert contains(tail(p, k, N, ctx), walk(p, k, N, ctx))
@@ -279,6 +279,32 @@ def test_path_rule():
     assert gupta_series._tail_terms(2, 256, 10**12, 256) == 0
     # the count of terms ends on the cost rule, not at the tables' depth
     assert gupta_series._tail_terms(1, 0, 10**7 + 1, 9000 + 32 + 24 + 3 + 8) > 256
+
+
+@pytest.mark.parametrize(
+    "p, k, N, prec, orders",
+    [
+        # odd p: the Euler numbers its c_q read, and the Bernoulli numbers
+        # its 50 tail terms read, not k + p // 2 = 200 of them
+        (1, 200, 10**12, 256, (200, 50)),
+        # even p: one table, as deep as the c_q or the tail reach
+        (2, 200, 10**12, 256, (0, 201)),
+        (4, 3, 10**12, 128, (0, 5)),
+        (1, 8, 10**5, 128, (8, 9)),
+    ],
+)
+def test_tail_asks_for_the_tables_it_reads(monkeypatch, p, k, N, prec, orders):
+    """A tail row asks ``number_tables`` once, for the Euler numbers of its
+    c_q (odd p) and for no Bernoulli number past what its c_q (even p) and
+    its tail's term count read."""
+    requests = []
+    tables = gupta_series.number_tables
+    monkeypatch.setattr(gupta_series, "number_tables", lambda *a: requests.append(a) or tables(*a))
+    ctx = PrecisionContext(prec)
+    partial_sum(p, k, N, ctx)
+    terms = gupta_series._tail_terms(p, k, N, work_context(p, k, N, ctx).scale)
+    assert requests == [orders]
+    assert orders[1] == (terms if p % 2 else max(terms, k + p // 2))
 
 
 @given(
@@ -334,7 +360,7 @@ def test_deck_rows_walk_only_at_k0(monkeypatch):
     monkeypatch.setattr(gupta_series, "power_sums", lambda *a: walks.append(a) or power_sums(*a))
     for p, k, N in rows:
         assert partial_sum(p, k, N, ctx) == walk(p, k, N, ctx).rounded_to(ctx), (p, k, N)
-    assert all(count == 1 for _, _, count, _, _ in walks)  # k + 1 exponents: k = 0
+    assert all(count == 1 for _, count, _, _ in walks)  # k + 1 exponents: k = 0
 
 
 @pytest.mark.parametrize("prec", (128, 1024, 9000))

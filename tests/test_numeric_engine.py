@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from piforge import numeric_engine
 from piforge.numeric_engine import GUARD_BITS, CertifiedReal, PrecisionContext
 
 from conftest import PI_100_DIGITS
@@ -92,6 +93,36 @@ def test_pi_powers_against_mpmath(bits):
             assert contains(power, value)  # no wider than p interval products
             power = power * pi
     assert contains(ctx.inv_pi_squared(), inv_pi2_ref)
+
+
+# Work bits from 96 to 4,096: both ends, powers of two and their neighbours.
+MACHIN_BITS = [96, 97, 127, 128, 129, 200, 256, 511, 1000, 1024, 2048, 3001, 4095, 4096]
+
+
+@pytest.mark.parametrize("q", [5, 239])
+def test_arctan_bracket_bounds_against_mpmath(q):
+    """Each bound of arctan(1/q) * 2^w lies on its own side of mpmath's value
+    at 2w bits, which is within 2^-w of the true value."""
+    mpmath = pytest.importorskip("mpmath")
+    for w in MACHIN_BITS:
+        lo, hi = numeric_engine._arctan_inv_mantissas(q, w)
+        with mpmath.workprec(2 * w):
+            ref = _mpf_fraction(mpmath.atan(mpmath.mpf(1) / q)) * 2**w
+        assert lo <= ref, (q, w)
+        assert ref <= hi, (q, w)
+
+
+def test_pi_bracket_bounds_without_guard_bits(monkeypatch):
+    """With no work bits past the scale, the arctan slack reaches the
+    returned bounds, so each side tests the Machin budget itself."""
+    mpmath = pytest.importorskip("mpmath")
+    monkeypatch.setattr(numeric_engine, "_PI_GUARD", 0)
+    for s in MACHIN_BITS:
+        lo, hi = numeric_engine._pi_mantissas(s)
+        with mpmath.workprec(2 * s):
+            ref = _mpf_fraction(+mpmath.pi) * 2**s
+        assert lo <= ref, s
+        assert ref <= hi, s
 
 
 def test_pi_power_consistency(ctx128):
