@@ -1,7 +1,8 @@
-"""The paper's prefactors, read by both the exact verifier and the numeric
-series, and the two integer kernels behind every partial sum in piforge:
-the finite power sums walked term by term, and their tails from a
-certified expansion.
+"""The paper's prefactors, prefactor(p, k) = 2^((n+1) [p odd]) n! / tau_p(k)
+with n = 2k + 2 floor(p/2) + 1 and ``tau`` a small rational in k and
+y = 4^(k+1) (``exact_verifier`` checks identity (p, k) as T = D tau_p(k)),
+and the two integer kernels behind every partial sum in piforge: the finite
+power sums walked term by term, and their tails from a certified expansion.
 
 ``power_sums`` brackets the finite left-hand sides
 
@@ -84,36 +85,43 @@ from operator import floordiv, mul
 
 from .exact_core import factorial
 
-__all__ = ["pi_coefficients", "power_sums", "prefactor", "tail_sums"]
+__all__ = ["pi_coefficients", "power_sums", "prefactor", "tail_sums", "tau"]
 
 # Bases per block: large enough that the per-block Python overhead is small,
 # small enough that a block of floors at 1024 bits stays a fraction of a MB.
 BLOCK = 256
 
 
-def prefactor(p: int, k: int) -> Fraction:
-    """Exact rational multiplier of family p at truncation order k."""
+# tau_p(k) as (numerator, denominator), from k and y = 4^(k+1)
+_TAU = {
+    1: lambda k, y: (1, 1),
+    3: lambda k, y: (y - 1, 1),
+    5: lambda k, y: (y * (2 * k * k + 9 * k + 6) + 1, 1),
+    2: lambda k, y: (k + 1, 1),
+    4: lambda k, y: (2 * (k + 1) * (k + 2), 3),
+    6: lambda k, y: (8 * (k + 1) * (k + 2) * (k + 3) * (k + 5), 45),
+}
+
+
+def _tau_pair(p: int, k: int) -> tuple[int, int]:
     if k < 0:
         raise ValueError("k must be >= 0")
-    if p == 1:
-        return Fraction((1 << (2 * k + 2)) * factorial(2 * k + 1))
-    if p == 3:
-        return Fraction(
-            (1 << (2 * k + 4)) * factorial(2 * k + 3), (1 << (2 * k + 2)) - 1
-        )
-    if p == 5:
-        den = ((1 << (2 * k + 2)) * (2 * k * k + 9 * k + 6)) + 1
-        return Fraction((1 << (2 * k + 6)) * factorial(2 * k + 5), den)
-    if p == 2:
-        return Fraction(2 * (2 * k + 3) * factorial(2 * k + 1))
-    if p == 4:
-        return Fraction(6 * (2 * k + 5) * (2 * k + 3) * factorial(2 * k + 1))
-    if p == 6:
-        return Fraction(
-            45 * (2 * k + 7) * (2 * k + 5) * (2 * k + 3) * factorial(2 * k + 1),
-            k + 5,
-        )
-    raise ValueError(f"power p must be in 1..6, got {p}")
+    if p not in _TAU:
+        raise ValueError(f"power p must be in 1..6, got {p}")
+    return _TAU[p](k, 4 << 2 * k)
+
+
+def tau(p: int, k: int) -> Fraction:
+    """tau_p(k) of family p at truncation order k (module docstring)."""
+    return Fraction(*_tau_pair(p, k))
+
+
+def prefactor(p: int, k: int) -> Fraction:
+    """Exact rational multiplier of family p at truncation order k:
+    2^((n+1) [p odd]) n! / tau_p(k), n = 2k + 2 floor(p/2) + 1."""
+    num, den = _tau_pair(p, k)
+    n = 2 * k + p // 2 * 2 + 1
+    return Fraction(factorial(n) * den << (n + 1) * (p % 2), num)
 
 
 def _floor_sums(bases: range, q: int, count: int, one: int) -> list[int]:

@@ -2,18 +2,15 @@
 
 piforge's exact arithmetic is Python's built-in ``int`` and
 ``fractions.Fraction``, used directly.  This module only memoizes
-factorials (up to roughly ``(2k+2s+1)!`` for the verifier and ``(2k+5)!``
-for the prefactors) in a plain dict, up to a configurable input cap.
+factorials (the n! of each prefactor, n = 2k + 2 floor(p/2) + 1, and those
+of the series' coefficients) in a plain dict, up to a configurable input cap.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = [
-    "factorial",
-    "set_memo_cap",
-]
+__all__ = ["factorial", "set_memo_cap"]
 
 DEFAULT_MEMO_CAP = 4096
 

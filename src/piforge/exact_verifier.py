@@ -7,20 +7,21 @@ prefactor(p, k) * sum_{j=0}^{k} (-1)^j c(j+s) / (2k-2j+1)! == 1, where c is
 the odd-power (Euler-number) coefficient and s = (p-1)/2 for odd p, and the
 even-power (Bernoulli-number) coefficient and s = p/2 for even p.  With
 m = j + s and n = 2k + 2s + 1 each summand has the denominator
-(2m)! (n-2m)!, so the sum times its scale is an integer T.  Every identity
-with the same n reads one dot product of binomials and the table, over
-m = s..k+s, and T is half of it:
+(2m)! (n-2m)!, and prefactor(p, k) = 2^((n+1) [p odd]) n! / tau_p(k) with
+the small rational ``closed_forms.tau``, so identity (p, k) reads
+T = D tau_p(k) for the integer T, half a dot product of binomials and the
+table over m = s..k+s:
 
-    odd p:   T = (-1)^s     1/2 F_s(n),  F_s(n) = sum_m C(n, 2m) 2^(n-2m) E_2m,  scale = 2^(n+1) n!
-    even p:  T = (-1)^(s-1) 1/2 F_s(n),  F_s(n) = sum_m C(n, 2m) 4^m B_2m D,    scale = D n!
+    odd p:   T = (-1)^s     1/2 F_s(n),  F_s(n) = sum_m C(n, 2m) 2^(n-2m) E_2m
+    even p:  T = (-1)^(s-1) 1/2 F_s(n),  F_s(n) = sum_m C(n, 2m) 4^m B_2m D
 
 with the signed Euler numbers and D the lcm of the denominators of the whole
 Bernoulli table (D = 1 for the Euler table, whose values are ints, so one
 integer form (D, [v D]) serves both).  Every term is even, so the halving is
-exact.  The identity holds iff prefactor * T == scale: one integer
-cross-multiplication, with no tolerance anywhere.  A larger D multiplies T
-and the scale alike, so the reported ratio, the one Fraction built per
-identity, does not depend on it.
+exact.  The check is one comparison of integers, T tau.denominator ==
+D tau.numerator, with no tolerance and no factorial.  The reported ratio,
+the one Fraction built per identity, is T / (D tau_p(k)), which a larger D
+does not change.
 
 Every F of one parity comes from one triangle of additions, a binomial
 transform: put each table value v_m at index i = 2m, times 2^(L-i) for odd p
@@ -30,11 +31,11 @@ c_0 = sum_i C(n, i) c_i of the start: 2^(L-n) F(n) for odd p, so F is an
 exact shift of it, and F(n) for even p.  The triangle forms no big-by-big
 product.  At one n, k + s = (n-1)/2 is fixed, so the families of one parity
 read suffixes of the same sum: p = 1, 3, 5 from m = 0, 1, 2 and p = 2, 4, 6
-from m = 1, 2, 3, and share the scale of n.  The triangle starts at the
-smallest requested s, and each larger s subtracts its at most two head
-terms.  ``verify_grid``, the one entry point, runs one triangle per parity
-and reads each family's checks from it in order of k.  Running the grid
-over many k extends the published hand checks (k <= 4) to arbitrary order.
+from m = 1, 2, 3.  The triangle starts at the smallest requested s, and
+each larger s subtracts its at most two head terms.  ``verify_grid``, the
+one entry point, runs one triangle per parity and reads each family's
+checks from it in order of k.  Running the grid over many k extends the
+published hand checks (k <= 4) to arbitrary order.
 """
 
 from __future__ import annotations
@@ -45,8 +46,7 @@ from fractions import Fraction
 from math import comb, lcm
 from operator import add
 
-from .closed_forms import prefactor
-from .exact_core import factorial
+from .closed_forms import tau
 from .special_numbers import (
     MAX_INDEX,
     BernoulliTable,
@@ -56,11 +56,7 @@ from .special_numbers import (
     required_table_k,
 )
 
-__all__ = [
-    "IdentityCheck",
-    "required_table_k",
-    "verify_grid",
-]
+__all__ = ["IdentityCheck", "required_table_k", "verify_grid"]
 
 
 class IdentityCheck(namedtuple("IdentityCheck", "p k ratio holds")):
@@ -97,7 +93,6 @@ def _checks(
     common, scaled = form
     odd, first = powers[0] % 2, powers[0] // 2
     full = list(_dot_products(scaled, first, odd))[::2]  # F(2t + 1) at t
-    scales = [common * factorial(2 * t + 1) << (2 * t + 2 if odd else 0) for t in range(len(full))]
     checks = {}
     for p in powers:
         s, checks[p] = p // 2, []
@@ -106,10 +101,9 @@ def _checks(
             heads = (comb(n, 2 * m) * scaled[m] << (n - 2 * m if odd else 2 * m)
                      for m in range(first, s))
             total = (-1) ** (s + odd + 1) * ((full[t] - sum(heads)) >> 1)
-            pref = prefactor(p, t - s)
-            num, den = pref.numerator * total, pref.denominator * scales[t]
-            ratio = Fraction(1) if num == den else Fraction(num, den)
-            checks[p].append(IdentityCheck(p, t - s, ratio, num == den))
+            target = tau(p, t - s)
+            num, den = total * target.denominator, common * target.numerator
+            checks[p].append(IdentityCheck(p, t - s, Fraction(num, den), num == den))
     return checks
 
 

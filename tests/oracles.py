@@ -29,7 +29,16 @@ operation that only the tests need.
 * ``power_sums_loop``, the per-term ``divmod`` loop that
   ``closed_forms.power_sums`` replaces: it tests every remainder where the
   kernel sums whole blocks and counts the inexact terms.
-* The ``Fraction`` oracle of each check of ``exact_verifier.verify_grid``.
+* ``printed_prefactor``, the paper's six prefactors as printed, one
+  formula per power: the reference of ``closed_forms.prefactor`` and of the
+  ``Fraction`` oracle of each check of ``exact_verifier.verify_grid``.
+* tau_p(k) = 2^((n+1) [p odd]) n! / prefactor(p, k) twice more, each
+  independent of ``closed_forms.tau``: ``fit_tau`` solves for it as a
+  polynomial in k and y = 4^(k+1) from the tables, by exact Gaussian
+  elimination, and ``tau_from_lemmas`` expands it from the two classical
+  lemmas the verifier's dot products reduce to.
+* ``arctan_inv_bracket``, an exact bracket of arctan(1/q) from two partial
+  sums of its Taylor series, the reference of the Machin kernel.
 * The inner polynomial of the six families and the numeric residual of a
   partial sum against pi^p.
 * ``hurwitz_tail`` and ``hurwitz_row``, the tails R_q(N) and a family's
@@ -53,7 +62,7 @@ import pytest
 from piforge.closed_forms import power_sums
 from piforge.exact_core import factorial
 from piforge.exact_verifier import required_table_k
-from piforge.gupta_series import partial_sum, prefactor
+from piforge.gupta_series import partial_sum
 from piforge.numeric_engine import CertifiedReal, PrecisionContext
 from piforge.special_numbers import BernoulliTable, EulerTable, TableDepthError
 
@@ -223,9 +232,119 @@ def reduction_summands(p, k, euler=None, bern=None) -> list[Fraction]:
     ]
 
 
+def printed_prefactor(p: int, k: int) -> Fraction:
+    """The exact rational multiplier of family p at truncation order k, one
+    formula per power as the paper prints them."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if p == 1:
+        return Fraction((1 << (2 * k + 2)) * factorial(2 * k + 1))
+    if p == 3:
+        return Fraction(
+            (1 << (2 * k + 4)) * factorial(2 * k + 3), (1 << (2 * k + 2)) - 1
+        )
+    if p == 5:
+        den = ((1 << (2 * k + 2)) * (2 * k * k + 9 * k + 6)) + 1
+        return Fraction((1 << (2 * k + 6)) * factorial(2 * k + 5), den)
+    if p == 2:
+        return Fraction(2 * (2 * k + 3) * factorial(2 * k + 1))
+    if p == 4:
+        return Fraction(6 * (2 * k + 5) * (2 * k + 3) * factorial(2 * k + 1))
+    if p == 6:
+        return Fraction(
+            45 * (2 * k + 7) * (2 * k + 5) * (2 * k + 3) * factorial(2 * k + 1),
+            k + 5,
+        )
+    raise ValueError(f"power p must be in 1..6, got {p}")
+
+
 def oracle_ratio(p, k, euler=None, bern=None) -> Fraction:
-    """prefactor * sum of the oracle summands: 1 iff the identity holds."""
-    return prefactor(p, k) * sum(reduction_summands(p, k, euler, bern))
+    """The printed prefactor times the sum of the oracle summands: 1 iff the
+    identity holds."""
+    return printed_prefactor(p, k) * sum(reduction_summands(p, k, euler, bern))
+
+
+# -- tau_p(k) from the tables and from the lemmas ----------------------------
+#
+# A polynomial in k and y = 4^(k+1) is a dict {(a, b): c} of its nonzero
+# coefficients c of k^a y^b.
+
+TAU_MONOMIALS = [(a, b) for b in (0, 1) for a in range(5)]
+
+
+def tau_from_tables(p: int, k: int, euler, bern) -> Fraction:
+    """2^((n+1) [p odd]) n! times the sum of the oracle summands,
+    n = 2k + 2 floor(p/2) + 1: tau_p(k) wherever identity (p, k) holds."""
+    n = 2 * required_table_k(p, k) + 1
+    return (factorial(n) << (n + 1) * (p % 2)) * sum(reduction_summands(p, k, euler, bern))
+
+
+def poly_value(poly: dict, k: int) -> Fraction:
+    """The polynomial at k, with y = 4^(k+1)."""
+    y = 4 ** (k + 1)
+    return sum((c * k**a * y**b for (a, b), c in poly.items()), Fraction(0))
+
+
+def fit_tau(values: list[Fraction]) -> dict:
+    """The one polynomial over ``TAU_MONOMIALS`` (k^a y^b, a <= 4, b <= 1)
+    that takes the ten ``values`` at k = 0..9, by exact Gaussian elimination
+    over Q.  The ten monomials solve one linear recurrence of order ten, with
+    characteristic polynomial (x - 1)^5 (x - 4)^5, so their values at ten
+    consecutive k are independent and the fit is unique."""
+    size = len(TAU_MONOMIALS)
+    rows = [
+        [Fraction(k**a * 4 ** ((k + 1) * b)) for a, b in TAU_MONOMIALS] + [Fraction(v)]
+        for k, v in enumerate(values)
+    ]
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(size):
+            if r != col and rows[r][col]:
+                rows[r] = [x - rows[r][col] * z for x, z in zip(rows[r], rows[col])]
+    return {m: row[-1] for m, row in zip(TAU_MONOMIALS, rows) if row[-1]}
+
+
+def _poly_add(f: dict, g: dict, scale=1) -> dict:
+    out = dict(f)
+    for m, c in g.items():
+        out[m] = out.get(m, 0) + scale * c
+    return {m: c for m, c in out.items() if c}
+
+
+def _poly_mul(f: dict, g: dict) -> dict:
+    out: dict = {}
+    for (a, b), c in f.items():
+        for (a2, b2), c2 in g.items():
+            out[a + a2, b + b2] = out.get((a + a2, b + b2), 0) + c * c2
+    return {m: c for m, c in out.items() if c}
+
+
+# E_0, E_2 and B_0, B_2, B_4: every head term the six families subtract
+LEMMA_HEADS = {1: (Fraction(1), Fraction(-1)), 0: (Fraction(1), Fraction(1, 6), Fraction(-1, 30))}
+
+
+def tau_from_lemmas(p: int) -> dict:
+    """T / D of identity (p, k) as a polynomial in k and y = 4^(k+1):
+    sign (lemma - heads) / 2, with n = 2k + 2s + 1, s = floor(p/2), the
+    sign (-1)^s for odd p and (-1)^(s-1) for even p, and the lemmas
+
+        sum_m C(n, 2m) 2^(n-2m) E_2m = 2,   sum_m C(n, 2m) 4^m B_2m = n
+
+    for odd n, from sech x sinh 2x = 2 sinh x and x coth x sinh x = x cosh x,
+    whose first s terms are the heads.  For odd p, 2^(n-2m) = 2^(2s-1-2m) y."""
+    s, odd = p // 2, p % 2
+    n = {(1, 0): Fraction(2), (0, 0): Fraction(2 * s + 1)}
+    total = {(0, 0): Fraction(2)} if odd else n
+    for m in range(s):
+        head = {(0, 0): LEMMA_HEADS[odd][m] / factorial(2 * m)}
+        for i in range(2 * m):  # C(n, 2m) = n (n-1) ... (n-2m+1) / (2m)!
+            head = _poly_mul(head, _poly_add(n, {(0, 0): Fraction(-i)}))
+        power = {(0, 1): Fraction(2 ** (2 * s - 1 - 2 * m))} if odd else {(0, 0): Fraction(4**m)}
+        total = _poly_add(total, _poly_mul(head, power), -1)
+    sign = (-1) ** (s + odd + 1)
+    return {m: sign * c / 2 for m, c in total.items()}
 
 
 def inner_poly(k: int, x: Fraction) -> Fraction:
@@ -279,7 +398,7 @@ def hurwitz_row(p: int, k: int, N: int, bits: int) -> Fraction:
     prefactor * sum_j (-1)^j pi^(-2j) S_(p+2j)(N) / (2k-2j+1)!."""
     mpmath = pytest.importorskip("mpmath")
     alternating = p % 2 == 1
-    pref = prefactor(p, k)
+    pref = printed_prefactor(p, k)
     with mpmath.workprec(bits):
         total = sum(
             (-1 / mpmath.pi**2) ** j
@@ -288,6 +407,21 @@ def hurwitz_row(p: int, k: int, N: int, bits: int) -> Fraction:
             for j, q in enumerate(range(p, p + 2 * k + 1, 2))
         )
         return _exact(total * pref.numerator / pref.denominator)
+
+
+def arctan_inv_bracket(q: int, work: int) -> tuple[Fraction, Fraction]:
+    """Exact bounds lo < arctan(1/q) < hi with hi - lo < 2^(-2 work), q >= 2:
+    two consecutive partial sums S_i of sum_i (-1)^i / ((2i+1) q^(2i+1)),
+    whose terms fall, so that S_(2m+1) < arctan(1/q) < S_(2m).  It stops at
+    the first term below 2^(-2 work)."""
+    bound = Fraction(1, 1 << 2 * work)
+    total, i = Fraction(0), 0
+    while True:
+        term = Fraction(1, (2 * i + 1) * q ** (2 * i + 1))
+        previous, total = total, total - term if i % 2 else total + term
+        if term < bound:
+            return (total, previous) if i % 2 else (previous, total)
+        i += 1
 
 
 def residual_numeric(p: int, k: int, N: int, ctx: PrecisionContext) -> CertifiedReal:

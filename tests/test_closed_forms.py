@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,12 +17,18 @@ from piforge.special_numbers import (
 )
 
 from oracles import (
+    LEMMA_HEADS,
     beta_partial,
     beta_pi_coeff,
     contains,
+    fit_tau,
     hurwitz_tail,
     pi_multiple_interval,
+    poly_value,
     power_sums_loop,
+    printed_prefactor,
+    tau_from_lemmas,
+    tau_from_tables,
     zeta_partial,
     zeta_pi_coeff,
 )
@@ -233,3 +240,62 @@ def test_tail_sums_enclose_hurwitz_tails(alternating, q, N):
             assert Fraction(lo, 2**work) <= tail <= Fraction(hi, 2**work), (terms, j)
             if N >= 1000 and terms == 40:
                 assert hi - lo <= 2 * terms + 4 + work // 16
+
+
+# -- the prefactors as one formula over the table tau -------------------------
+
+POWERS = range(1, 7)
+TAU_K_MAX = 256
+
+
+def test_prefactor_equals_the_printed_formulas():
+    for p in POWERS:
+        for k in range(TAU_K_MAX + 1):
+            assert closed_forms.prefactor(p, k) == printed_prefactor(p, k), (p, k)
+
+
+@pytest.fixture(scope="module")
+def fitted_tau():
+    """tau_p fitted from the tables at k = 0..9, and the table values at
+    k = 0..40 it was fitted and is confirmed on."""
+    euler, bern = euler_numbers(43), bernoulli_numbers(43)
+    values = {p: [tau_from_tables(p, k, euler, bern) for k in range(41)] for p in POWERS}
+    return {p: fit_tau(values[p][:10]) for p in POWERS}, values
+
+
+def test_tau_fitted_from_the_tables(fitted_tau):
+    """The fit through k = 0..9 holds at k = 10..40, and it is the tau table
+    of closed_forms at every k <= 256: as both are combinations of the ten
+    monomials k^a y^b, agreeing at ten consecutive k makes them one."""
+    fits, values = fitted_tau
+    for p in POWERS:
+        for k in range(10, 41):
+            assert poly_value(fits[p], k) == values[p][k], (p, k)
+        for k in range(TAU_K_MAX + 1):
+            assert poly_value(fits[p], k) == closed_forms.tau(p, k), (p, k)
+    assert fits[5] == {(0, 0): 1, (0, 1): 6, (1, 1): 9, (2, 1): 2}  # 4^(k+1)(2k^2+9k+6) + 1
+    # 8 (k+1)(k+2)(k+3)(k+5) / 45
+    assert fits[6] == {(a, 0): Fraction(c, 45) for a, c in enumerate((240, 488, 328, 88, 8))}
+
+
+def test_tau_from_the_lemmas(fitted_tau):
+    """Each family's T / D, expanded from the two lemmas, is the fitted tau_p
+    coefficient by coefficient, so identity (p, k) holds at every k once the
+    lemmas do; with one coefficient perturbed, the polynomial misses the
+    tables' tau_p at some k <= 40."""
+    fits, values = fitted_tau
+    for p in POWERS:
+        assert tau_from_lemmas(p) == fits[p], p
+        for m in fits[p]:
+            perturbed = fits[p] | {m: fits[p][m] + 1}
+            assert any(poly_value(perturbed, k) != values[p][k] for k in range(41)), (p, m)
+
+
+def test_lemmas_hold_on_the_tables():
+    """The trusted base, on every odd n the capped tables reach."""
+    K = MAX_INDEX // 2
+    euler, bern = number_tables(K, K)
+    assert LEMMA_HEADS[1] == euler.values[:2] and LEMMA_HEADS[0] == bern.values[:3]
+    for n in range(1, 2 * K + 2, 2):
+        assert sum(comb(n, 2 * m) * 2 ** (n - 2 * m) * euler.values[m] for m in range(n // 2 + 1)) == 2
+        assert sum(comb(n, 2 * m) * 4**m * bern.values[m] for m in range(n // 2 + 1)) == n

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from piforge import gupta_series
-from piforge.closed_forms import power_sums
+from piforge.closed_forms import power_sums, tau
 from piforge.gupta_series import partial_sum, prefactor, tail_bound
 from piforge.numeric_engine import CertifiedReal, PrecisionContext
 
@@ -57,10 +57,11 @@ def test_prefactor_k0_collapse():
 
 
 def test_prefactor_validation():
-    with pytest.raises(ValueError):
-        prefactor(7, 0)
-    with pytest.raises(ValueError):
-        prefactor(2, -1)
+    for f in (prefactor, tau):
+        with pytest.raises(ValueError):
+            f(7, 0)
+        with pytest.raises(ValueError):
+            f(2, -1)
 
 
 @given(small_rationals)

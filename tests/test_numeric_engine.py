@@ -9,7 +9,7 @@ from piforge import numeric_engine
 from piforge.numeric_engine import GUARD_BITS, CertifiedReal, PrecisionContext
 
 from conftest import PI_100_DIGITS
-from oracles import contains, quotient, widened
+from oracles import arctan_inv_bracket, contains, quotient, widened
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=10**4
@@ -110,6 +110,18 @@ def test_arctan_bracket_bounds_against_mpmath(q):
             ref = _mpf_fraction(mpmath.atan(mpmath.mpf(1) / q)) * 2**w
         assert lo <= ref, (q, w)
         assert ref <= hi, (q, w)
+
+
+@pytest.mark.parametrize("q", [5, 239])
+def test_arctan_bracket_bounds_against_fractions(q):
+    """Each bound of arctan(1/q) * 2^w lies on its own side of an exact
+    bracket of arctan(1/q), two partial sums of its Taylor series less than
+    2^-2w apart."""
+    for w in MACHIN_BITS:
+        lo, hi = numeric_engine._arctan_inv_mantissas(q, w)
+        below, above = arctan_inv_bracket(q, w)
+        assert Fraction(lo, 1 << w) <= below, (q, w)
+        assert above <= Fraction(hi, 1 << w), (q, w)
 
 
 def test_pi_bracket_bounds_without_guard_bits(monkeypatch):
