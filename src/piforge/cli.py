@@ -93,7 +93,7 @@ def _parse_target(text: str) -> int:
     name = text.strip().lower().replace("^", "")
     if name == "pi":
         return 1
-    if name.startswith("pi") and name[2:].isdigit():
+    if name.startswith("pi") and name[2:].isdecimal():
         p = int(name[2:])
         if 1 <= p <= 6:
             return p

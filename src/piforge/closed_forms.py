@@ -1,8 +1,13 @@
-"""The paper's prefactors, prefactor(p, k) = 2^((n+1) [p odd]) n! / tau_p(k)
-with n = 2k + 2 floor(p/2) + 1 and ``tau`` a small rational in k and
-y = 4^(k+1) (``exact_verifier`` checks identity (p, k) as T = D tau_p(k)),
-and the two integer kernels behind every partial sum in piforge: the finite
-power sums walked term by term, and their tails from a certified expansion.
+"""The paper's prefactors, prefactor(p, k) = 2^((n+1) [p odd]) n! / tau_p(k),
+n = 2k + 2s + 1, s = floor(p/2), with tau_p(k) read off two lemmas for odd n,
+sum_m C(n, 2m) 2^(n-2m) E_2m = 2 and sum_m C(n, 2m) 4^m B_2m = n (DLMF
+24.2.1, 24.2.6), the whole trusted base: family p sums the terms m >= s of
+the first for odd p, of the second for even p (``exact_verifier``), so
+tau_p(k) = (-1)^(s+1-[p odd]) (c - H) / 2, c the lemma's value and
+H = ``head_sum`` its s head terms, from E_0, E_2, B_0, B_2, B_4 built here,
+never from a table under test.  Also here: the two integer kernels behind
+every partial sum, the finite power sums walked term by term, and their
+tails from a certified expansion.
 
 ``power_sums`` brackets the finite left-hand sides
 
@@ -84,44 +89,39 @@ from math import comb
 from operator import floordiv, mul
 
 from .exact_core import factorial
+from .special_numbers import integer_form, number_tables, required_table_k
 
-__all__ = ["pi_coefficients", "power_sums", "prefactor", "tail_sums", "tau"]
+__all__ = ["head_sum", "pi_coefficients", "power_sums", "prefactor", "tail_sums", "tau"]
 
 # Bases per block: large enough that the per-block Python overhead is small,
 # small enough that a block of floors at 1024 bits stays a fraction of a MB.
 BLOCK = 256
 
 
-# tau_p(k) as (numerator, denominator), from k and y = 4^(k+1)
-_TAU = {
-    1: lambda k, y: (1, 1),
-    3: lambda k, y: (y - 1, 1),
-    5: lambda k, y: (y * (2 * k * k + 9 * k + 6) + 1, 1),
-    2: lambda k, y: (k + 1, 1),
-    4: lambda k, y: (2 * (k + 1) * (k + 2), 3),
-    6: lambda k, y: (8 * (k + 1) * (k + 2) * (k + 3) * (k + 5), 45),
-}
+# E_0, E_2 and B_0, B_2, B_4 in integer form, by p % 2: the heads tau subtracts
+_HEADS = [integer_form(table) for table in reversed(number_tables(1, 2))]
 
 
-def _tau_pair(p: int, k: int) -> tuple[int, int]:
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if p not in _TAU:
-        raise ValueError(f"power p must be in 1..6, got {p}")
-    return _TAU[p](k, 4 << 2 * k)
+def head_sum(n: int, values: list[int], heads: range, odd: int) -> int:
+    """The terms m in ``heads`` of the lemma sum at n over ``values``:
+    sum C(n, 2m) 2^(n-2m) v_m for odd p, sum C(n, 2m) 4^m v_m for even p."""
+    return sum(comb(n, 2 * m) * values[m] << (n - 2 * m if odd else 2 * m) for m in heads)
 
 
 def tau(p: int, k: int) -> Fraction:
-    """tau_p(k) of family p at truncation order k (module docstring)."""
-    return Fraction(*_tau_pair(p, k))
+    """tau_p(k) of family p at truncation order k: half its lemma's value
+    less its s = p // 2 head terms, signed (module docstring)."""
+    n, s, odd = 2 * required_table_k(p, k) + 1, p // 2, p % 2
+    common, values = _HEADS[odd]
+    total = (2 if odd else n) * common - head_sum(n, values, range(s), odd)
+    return Fraction((-1) ** (s + odd + 1) * total, 2 * common)
 
 
 def prefactor(p: int, k: int) -> Fraction:
     """Exact rational multiplier of family p at truncation order k:
     2^((n+1) [p odd]) n! / tau_p(k), n = 2k + 2 floor(p/2) + 1."""
-    num, den = _tau_pair(p, k)
-    n = 2 * k + p // 2 * 2 + 1
-    return Fraction(factorial(n) * den << (n + 1) * (p % 2), num)
+    target, n = tau(p, k), 2 * required_table_k(p, k) + 1
+    return Fraction(factorial(n) * target.denominator << (n + 1) * (p % 2), target.numerator)
 
 
 def _floor_sums(bases: range, q: int, count: int, one: int) -> list[int]:

@@ -8,20 +8,21 @@ the odd-power (Euler-number) coefficient and s = (p-1)/2 for odd p, and the
 even-power (Bernoulli-number) coefficient and s = p/2 for even p.  With
 m = j + s and n = 2k + 2s + 1 each summand has the denominator
 (2m)! (n-2m)!, and prefactor(p, k) = 2^((n+1) [p odd]) n! / tau_p(k) with
-the small rational ``closed_forms.tau``, so identity (p, k) reads
-T = D tau_p(k) for the integer T, half a dot product of binomials and the
-table over m = s..k+s:
+``closed_forms.tau``, so identity (p, k) reads T = D tau_p(k) for the
+integer T, half a dot product of binomials and the table over m = s..k+s:
 
     odd p:   T = (-1)^s     1/2 F_s(n),  F_s(n) = sum_m C(n, 2m) 2^(n-2m) E_2m
     even p:  T = (-1)^(s-1) 1/2 F_s(n),  F_s(n) = sum_m C(n, 2m) 4^m B_2m D
 
-with the signed Euler numbers and D the lcm of the denominators of the whole
-Bernoulli table (D = 1 for the Euler table, whose values are ints, so one
-integer form (D, [v D]) serves both).  Every term is even, so the halving is
-exact.  The check is one comparison of integers, T tau.denominator ==
-D tau.numerator, with no tolerance and no factorial.  The reported ratio,
-the one Fraction built per identity, is T / (D tau_p(k)), which a larger D
-does not change.
+with the signed Euler numbers, D = 1, or D the lcm of the Bernoulli table's
+denominators (``special_numbers.integer_form``).  Every term is even, so the
+halving is exact.  By the lemmas of ``closed_forms``, F_0(n) is 2 D or n D,
+and tau_p(k) is the same signed half of F_0(n) / D less the heads m < s,
+from its own E_0, E_2, B_0, B_2, B_4: identity (p, k) holds iff the table
+satisfies its lemma at n, and a wrong entry fails only the identities that
+read it.  The check is T tau.denominator == D tau.numerator, with no
+tolerance and no factorial.  The reported ratio, the one Fraction built per
+identity, is T / (D tau_p(k)), which a larger D does not change.
 
 Every F of one parity comes from one triangle of additions, a binomial
 transform: put each table value v_m at index i = 2m, times 2^(L-i) for odd p
@@ -32,10 +33,10 @@ exact shift of it, and F(n) for even p.  The triangle forms no big-by-big
 product.  At one n, k + s = (n-1)/2 is fixed, so the families of one parity
 read suffixes of the same sum: p = 1, 3, 5 from m = 0, 1, 2 and p = 2, 4, 6
 from m = 1, 2, 3.  The triangle starts at the smallest requested s, and
-each larger s subtracts its at most two head terms.  ``verify_grid``, the
-one entry point, runs one triangle per parity and reads each family's
-checks from it in order of k.  Running the grid over many k extends the
-published hand checks (k <= 4) to arbitrary order.
+each larger s subtracts its at most two head terms (``head_sum``).
+``verify_grid``, the one entry point, runs one triangle per parity and reads
+each family's checks from it in order of k.  Running the grid over many k
+extends the published hand checks (k <= 4) to arbitrary order.
 """
 
 from __future__ import annotations
@@ -43,15 +44,13 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from math import comb, lcm
 from operator import add
 
-from .closed_forms import tau
+from .closed_forms import head_sum, tau
 from .special_numbers import (
     MAX_INDEX,
-    BernoulliTable,
-    EulerTable,
     TableDepthError,
+    integer_form,
     number_tables,
     required_table_k,
 )
@@ -78,12 +77,6 @@ def _dot_products(scaled: list[int], first: int, odd: int) -> Iterator[int]:
         yield level[0] >> (last - n) if odd else level[0]
 
 
-def _integer_form(table: EulerTable | BernoulliTable) -> tuple[int, list[int]]:
-    """(D, [v D for each value v]), D the lcm of the values' denominators."""
-    common = lcm(*(v.denominator for v in table.values))
-    return common, [v.numerator * (common // v.denominator) for v in table.values]
-
-
 def _checks(
     powers: list[int], form: tuple[int, list[int]], k_max: int
 ) -> dict[int, list[IdentityCheck]]:
@@ -97,10 +90,8 @@ def _checks(
     for p in powers:
         s, checks[p] = p // 2, []
         for t in range(s, s + k_max + 1):
-            n = 2 * t + 1
-            heads = (comb(n, 2 * m) * scaled[m] << (n - 2 * m if odd else 2 * m)
-                     for m in range(first, s))
-            total = (-1) ** (s + odd + 1) * ((full[t] - sum(heads)) >> 1)
+            heads = head_sum(2 * t + 1, scaled, range(first, s), odd)
+            total = (-1) ** (s + odd + 1) * ((full[t] - heads) >> 1)
             target = tau(p, t - s)
             num, den = total * target.denominator, common * target.numerator
             checks[p].append(IdentityCheck(p, t - s, Fraction(num, den), num == den))
@@ -127,5 +118,5 @@ def verify_grid(powers: Iterable[int], k_max: int) -> list[IdentityCheck]:
     checks = {}
     for group, table in zip(groups, number_tables(*depths)):
         if group:
-            checks.update(_checks(group, _integer_form(table), k_max))
+            checks.update(_checks(group, integer_form(table), k_max))
     return [check for p in powers for check in checks[p]]

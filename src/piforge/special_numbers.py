@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from math import lcm
 
 __all__ = [
     "BernoulliTable",
@@ -35,6 +36,7 @@ __all__ = [
     "TableStore",
     "bernoulli_numbers",
     "euler_numbers",
+    "integer_form",
     "number_tables",
     "required_table_k",
 ]
@@ -109,6 +111,12 @@ def number_tables(k_euler: int, k_bern: int) -> tuple[EulerTable, BernoulliTable
         value = Fraction(2 * n * t, four_n * (four_n - 1))
         vals.append(value if n % 2 else -value)
     return euler, BernoulliTable(tuple(vals))
+
+
+def integer_form(table: EulerTable | BernoulliTable) -> tuple[int, list[int]]:
+    """(D, [v D for each value v]), D the lcm of the values' denominators."""
+    common = lcm(*(v.denominator for v in table.values))
+    return common, [v.numerator * (common // v.denominator) for v in table.values]
 
 
 class TableStore:

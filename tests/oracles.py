@@ -32,11 +32,15 @@ operation that only the tests need.
 * ``printed_prefactor``, the paper's six prefactors as printed, one
   formula per power: the reference of ``closed_forms.prefactor`` and of the
   ``Fraction`` oracle of each check of ``exact_verifier.verify_grid``.
-* tau_p(k) = 2^((n+1) [p odd]) n! / prefactor(p, k) twice more, each
-  independent of ``closed_forms.tau``: ``fit_tau`` solves for it as a
-  polynomial in k and y = 4^(k+1) from the tables, by exact Gaussian
-  elimination, and ``tau_from_lemmas`` expands it from the two classical
-  lemmas the verifier's dot products reduce to.
+* tau_p(k) = 2^((n+1) [p odd]) n! / prefactor(p, k) twice more.
+  ``closed_forms.tau`` evaluates the lemma form at each n, from heads in
+  integer form through ``head_sum``.  ``fit_tau`` solves for tau_p as a
+  polynomial in k and y = 4^(k+1) from the ``Fraction`` summands of the
+  tables, by exact Gaussian elimination, and uses no lemma at all.
+  ``tau_from_lemmas`` expands the lemma form as a polynomial in Q[k, y],
+  from the ``Fraction`` heads ``LEMMA_HEADS``, and uses neither ``head_sum``
+  nor the heads of ``closed_forms``.  With ``printed_prefactor`` they check
+  that the paper's printed formulas are the lemma form.
 * ``arctan_inv_bracket``, an exact bracket of arctan(1/q) from two partial
   sums of its Taylor series, the reference of the Machin kernel.
 * The inner polynomial of the six families and the numeric residual of a

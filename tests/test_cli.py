@@ -671,7 +671,7 @@ def test_package_import_loads_no_submodule():
     )
     assert result.stdout.splitlines() == [
         "[]",
-        "['piforge.closed_forms', 'piforge.exact_core']",
+        "['piforge.closed_forms', 'piforge.exact_core', 'piforge.special_numbers']",
         "['piforge.closed_forms', 'piforge.exact_core', 'piforge.numeric_engine', "
         "'piforge.special_numbers']",
         "False",

@@ -292,10 +292,13 @@ def test_tau_from_the_lemmas(fitted_tau):
 
 
 def test_lemmas_hold_on_the_tables():
-    """The trusted base, on every odd n the capped tables reach."""
+    """The trusted base, on every odd n the capped tables reach, and the
+    head terms tau subtracts from it are the oracle's."""
     K = MAX_INDEX // 2
     euler, bern = number_tables(K, K)
     assert LEMMA_HEADS[1] == euler.values[:2] and LEMMA_HEADS[0] == bern.values[:3]
+    for odd, (common, values) in enumerate(closed_forms._HEADS):
+        assert tuple(Fraction(v, common) for v in values) == LEMMA_HEADS[odd], odd
     for n in range(1, 2 * K + 2, 2):
         assert sum(comb(n, 2 * m) * 2 ** (n - 2 * m) * euler.values[m] for m in range(n // 2 + 1)) == 2
         assert sum(comb(n, 2 * m) * 4**m * bern.values[m] for m in range(n // 2 + 1)) == n

@@ -15,6 +15,7 @@ from piforge.special_numbers import (
     TableDepthError,
     bernoulli_numbers,
     euler_numbers,
+    integer_form,
 )
 
 from oracles import (
@@ -115,8 +116,8 @@ def test_triangle_levels_are_the_direct_sums(table, first, odd):
 
 def test_integer_form_of_both_tables(cap_tables):
     euler, bern = cap_tables
-    assert exact_verifier._integer_form(euler) == (1, list(euler.values))
-    common, scaled = exact_verifier._integer_form(bern)
+    assert integer_form(euler) == (1, list(euler.values))
+    common, scaled = integer_form(bern)
     assert common == lcm(*(b.denominator for b in bern.values))
     assert [Fraction(v, common) for v in scaled] == list(bern.values)
 
