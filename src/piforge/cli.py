@@ -26,7 +26,6 @@ import gc
 import os
 import sys
 from collections import namedtuple
-from fractions import Fraction
 from importlib import import_module
 from types import SimpleNamespace
 
@@ -54,6 +53,8 @@ def _number(text: str, where: str, kind=int):
 def _parse_mu(text: str, where: str) -> Fraction:
     """mu as a Fraction of at most MU_DIGITS digits above and below its bar,
     its exponent bounded before Fraction expands it into a power of ten."""
+    from fractions import Fraction
+
     mantissa, _, exponent = text.lower().partition("e")
     try:  # past this bound, no mantissa brings 10^exponent back into range
         too_far = abs(int(exponent)) > MU_DIGITS + len(mantissa)

@@ -83,15 +83,15 @@ the rest of the log series.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import repeat
 from math import comb
 from operator import floordiv, mul
 
 from .exact_core import factorial
-from .special_numbers import integer_form, number_tables, required_table_k
+from .special_numbers import integer_tables, required_table_k
 
-__all__ = ["head_sum", "pi_coefficients", "power_sums", "prefactor", "tail_sums", "tau"]
+__all__ = ["head_sum", "pi_coefficients", "power_sums", "prefactor", "tail_sums", "tau",
+           "tau_pair"]
 
 # Bases per block: large enough that the per-block Python overhead is small,
 # small enough that a block of floors at 1024 bits stays a fraction of a MB.
@@ -99,7 +99,7 @@ BLOCK = 256
 
 
 # E_0, E_2 and B_0, B_2, B_4 in integer form, by p % 2: the heads tau subtracts
-_HEADS = [integer_form(table) for table in reversed(number_tables(1, 2))]
+_HEADS = integer_tables(1, 2)[::-1]
 
 
 def head_sum(n: int, values: list[int], heads: range, odd: int) -> int:
@@ -108,20 +108,28 @@ def head_sum(n: int, values: list[int], heads: range, odd: int) -> int:
     return sum(comb(n, 2 * m) * values[m] << (n - 2 * m if odd else 2 * m) for m in heads)
 
 
-def tau(p: int, k: int) -> Fraction:
-    """tau_p(k) of family p at truncation order k: half its lemma's value
-    less its s = p // 2 head terms, signed (module docstring)."""
+def tau_pair(p: int, k: int) -> tuple[int, int]:
+    """tau_p(k) of family p at truncation order k as (numerator,
+    denominator), the denominator positive, not reduced: half its lemma's
+    value less its s = p // 2 head terms, signed (module docstring)."""
     n, s, odd = 2 * required_table_k(p, k) + 1, p // 2, p % 2
     common, values = _HEADS[odd]
     total = (2 if odd else n) * common - head_sum(n, values, range(s), odd)
-    return Fraction((-1) ** (s + odd + 1) * total, 2 * common)
+    return (-1) ** (s + odd + 1) * total, 2 * common
+
+
+def tau(p: int, k: int) -> Fraction:
+    """tau_p(k) as a Fraction."""
+    from fractions import Fraction
+
+    return Fraction(*tau_pair(p, k))
 
 
 def prefactor(p: int, k: int) -> Fraction:
     """Exact rational multiplier of family p at truncation order k:
     2^((n+1) [p odd]) n! / tau_p(k), n = 2k + 2 floor(p/2) + 1."""
-    target, n = tau(p, k), 2 * required_table_k(p, k) + 1
-    return Fraction(factorial(n) * target.denominator << (n + 1) * (p % 2), target.numerator)
+    n = 2 * required_table_k(p, k) + 1
+    return (factorial(n) << (n + 1) * (p % 2)) / tau(p, k)
 
 
 def _floor_sums(bases: range, q: int, count: int, one: int) -> list[int]:
@@ -168,6 +176,8 @@ def pi_coefficients(q: int, count: int, table) -> list[Fraction]:
     """The exact c_e with S_e(infinity) = c_e * pi^e, for e = q, q+2, ...,
     q + 2(count-1), from ``table.values``: the Euler numbers for odd q, the
     Bernoulli numbers for even q >= 2."""
+    from fractions import Fraction
+
     coefficients = []
     for e in range(q, q + 2 * count, 2):
         value = table.values[e // 2]

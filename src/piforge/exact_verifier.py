@@ -15,14 +15,16 @@ integer T, half a dot product of binomials and the table over m = s..k+s:
     even p:  T = (-1)^(s-1) 1/2 F_s(n),  F_s(n) = sum_m C(n, 2m) 4^m B_2m D
 
 with the signed Euler numbers, D = 1, or D the lcm of the Bernoulli table's
-denominators (``special_numbers.integer_form``).  Every term is even, so the
-halving is exact.  By the lemmas of ``closed_forms``, F_0(n) is 2 D or n D,
-and tau_p(k) is the same signed half of F_0(n) / D less the heads m < s,
-from its own E_0, E_2, B_0, B_2, B_4: identity (p, k) holds iff the table
-satisfies its lemma at n, and a wrong entry fails only the identities that
-read it.  The check is T tau.denominator == D tau.numerator, with no
-tolerance and no factorial.  The reported ratio, the one Fraction built per
-identity, is T / (D tau_p(k)), which a larger D does not change.
+denominators (``special_numbers.integer_tables``).  Every term is even, so
+the halving is exact.  By the lemmas of ``closed_forms``, F_0(n) is 2 D or
+n D, and tau_p(k) is the same signed half of F_0(n) / D less the heads
+m < s, from its own E_0, E_2, B_0, B_2, B_4: identity (p, k) holds iff the
+table satisfies its lemma at n, and a wrong entry fails only the identities
+that read it.  With tau_p(k) = a / b, b > 0 (``closed_forms.tau_pair``),
+the check is T b == D a, on ints alone, with no tolerance and no factorial.
+The reported ratio is T / (D tau_p(k)), which a larger D does not change:
+the int 1 when the check holds, and a Fraction, the only one verify builds,
+when it fails.
 
 Every F of one parity comes from one triangle of additions, a binomial
 transform: put each table value v_m at index i = 2m, times 2^(L-i) for odd p
@@ -43,23 +45,17 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from fractions import Fraction
 from operator import add
 
-from .closed_forms import head_sum, tau
-from .special_numbers import (
-    MAX_INDEX,
-    TableDepthError,
-    integer_form,
-    number_tables,
-    required_table_k,
-)
+from .closed_forms import head_sum, tau_pair
+from .special_numbers import MAX_INDEX, TableDepthError, integer_tables, required_table_k
 
 __all__ = ["IdentityCheck", "required_table_k", "verify_grid"]
 
 
 class IdentityCheck(namedtuple("IdentityCheck", "p k ratio holds")):
-    """Outcome of one exact reduction: holds iff ratio == 1 exactly."""
+    """Outcome of one exact reduction: holds iff ratio == 1 exactly.  The
+    ratio is the int 1 when the check holds, a Fraction when it fails."""
 
     __slots__ = ()
 
@@ -92,9 +88,15 @@ def _checks(
         for t in range(s, s + k_max + 1):
             heads = head_sum(2 * t + 1, scaled, range(first, s), odd)
             total = (-1) ** (s + odd + 1) * ((full[t] - heads) >> 1)
-            target = tau(p, t - s)
-            num, den = total * target.denominator, common * target.numerator
-            checks[p].append(IdentityCheck(p, t - s, Fraction(num, den), num == den))
+            tau_num, tau_den = tau_pair(p, t - s)
+            num, den = total * tau_den, common * tau_num
+            if num == den:
+                ratio = 1
+            else:  # only a failing check builds a Fraction
+                from fractions import Fraction
+
+                ratio = Fraction(num, den)
+            checks[p].append(IdentityCheck(p, t - s, ratio, num == den))
     return checks
 
 
@@ -116,7 +118,7 @@ def verify_grid(powers: Iterable[int], k_max: int) -> list[IdentityCheck]:
         if 2 * K > MAX_INDEX:
             raise TableDepthError(kind, 2 * K, MAX_INDEX)
     checks = {}
-    for group, table in zip(groups, number_tables(*depths)):
+    for group, form in zip(groups, integer_tables(*depths)):
         if group:
-            checks.update(_checks(group, integer_form(table), k_max))
+            checks.update(_checks(group, form, k_max))
     return [check for p in powers for check in checks[p]]

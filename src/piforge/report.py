@@ -1,22 +1,21 @@
 """Report rows and deterministic rendering to CSV, JSON, and text tables.
 
-All numeric strings are produced through the ``decimal`` module from exact
-rationals with explicit rounding directions (lower bounds toward -inf,
-upper bounds toward +inf, single summary numbers half-even), so identical
-invocations are byte-identical and no float ever enters a report.  The math
-modules return numbers; this module and :mod:`piforge.cli` alone format them.
-``csv`` and ``json.encoder`` are imported by the writer that uses them, and
-``numeric_engine.CertifiedReal`` is named in annotations only, so rendering
-an exact report loads no numeric code.
+A value row's numbers are rendered through ``decimal``, imported by those
+renderers only, from exact rationals with explicit rounding directions
+(lower bounds toward -inf, upper bounds toward +inf, single summary numbers
+half-even), so identical invocations are byte-identical and no float ever
+enters a report.  The math modules return numbers; this module and
+:mod:`piforge.cli` alone format them.  The CSV and JSON writers quote cells
+themselves and import ``csv`` or ``json.encoder`` only for a cell that needs
+more than piforge's own cells do.  ``numeric_engine.CertifiedReal`` is named
+in annotations only, so rendering an exact report loads no numeric code.
 """
 
 from __future__ import annotations
 
-import decimal
 import io
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 __all__ = [
     "CSV_HEADER",
@@ -40,22 +39,19 @@ CSV_HEADER = [
     "exact_ok",
 ]
 
-_ROUNDING = {
-    "floor": decimal.ROUND_FLOOR,
-    "ceiling": decimal.ROUND_CEILING,
-    "half_even": decimal.ROUND_HALF_EVEN,
-}
-
-
 def decimal_digits(precision_bits: int) -> int:
     """Significant decimal digits needed to express a binary precision."""
     return int(math.ceil(precision_bits * math.log10(2))) + 2
 
 
 def _to_decimal(value: Fraction, digits: int, mode: str) -> decimal.Decimal:
+    """value to ``digits`` significant digits, rounded by ``mode``: floor,
+    ceiling or half_even."""
+    import decimal
+
     ctx = decimal.Context(
         prec=max(digits, 1),
-        rounding=_ROUNDING[mode],
+        rounding=f"ROUND_{mode.upper()}",
         Emin=-999999999,
         Emax=999999999,
     )
@@ -107,35 +103,64 @@ _PRETTY_OK = {None: "-", True: "ok", False: "FAIL"}
 
 
 def render_csv(rows: list[ReportRow]) -> str:
-    import csv
+    """The bytes of csv.writer(buffer, lineterminator="\\n") writing the header
+    and each row, its cells text or ints: a cell with a comma is quoted here,
+    and csv itself writes a table with a quote, a line break or a NUL in a
+    cell, which csv versions quote, or refuse, each in their own way."""
+    table = [CSV_HEADER, *((*row[:8], _CSV_OK[row.exact_ok]) for row in rows)]
+    for column in zip(*table):
+        text = "".join(map(str, column))
+        if any(char in text for char in '"\r\n\0'):
+            import csv
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    writer.writerows((*row[:8], _CSV_OK[row.exact_ok]) for row in rows)
-    return buffer.getvalue()
+            buffer = io.StringIO()
+            csv.writer(buffer, lineterminator="\n").writerows(table)
+            return buffer.getvalue()
+    return "".join(
+        [",".join([f'"{cell}"' if "," in cell else cell for cell in map(str, line)]) + "\n"
+         for line in table]
+    )
 
 
 _JSON_LITERALS = {None: "null", True: "true", False: "false"}
 
 
+def _plain(text: str) -> bool:
+    """Whether json writes ``text`` as itself between quotes."""
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+
+
+def _json_value(cell) -> str:
+    if isinstance(cell, str):
+        if _plain(cell):
+            return f'"{cell}"'
+        from json.encoder import encode_basestring_ascii
+
+        return encode_basestring_ascii(cell)
+    if cell is None or isinstance(cell, bool):
+        return _JSON_LITERALS[cell]
+    return int.__repr__(cell)
+
+
 def render_json(rows: list[ReportRow]) -> str:
     """The bytes of json.dumps([dict(zip(CSV_HEADER, row)) for row in rows],
-    indent=2), built without its pure-Python indenting encoder."""
-    from json.encoder import encode_basestring_ascii as quote
-
-    def value(cell) -> str:
-        if isinstance(cell, str):
-            return quote(cell)
-        if cell is None or isinstance(cell, bool):
-            return _JSON_LITERALS[cell]
-        return int.__repr__(cell)
-
+    indent=2), built without its pure-Python indenting encoder: each row fills
+    one template, whose slots quote a column of plain texts and take a column
+    of ints as they are; any other column is written cell by cell."""
     if not rows:
         return "[]\n"
-    keys = [f"    {quote(name)}: " for name in CSV_HEADER]
-    objects = [",\n".join(key + value(cell) for key, cell in zip(keys, row)) for row in rows]
-    return "[\n  {\n" + "\n  },\n  {\n".join(objects) + "\n  }\n]\n"
+    columns, slots = list(zip(*rows))[: len(CSV_HEADER)], []
+    for i, column in enumerate(columns):
+        kinds = set(map(type, column))
+        if kinds == {str} and _plain("".join(column)):
+            slots.append('"{}"')
+        else:
+            slots.append("{}")
+            if kinds != {int}:
+                columns[i] = [*map(_json_value, column)]
+    fields = ",\n".join(f'    "{name}": {slot}' for name, slot in zip(CSV_HEADER, slots))
+    template = "  {{\n" + fields + "\n  }}"
+    return "[\n" + ",\n".join([template.format(*cells) for cells in zip(*columns)]) + "\n]\n"
 
 
 def render_pretty(rows: list[ReportRow]) -> str:

@@ -11,22 +11,24 @@ computation of Bernoulli, Tangent and Secant numbers", arXiv:1108.0286):
 * Bernoulli numbers:  B_{2n} = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)) for
   n >= 1, B_0 = 1 and B_1 = -1/2 (all other odd Bernoulli numbers vanish).
 
-The only division is the final one of each Bernoulli number.
-``number_tables`` runs each recurrence only as deep as its table, so a
-request for one table computes none of the other.  :class:`TableStore`
-builds a table on request up to index ``MAX_INDEX = 512``; only
-:mod:`piforge.cli` prints them.  ``required_table_k`` is the one depth rule,
-k + p // 2, of identity (p, k): with the cap, it bounds every order the CLI
-accepts, in every run.  The cap bounds what the CLI accepts, not
-``number_tables``: a certified tail in ``gupta_series`` reads as many
-Bernoulli numbers as its precision needs.
+The only division is the final one of each Bernoulli number, kept as a
+reduced (numerator, denominator) pair.  ``integer_tables`` hands ``verify``
+both tables on ints alone; ``bernoulli_numbers`` and ``number_tables`` build
+their Fractions from the pairs when called, so importing this module, or an
+Euler table, loads no ``fractions``.  Each recurrence runs only as deep as
+its table, so a request for one table computes none of the other.
+:class:`TableStore` builds a table on request up to index
+``MAX_INDEX = 512``; only :mod:`piforge.cli` prints them.
+``required_table_k`` is the one depth rule, k + p // 2, of identity (p, k):
+with the cap, it bounds every order the CLI accepts, in every run.  The cap
+bounds what the CLI accepts, not ``number_tables``: a certified tail in
+``gupta_series`` reads as many Bernoulli numbers as its precision needs.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 __all__ = [
     "BernoulliTable",
@@ -36,7 +38,7 @@ __all__ = [
     "TableStore",
     "bernoulli_numbers",
     "euler_numbers",
-    "integer_form",
+    "integer_tables",
     "number_tables",
     "required_table_k",
 ]
@@ -73,7 +75,12 @@ class BernoulliTable(namedtuple("BernoulliTable", "values")):
     """B_0, B_2, ..., B_{2K} plus B_1; ``values[k]`` is B_{2k}."""
 
     __slots__ = ()
-    b1 = Fraction(-1, 2)
+
+    @property
+    def b1(self):
+        from fractions import Fraction
+
+        return Fraction(-1, 2)
 
 
 def _zigzag_parity(K: int, odd: int) -> list[int]:
@@ -81,6 +88,8 @@ def _zigzag_parity(K: int, odd: int) -> list[int]:
     T_1 .. T_K (odd = 1), as a_0 .. a_(n-1), n = K + 1 - odd: start from
     a_j = j a_(j-1), then for k = 1 .. n-1 in turn replace a_j by
     (j - k) a_(j-1) + (j - k + 1 + odd) a_j for j = k .. n-1."""
+    if K < 0:
+        raise ValueError("K must be >= 0")
     n, a = K + 1 - odd, [1]
     for j in range(1, n):
         a.append(j * a[-1])
@@ -90,33 +99,42 @@ def _zigzag_parity(K: int, odd: int) -> list[int]:
     return a[:n]
 
 
+def _bernoulli_pairs(K: int) -> list[tuple[int, int]]:
+    """B_0 .. B_2K as reduced (numerator, denominator) pairs."""
+    pairs = [(1, 1)]
+    for n, t in enumerate(_zigzag_parity(K, 1), 1):
+        four_n = 1 << (2 * n)
+        num, den = 2 * n * t, four_n * (four_n - 1)
+        g = gcd(num, den)
+        pairs.append(((num if n % 2 else -num) // g, den // g))
+    return pairs
+
+
 def euler_numbers(K: int) -> EulerTable:
     """Exact table of E_0 .. E_{2K}."""
-    return number_tables(K, 0)[0]
+    return EulerTable(tuple(-v if n % 2 else v for n, v in enumerate(_zigzag_parity(K, 0))))
 
 
 def bernoulli_numbers(K: int) -> BernoulliTable:
     """Exact table of B_0 .. B_{2K} (even indices) plus B_1 = -1/2."""
-    return number_tables(0, K)[1]
+    from fractions import Fraction
+
+    return BernoulliTable(tuple(Fraction(*pair) for pair in _bernoulli_pairs(K)))
 
 
 def number_tables(k_euler: int, k_bern: int) -> tuple[EulerTable, BernoulliTable]:
     """E_0 .. E_{2 k_euler} and B_0 .. B_{2 k_bern}, each from its own parity."""
-    if min(k_euler, k_bern) < 0:
-        raise ValueError("K must be >= 0")
-    euler = EulerTable(tuple(-v if n % 2 else v for n, v in enumerate(_zigzag_parity(k_euler, 0))))
-    vals = [Fraction(1)]
-    for n, t in enumerate(_zigzag_parity(k_bern, 1), 1):
-        four_n = 1 << (2 * n)
-        value = Fraction(2 * n * t, four_n * (four_n - 1))
-        vals.append(value if n % 2 else -value)
-    return euler, BernoulliTable(tuple(vals))
+    return euler_numbers(k_euler), bernoulli_numbers(k_bern)
 
 
-def integer_form(table: EulerTable | BernoulliTable) -> tuple[int, list[int]]:
-    """(D, [v D for each value v]), D the lcm of the values' denominators."""
-    common = lcm(*(v.denominator for v in table.values))
-    return common, [v.numerator * (common // v.denominator) for v in table.values]
+def integer_tables(k_euler: int, k_bern: int) -> tuple[tuple[int, list[int]], ...]:
+    """The tables of ``number_tables`` in integer form (D, [v D for each
+    value v]), D the lcm of the values' denominators: 1 for the Euler
+    numbers."""
+    pairs = _bernoulli_pairs(k_bern)
+    common = lcm(*(den for _, den in pairs))
+    euler = list(euler_numbers(k_euler).values)
+    return (1, euler), (common, [num * (common // den) for num, den in pairs])
 
 
 class TableStore:

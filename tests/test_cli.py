@@ -220,10 +220,10 @@ def test_verify_poisoned_euler_table_fails(monkeypatch):
         values[3] += 2  # E_6 = -59
         return special_numbers.EulerTable(tuple(values))
 
-    def tables(k_euler, k_bern):
-        return poisoned(k_euler), special_numbers.bernoulli_numbers(k_bern)
+    def tables(k_euler, k_bern):  # the Euler table's integer form is itself
+        return (1, list(poisoned(k_euler).values)), special_numbers.integer_tables(0, k_bern)[1]
 
-    monkeypatch.setattr(exact_verifier, "number_tables", tables)
+    monkeypatch.setattr(exact_verifier, "integer_tables", tables)
     code, out, err = run_cli(
         ["verify", "--powers", "1", "--k-max", "4", "--format", "csv"]
     )
@@ -613,29 +613,39 @@ def run_entry_modules(argv: str) -> tuple[str, bool, set[str]]:
     return result.stdout, frozen == "True", set(modules)
 
 
+# the standard modules a verify run and an Euler table never load: they run
+# on ints alone, and write their reports without csv or json
+NOT_EXACT = {"fractions", "decimal", "numbers", "csv", "json"}
+# the interval and series code that value rows need, and verify does not
+VALUE_ROWS = {"piforge.prior_series", "piforge.numeric_engine", "piforge.gupta_series"}
+
+
 @pytest.mark.parametrize(
     "argv, loads, skips",
     [
         ("numbers --kind euler --max-index 24 --format csv", {"piforge.special_numbers"},
-         ENGINE | PARSER | {"json"}),
+         ENGINE | PARSER | NOT_EXACT),
         ("numbers --kind bernoulli --max-index 12 --format json", {"piforge.special_numbers"},
          ENGINE | PARSER | {"json", "csv"}),
-        ("sum --series gupta:p=2,k=2 --terms 100 --format csv", {"piforge.gupta_series", "csv"},
-         PARSER | {"piforge.exact_verifier", "piforge.prior_series", "json"}),
+        ("sum --series gupta:p=2,k=2 --terms 100 --format csv", {"piforge.gupta_series"},
+         PARSER | {"piforge.exact_verifier", "piforge.prior_series", "json", "csv"}),
         ("compare --target pi2 --series gupta:k=1,kolbig,alzer-H --terms 10,100 --format json",
-         {"piforge.gupta_series", "piforge.prior_series", "json"},
-         PARSER | {"piforge.exact_verifier", "csv"}),
-        ("verify --powers 1-6 --k-max 8 --format csv", {"piforge.exact_verifier", "csv"},
-         PARSER | {"piforge.prior_series", "piforge.numeric_engine", "piforge.gupta_series",
-                   "json"}),
-        ("verify --powers 1-6 --k-max 8 --format json", {"piforge.exact_verifier", "json"},
-         PARSER | {"piforge.prior_series", "piforge.numeric_engine", "piforge.gupta_series",
-                   "csv"}),
+         {"piforge.gupta_series", "piforge.prior_series"},
+         PARSER | {"piforge.exact_verifier", "csv", "json"}),
+        *[
+            (f"verify --powers 1-6 --k-max 8 --format {fmt}", {"piforge.exact_verifier"},
+             PARSER | NOT_EXACT | VALUE_ROWS)
+            for fmt in ("csv", "json")
+        ],
         # --help and an abbreviated flag go to argparse
         ("sum --help", {"argparse"}, {"piforge.gupta_series", "piforge.exact_verifier"}),
         ("sum --series gupta:p=2,k=2 --term 100 --format csv",
-         {"argparse", "piforge.gupta_series", "csv"},
-         {"piforge.exact_verifier", "piforge.prior_series", "json"}),
+         {"argparse", "piforge.gupta_series"},
+         {"piforge.exact_verifier", "piforge.prior_series", "json", "csv"}),
+        ("verify --powers 1-6 --k-max 8 --format pretty", {"piforge.exact_verifier"},
+         PARSER | NOT_EXACT | VALUE_ROWS),
+        ("numbers --kind euler --max-index 24 --format json", {"piforge.special_numbers"},
+         ENGINE | PARSER | NOT_EXACT),
     ],
 )
 def test_each_run_loads_only_what_it_calls(argv, loads, skips):

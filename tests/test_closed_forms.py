@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -289,6 +289,18 @@ def test_tau_from_the_lemmas(fitted_tau):
         for m in fits[p]:
             perturbed = fits[p] | {m: fits[p][m] + 1}
             assert any(poly_value(perturbed, k) != values[p][k] for k in range(41)), (p, m)
+
+
+def test_tau_pair_is_tau_to_each_cap():
+    """The integer pair verify reads is tau_p(k), with a positive
+    denominator, and the paper's printed prefactor gives the same tau, for
+    every p and every k up to that family's cap."""
+    for p in POWERS:
+        for k in range(MAX_INDEX // 2 - p // 2 + 1):
+            num, den = closed_forms.tau_pair(p, k)
+            n = 2 * (k + p // 2) + 1
+            printed = (factorial(n) << (n + 1) * (p % 2)) / printed_prefactor(p, k)
+            assert den > 0 and Fraction(num, den) == closed_forms.tau(p, k) == printed, (p, k)
 
 
 def test_lemmas_hold_on_the_tables():

@@ -15,7 +15,7 @@ from piforge.special_numbers import (
     TableDepthError,
     bernoulli_numbers,
     euler_numbers,
-    integer_form,
+    integer_tables,
 )
 
 from oracles import (
@@ -36,6 +36,22 @@ def poisoned_tables(euler: EulerTable, bern: BernoulliTable, K: int):
     b = list(bern.values[: K + 1])
     b[1] = Fraction(1, 7)
     return EulerTable(tuple(e)), BernoulliTable(tuple(b))
+
+
+def integer_form(table: EulerTable | BernoulliTable) -> tuple[int, list[int]]:
+    """(D, [v D for each value v]), D the lcm of the values' denominators: the
+    form in which ``verify_grid`` reads a table."""
+    common = lcm(*(v.denominator for v in table.values))
+    return common, [v.numerator * (common // v.denominator) for v in table.values]
+
+
+def poisoned_forms(cap_tables, k_euler: int, k_bern: int):
+    """The integer forms of poisoned_tables to E_2k_euler and B_2k_bern, as
+    ``special_numbers.integer_tables`` hands them to ``verify_grid``."""
+    return (
+        integer_form(poisoned_tables(*cap_tables, k_euler)[0]),
+        integer_form(poisoned_tables(*cap_tables, k_bern)[1]),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -116,10 +132,12 @@ def test_triangle_levels_are_the_direct_sums(table, first, odd):
 
 def test_integer_form_of_both_tables(cap_tables):
     euler, bern = cap_tables
-    assert integer_form(euler) == (1, list(euler.values))
-    common, scaled = integer_form(bern)
+    (one, values), (common, scaled) = integer_tables(256, 256)
+    assert (one, values) == (1, list(euler.values))
     assert common == lcm(*(b.denominator for b in bern.values))
     assert [Fraction(v, common) for v in scaled] == list(bern.values)
+    forms = integer_form(euler_numbers(3)), integer_form(bernoulli_numbers(5))
+    assert integer_tables(3, 5) == forms
 
 
 def test_cold_row_chain_to_table_cap():
@@ -154,13 +172,11 @@ def test_grid_under_poisoned_tables(cap_tables, monkeypatch):
     """Every cell of the poisoned 6 x 30 grid carries the Fraction oracle's
     ratio under the same tables, and exactly the 114 cells that read E_6 or
     B_2 fail."""
-    # verify_grid builds its own tables, so poison them where it gets them;
-    # B_2 = 1/7 brings a denominator the true table does not have
+    # verify_grid builds its own tables, in integer form, so poison them where
+    # it gets them; B_2 = 1/7 brings a denominator the true table does not have
     euler, bern = poisoned_tables(*cap_tables, 40)
     monkeypatch.setattr(
-        exact_verifier,
-        "number_tables",
-        lambda ke, kb: (poisoned_tables(*cap_tables, ke)[0], poisoned_tables(*cap_tables, kb)[1]),
+        exact_verifier, "integer_tables", lambda ke, kb: poisoned_forms(cap_tables, ke, kb)
     )
     checks = verify_grid(range(1, 7), 29)
     assert [(c.p, c.k) for c in checks] == [(p, k) for p in range(1, 7) for k in range(30)]
@@ -168,6 +184,7 @@ def test_grid_under_poisoned_tables(cap_tables, monkeypatch):
         p, k = check.p, check.k
         assert check.ratio == oracle_ratio(p, k, euler, bern), (p, k)
         assert check.holds == (check.ratio == 1) == (not touched_by_poison(p, k)), (p, k)
+        assert type(check.ratio) is (int if check.holds else Fraction), (p, k)
     assert sum(not check.holds for check in checks) == 114
 
 
@@ -200,11 +217,8 @@ def test_shared_parity_sum_under_poisoned_tables(cap_tables, powers, monkeypatch
     # a parity the powers leave out gets order 0, too shallow to poison and unread
     monkeypatch.setattr(
         exact_verifier,
-        "number_tables",
-        lambda ke, kb: (
-            poisoned_tables(*cap_tables, max(ke, 3))[0],
-            poisoned_tables(*cap_tables, max(kb, 3))[1],
-        ),
+        "integer_tables",
+        lambda ke, kb: poisoned_forms(cap_tables, max(ke, 3), max(kb, 3)),
     )
     checks = verify_grid(powers, 29)
     assert_grid_matches_its_members(checks, powers, 29, *poisoned_tables(*cap_tables, 40))
@@ -253,7 +267,7 @@ def test_table_depth_errors(monkeypatch):
         raise AssertionError("a table was built past the cap")
 
     # raised before building anything
-    monkeypatch.setattr(exact_verifier, "number_tables", must_not_build)
+    monkeypatch.setattr(exact_verifier, "integer_tables", must_not_build)
     with pytest.raises(TableDepthError, match="cap"):
         verify_grid([6], 254)
 
