@@ -90,8 +90,7 @@ from operator import floordiv, mul
 from .exact_core import factorial
 from .special_numbers import integer_tables, required_table_k
 
-__all__ = ["head_sum", "pi_coefficients", "power_sums", "prefactor", "tail_sums", "tau",
-           "tau_pair"]
+__all__ = ["head_sum", "pi_coefficients", "power_sums", "prefactor", "tail_sums", "tau"]
 
 # Bases per block: large enough that the per-block Python overhead is small,
 # small enough that a block of floors at 1024 bits stays a fraction of a MB.
@@ -109,9 +108,8 @@ def head_sum(n: int, values: list[int], heads: range, odd: int) -> int:
 
 
 def tau_pair(p: int, k: int) -> tuple[int, int]:
-    """tau_p(k) of family p at truncation order k as (numerator,
-    denominator), the denominator positive, not reduced: half its lemma's
-    value less its s = p // 2 head terms, signed (module docstring)."""
+    """tau_p(k) of family p at order k as an unreduced (numerator, positive
+    denominator): half its lemma's value less its s = p // 2 heads, signed."""
     n, s, odd = 2 * required_table_k(p, k) + 1, p // 2, p % 2
     common, values = _HEADS[odd]
     total = (2 if odd else n) * common - head_sum(n, values, range(s), odd)

@@ -39,19 +39,18 @@ CSV_HEADER = [
     "exact_ok",
 ]
 
+
 def decimal_digits(precision_bits: int) -> int:
     """Significant decimal digits needed to express a binary precision."""
     return int(math.ceil(precision_bits * math.log10(2))) + 2
 
 
 def _to_decimal(value: Fraction, digits: int, mode: str) -> decimal.Decimal:
-    """value to ``digits`` significant digits, rounded by ``mode``: floor,
-    ceiling or half_even."""
     import decimal
 
     ctx = decimal.Context(
         prec=max(digits, 1),
-        rounding=f"ROUND_{mode.upper()}",
+        rounding=getattr(decimal, f"ROUND_{mode.upper()}"),
         Emin=-999999999,
         Emax=999999999,
     )
@@ -100,39 +99,32 @@ class ReportRow(namedtuple("ReportRow", [*CSV_HEADER, "width"], defaults=(None, 
 
 _CSV_OK = {None: "", True: "true", False: "false"}
 _PRETTY_OK = {None: "-", True: "ok", False: "FAIL"}
+_CSV_QUOTED = frozenset('"\r\n\0')
 
 
 def render_csv(rows: list[ReportRow]) -> str:
-    """The bytes of csv.writer(buffer, lineterminator="\\n") writing the header
-    and each row, its cells text or ints: a cell with a comma is quoted here,
-    and csv itself writes a table with a quote, a line break or a NUL in a
-    cell, which csv versions quote, or refuse, each in their own way."""
+    """The bytes of csv.writer(buffer, lineterminator="\\n") for the header and
+    rows; csv itself writes a table with a quote, line break or NUL in a cell."""
     table = [CSV_HEADER, *((*row[:8], _CSV_OK[row.exact_ok]) for row in rows)]
-    for column in zip(*table):
-        text = "".join(map(str, column))
-        if any(char in text for char in '"\r\n\0'):
+    lines = []
+    for line in table:
+        cells = ["" if cell is None else str(cell) for cell in line]
+        if not _CSV_QUOTED.isdisjoint("".join(cells)):
             import csv
 
             buffer = io.StringIO()
             csv.writer(buffer, lineterminator="\n").writerows(table)
             return buffer.getvalue()
-    return "".join(
-        [",".join([f'"{cell}"' if "," in cell else cell for cell in map(str, line)]) + "\n"
-         for line in table]
-    )
+        lines.append(",".join([f'"{cell}"' if "," in cell else cell for cell in cells]) + "\n")
+    return "".join(lines)
 
 
 _JSON_LITERALS = {None: "null", True: "true", False: "false"}
 
 
-def _plain(text: str) -> bool:
-    """Whether json writes ``text`` as itself between quotes."""
-    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
-
-
 def _json_value(cell) -> str:
     if isinstance(cell, str):
-        if _plain(cell):
+        if cell.isascii() and cell.isprintable() and '"' not in cell and "\\" not in cell:
             return f'"{cell}"'
         from json.encoder import encode_basestring_ascii
 
@@ -144,23 +136,13 @@ def _json_value(cell) -> str:
 
 def render_json(rows: list[ReportRow]) -> str:
     """The bytes of json.dumps([dict(zip(CSV_HEADER, row)) for row in rows],
-    indent=2), built without its pure-Python indenting encoder: each row fills
-    one template, whose slots quote a column of plain texts and take a column
-    of ints as they are; any other column is written cell by cell."""
+    indent=2), built without its pure-Python indenting encoder."""
     if not rows:
         return "[]\n"
-    columns, slots = list(zip(*rows))[: len(CSV_HEADER)], []
-    for i, column in enumerate(columns):
-        kinds = set(map(type, column))
-        if kinds == {str} and _plain("".join(column)):
-            slots.append('"{}"')
-        else:
-            slots.append("{}")
-            if kinds != {int}:
-                columns[i] = [*map(_json_value, column)]
-    fields = ",\n".join(f'    "{name}": {slot}' for name, slot in zip(CSV_HEADER, slots))
-    template = "  {{\n" + fields + "\n  }}"
-    return "[\n" + ",\n".join([template.format(*cells) for cells in zip(*columns)]) + "\n]\n"
+    keys = [f'    "{name}": ' for name in CSV_HEADER]
+    objects = [",\n".join([key + _json_value(cell) for key, cell in zip(keys, row)])
+               for row in rows]
+    return "[\n  {\n" + "\n  },\n  {\n".join(objects) + "\n  }\n]\n"
 
 
 def render_pretty(rows: list[ReportRow]) -> str:

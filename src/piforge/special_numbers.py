@@ -128,13 +128,11 @@ def number_tables(k_euler: int, k_bern: int) -> tuple[EulerTable, BernoulliTable
 
 
 def integer_tables(k_euler: int, k_bern: int) -> tuple[tuple[int, list[int]], ...]:
-    """The tables of ``number_tables`` in integer form (D, [v D for each
-    value v]), D the lcm of the values' denominators: 1 for the Euler
-    numbers."""
+    """``number_tables`` as (D, [v D for each value v]), D the lcm of the
+    values' denominators (1 for the Euler numbers)."""
     pairs = _bernoulli_pairs(k_bern)
     common = lcm(*(den for _, den in pairs))
-    euler = list(euler_numbers(k_euler).values)
-    return (1, euler), (common, [num * (common // den) for num, den in pairs])
+    return (1, list(euler_numbers(k_euler).values)), (common, [n * (common // d) for n, d in pairs])
 
 
 class TableStore:

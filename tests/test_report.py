@@ -32,11 +32,11 @@ def test_render_json_matches_json_dumps(report):
     assert render_json(report) == expected
 
 
-# CSV cells are text or ints; the text draws on the characters csv quotes
-# or refuses: the delimiter, the quote, CR, LF and NUL, next to empty and
-# non-ASCII text.
+# CSV cells are None, ints or text; the text draws on the characters csv
+# quotes or refuses: the delimiter, the quote, CR, LF and NUL, next to empty
+# and non-ASCII text.
 CSV_TEXT = st.text(st.sampled_from(',"\r\n\0 a1-.:=é\u4e2d\U0001f600'))
-csv_cells = st.one_of(st.integers(), CSV_TEXT, st.text(), st.just(""))
+csv_cells = st.one_of(st.none(), st.integers(), CSV_TEXT, st.text(), st.just(""))
 csv_rows = st.builds(
     ReportRow,
     *[csv_cells] * (len(CSV_HEADER) - 1),
@@ -66,6 +66,7 @@ def csv_writer_text(report) -> str:
 @given(st.lists(csv_rows, max_size=4))
 @example([])
 @example([ReportRow("gupta:p=1,k=2", 1, 2, 0, "1", "1", "1", "0", True)])
+@example([ReportRow("id", 1, 2, 0, None, None, "1", None, None)])
 @example([ReportRow('a"b', 1, 2, 0, "x\ry", "x\ny", "", "é,\U0001f600\0", False, "w")])
 def test_render_csv_matches_csv_writer(report):
     expected = csv_outcome(lambda: csv_writer_text(report))
