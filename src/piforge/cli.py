@@ -83,9 +83,11 @@ def _parse_powers(text: str) -> list[int]:
         hi = _number(last, f"--powers {token!r}") if sep else lo
         if lo <= hi:  # an empty range adds no power
             spans.append((lo, hi))
+    if not spans:
+        raise ValueError(f"powers must name at least one power, got {text!r}")
     # the endpoints are checked before any range is built, so a huge range
     # is rejected at once
-    if not spans or any(lo < 1 or hi > 6 for lo, hi in spans):
+    if any(lo < 1 or hi > 6 for lo, hi in spans):
         raise ValueError(f"powers must come from 1..6, got {text!r}")
     return sorted({p for lo, hi in spans for p in range(lo, hi + 1)})
 

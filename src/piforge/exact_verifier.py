@@ -7,8 +7,8 @@ prefactor(p, k) * sum_{j=0}^{k} (-1)^j c(j+s) / (2k-2j+1)! == 1, where c is
 the odd-power (Euler-number) coefficient and s = (p-1)/2 for odd p, and the
 even-power (Bernoulli-number) coefficient and s = p/2 for even p.  With
 m = j + s and n = 2k + 2s + 1 each summand has the denominator
-(2m)! (n-2m)!, and prefactor(p, k) = 2^((n+1) [p odd]) n! / tau_p(k) with
-``closed_forms.tau``, so identity (p, k) reads T = D tau_p(k) for the
+(2m)! (n-2m)!, and prefactor(p, k) = 2^((n+1) [p odd]) n! / tau_p(k) of
+``closed_forms``, so identity (p, k) reads T = D tau_p(k) for the
 integer T, half a dot product of binomials and the table over m = s..k+s:
 
     odd p:   T = (-1)^s     1/2 F_s(n),  F_s(n) = sum_m C(n, 2m) 2^(n-2m) E_2m

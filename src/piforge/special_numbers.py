@@ -13,15 +13,15 @@ computation of Bernoulli, Tangent and Secant numbers", arXiv:1108.0286):
 
 The only division is the final one of each Bernoulli number, kept as a
 reduced (numerator, denominator) pair.  ``integer_tables`` hands ``verify``
-both tables on ints alone; ``bernoulli_numbers`` and ``number_tables`` build
-their Fractions from the pairs when called, so importing this module, or an
-Euler table, loads no ``fractions``.  Each recurrence runs only as deep as
-its table, so a request for one table computes none of the other.
+both tables on ints alone; ``bernoulli_numbers`` builds its Fractions from
+the pairs when called, so importing this module, or an Euler table, loads
+no ``fractions``.  Each recurrence runs only as deep as its table, so a
+request for one table computes none of the other.
 :class:`TableStore` builds a table on request up to index
 ``MAX_INDEX = 512``; only :mod:`piforge.cli` prints them.
 ``required_table_k`` is the one depth rule, k + p // 2, of identity (p, k):
 with the cap, it bounds every order the CLI accepts, in every run.  The cap
-bounds what the CLI accepts, not ``number_tables``: a certified tail in
+bounds what the CLI accepts, not ``bernoulli_numbers``: a certified tail in
 ``gupta_series`` reads as many Bernoulli numbers as its precision needs.
 """
 
@@ -39,7 +39,6 @@ __all__ = [
     "bernoulli_numbers",
     "euler_numbers",
     "integer_tables",
-    "number_tables",
     "required_table_k",
 ]
 
@@ -122,14 +121,9 @@ def bernoulli_numbers(K: int) -> BernoulliTable:
     return BernoulliTable(tuple(Fraction(*pair) for pair in _bernoulli_pairs(K)))
 
 
-def number_tables(k_euler: int, k_bern: int) -> tuple[EulerTable, BernoulliTable]:
-    """E_0 .. E_{2 k_euler} and B_0 .. B_{2 k_bern}, each from its own parity."""
-    return euler_numbers(k_euler), bernoulli_numbers(k_bern)
-
-
 def integer_tables(k_euler: int, k_bern: int) -> tuple[tuple[int, list[int]], ...]:
-    """``number_tables`` as (D, [v D for each value v]), D the lcm of the
-    values' denominators (1 for the Euler numbers)."""
+    """E_0 .. E_{2 k_euler} and B_0 .. B_{2 k_bern}, each as (D, [v D for each
+    value v]), D the lcm of the values' denominators (1 for the Euler numbers)."""
     pairs = _bernoulli_pairs(k_bern)
     common = lcm(*(den for _, den in pairs))
     return (1, list(euler_numbers(k_euler).values)), (common, [n * (common // d) for n, d in pairs])

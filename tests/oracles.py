@@ -18,7 +18,7 @@ operation that only the tests need.
   Both coefficient functions return the exact rational together with the pi
   exponent, never folding the power into the coefficient.
 
-  ``beta_partial`` and ``zeta_partial`` run ``closed_forms.power_sums`` at
+  ``beta_partial`` and ``zeta_partial`` run ``gupta_series.power_sums`` at
   ``work = ctx.scale``, which rounds each term outward by at most one unit
   exactly as ``ctx.from_rational`` would.  They deliberately add no guard
   bits: their enclosures, widened by the certified tail (alternating-series
@@ -27,13 +27,13 @@ operation that only the tests need.
   scale keeps those intervals identical to a plain per-term interval sum.
   They return a ``TailedInterval``, the partial sum with its tail bound.
 * ``power_sums_loop``, the per-term ``divmod`` loop that
-  ``closed_forms.power_sums`` replaces: it tests every remainder where the
+  ``gupta_series.power_sums`` replaces: it tests every remainder where the
   kernel sums whole blocks and counts the inexact terms.
 * ``printed_prefactor``, the paper's six prefactors as printed, one
   formula per power: the reference of ``closed_forms.prefactor`` and of the
   ``Fraction`` oracle of each check of ``exact_verifier.verify_grid``.
 * tau_p(k) = 2^((n+1) [p odd]) n! / prefactor(p, k) twice more.
-  ``closed_forms.tau`` evaluates the lemma form at each n, from heads in
+  ``closed_forms.tau_pair`` evaluates the lemma form at each n, from heads in
   integer form through ``head_sum``.  ``fit_tau`` solves for tau_p as a
   polynomial in k and y = 4^(k+1) from the ``Fraction`` summands of the
   tables, by exact Gaussian elimination, and uses no lemma at all.
@@ -47,7 +47,7 @@ operation that only the tests need.
   partial sum against pi^p.
 * ``hurwitz_tail`` and ``hurwitz_row``, the tails R_q(N) and a family's
   partial sum at any N from mpmath's Hurwitz zeta and digamma functions:
-  the independent reference of ``closed_forms.tail_sums`` and of the tail
+  the independent reference of ``gupta_series.tail_sums`` and of the tail
   path of ``gupta_series.partial_sum``.
 * The exact weight generators of the four baseline series, and their
   partial sums as ``CertifiedReal`` loops, one interval operation at a time:
@@ -63,10 +63,9 @@ from typing import Iterator
 
 import pytest
 
-from piforge.closed_forms import power_sums
 from piforge.exact_core import factorial
 from piforge.exact_verifier import required_table_k
-from piforge.gupta_series import partial_sum
+from piforge.gupta_series import partial_sum, power_sums
 from piforge.numeric_engine import CertifiedReal, PrecisionContext
 from piforge.special_numbers import BernoulliTable, EulerTable, TableDepthError
 
@@ -192,7 +191,7 @@ def zeta_partial(k: int, N: int, ctx: PrecisionContext) -> TailedInterval:
 def power_sums_loop(
     alternating: bool, q: int, count: int, N: int, work: int
 ) -> list[tuple[int, int]]:
-    """Reference for ``closed_forms.power_sums``: one ``divmod`` per term and
+    """Reference for ``gupta_series.power_sums``: one ``divmod`` per term and
     exponent, and a term widens its bracket when any remainder is nonzero."""
     one = 1 << work
     lo = [0] * count
@@ -386,7 +385,7 @@ def _exact(value) -> Fraction:
 
 
 def hurwitz_tail(alternating: bool, q: int, N: int, bits: int) -> Fraction:
-    """The tail R_q(N) of ``closed_forms.tail_sums`` from mpmath's Hurwitz
+    """The tail R_q(N) of ``gupta_series.tail_sums`` from mpmath's Hurwitz
     zeta (digamma at q = 1) at ``bits`` bits, as an exact rational."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workprec(bits):

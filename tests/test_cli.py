@@ -100,6 +100,17 @@ def test_huge_powers_range_exits_2_at_once():
     assert "powers must come from 1..6, got '1-100000000'" in result.stderr
 
 
+@pytest.mark.parametrize("powers", ["6-1", ",", " 6-1 , 3-2 "])
+def test_powers_naming_no_power_exits_2(powers):
+    """A reversed range is empty on purpose (``1,6-1`` is ``1``), so a list
+    of nothing else names no power: that is the fault the message gives,
+    not a power out of range."""
+    code, out, err = run_cli(["verify", "--powers", powers])
+    assert (code, out) == (2, "")
+    assert err == f"piforge: error: powers must name at least one power, got {powers!r}\n"
+    assert run_cli(["verify", "--powers", f"1,{powers}", "--k-max", "0"])[0] == 0
+
+
 def test_huge_mu_exits_2_before_it_is_expanded():
     """A mu exponent is bounded before Fraction builds its power of ten:
     10^99999999999 would take ages and all memory, and a 5,000,001-digit

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from piforge import gupta_series
-from piforge.closed_forms import power_sums, tau
-from piforge.gupta_series import partial_sum, prefactor, tail_bound
+from piforge.closed_forms import tau_pair
+from piforge.gupta_series import partial_sum, power_sums, prefactor, tail_bound
 from piforge.numeric_engine import CertifiedReal, PrecisionContext
 
 from oracles import CLASSICAL_COEFF, contains, hurwitz_row, inner_poly, widened
@@ -57,7 +57,7 @@ def test_prefactor_k0_collapse():
 
 
 def test_prefactor_validation():
-    for f in (prefactor, tau):
+    for f in (prefactor, tau_pair):
         with pytest.raises(ValueError):
             f(7, 0)
         with pytest.raises(ValueError):
@@ -283,29 +283,32 @@ def test_path_rule():
 
 
 @pytest.mark.parametrize(
-    "p, k, N, prec, orders",
+    "p, k, N, prec, requests",
     [
         # odd p: the Euler numbers its c_q read, and the Bernoulli numbers
         # its 50 tail terms read, not k + p // 2 = 200 of them
-        (1, 200, 10**12, 256, (200, 50)),
-        # even p: one table, as deep as the c_q or the tail reach
-        (2, 200, 10**12, 256, (0, 201)),
-        (4, 3, 10**12, 128, (0, 5)),
-        (1, 8, 10**5, 128, (8, 9)),
+        (1, 200, 10**12, 256, [("euler", 200), ("bernoulli", 50)]),
+        # even p: one table, as deep as the c_q or the tail reach, and no
+        # Euler table at all
+        (2, 200, 10**12, 256, [("bernoulli", 201)]),
+        (4, 3, 10**12, 128, [("bernoulli", 5)]),
+        (1, 8, 10**5, 128, [("euler", 8), ("bernoulli", 9)]),
     ],
 )
-def test_tail_asks_for_the_tables_it_reads(monkeypatch, p, k, N, prec, orders):
-    """A tail row asks ``number_tables`` once, for the Euler numbers of its
-    c_q (odd p) and for no Bernoulli number past what its c_q (even p) and
-    its tail's term count read."""
-    requests = []
-    tables = gupta_series.number_tables
-    monkeypatch.setattr(gupta_series, "number_tables", lambda *a: requests.append(a) or tables(*a))
+def test_tail_asks_for_the_tables_it_reads(monkeypatch, p, k, N, prec, requests):
+    """A tail row builds each table it reads once: the Euler numbers of its
+    c_q for odd p only, and no Bernoulli number past what its c_q (even p)
+    and its tail's term count read."""
+    built = []
+    for kind in ("euler", "bernoulli"):
+        make = getattr(gupta_series, f"{kind}_numbers")
+        monkeypatch.setattr(gupta_series, f"{kind}_numbers",
+                            lambda K, kind=kind, make=make: built.append((kind, K)) or make(K))
     ctx = PrecisionContext(prec)
     partial_sum(p, k, N, ctx)
     terms = gupta_series._tail_terms(p, k, N, work_context(p, k, N, ctx).scale)
-    assert requests == [orders]
-    assert orders[1] == (terms if p % 2 else max(terms, k + p // 2))
+    assert built == requests
+    assert requests[-1][1] == (terms if p % 2 else max(terms, k + p // 2))
 
 
 @given(

@@ -6,13 +6,7 @@ from math import comb
 import pytest
 
 from piforge import special_numbers
-from piforge.special_numbers import (
-    TableDepthError,
-    TableStore,
-    bernoulli_numbers,
-    euler_numbers,
-    number_tables,
-)
+from piforge.special_numbers import TableDepthError, TableStore, bernoulli_numbers, euler_numbers
 
 EULER_LIST = {2: -1, 4: 5, 6: -61, 8: 1385, 10: -50521, 12: 2702765}
 BERNOULLI_LIST = {
@@ -70,7 +64,7 @@ def test_secant_and_tangent_tables_match_recurrences(K, monkeypatch):
     assert list(bernoulli_numbers(K).values) == bern_ref[: K + 1]
     assert depths == [(K, 0), (K, 1)]
     for k_euler, k_bern in ((K, K + 3), (K + 3, K)):
-        euler, bern = number_tables(k_euler, k_bern)
+        euler, bern = euler_numbers(k_euler), bernoulli_numbers(k_bern)
         assert list(euler.values) == euler_ref[: k_euler + 1]
         assert list(bern.values) == bern_ref[: k_bern + 1]
 
