@@ -93,11 +93,10 @@ def _parse_powers(text: str) -> list[int]:
 
 
 def _parse_target(text: str) -> int:
-    name = text.strip().lower().replace("^", "")
-    if name == "pi":
-        return 1
-    if name.startswith("pi") and name[2:].isdecimal():
-        p = int(name[2:])
+    name = text.strip().lower()
+    power = "1" if name == "pi" else name[2:].removeprefix("^")
+    if name.startswith("pi") and power.isdecimal():
+        p = int(power)
         if 1 <= p <= 6:
             return p
     raise ValueError(f"target must be pi, pi^2, ..., pi^6, got {text!r}")

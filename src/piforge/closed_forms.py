@@ -4,22 +4,23 @@ sum_m C(n, 2m) 2^(n-2m) E_2m = 2 and sum_m C(n, 2m) 4^m B_2m = n (DLMF
 24.2.1, 24.2.6), the whole trusted base: family p sums the terms m >= s of
 the first for odd p, of the second for even p (``exact_verifier``), so
 tau_p(k) = (-1)^(s+1-[p odd]) (c - H) / 2, c the lemma's value and
-H = ``head_sum`` its s head terms, from E_0, E_2, B_0, B_2, B_4 built here,
-never from a table under test.  ``tau_pair`` gives tau_p(k) as integers,
-which ``verify`` reads; ``prefactor`` builds its one Fraction from them.
+H = ``head_sum`` its s head terms, from E_0, E_2, B_0, B_2, B_4, five
+constants written out here and never read from a table under test.
+``tau_pair`` gives tau_p(k) as integers, which ``verify`` reads;
+``prefactor`` builds its one Fraction from them and ``math.factorial``.
 """
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, factorial
 
-from .exact_core import factorial
-from .special_numbers import integer_tables, required_table_k
+from .special_numbers import required_table_k
 
 __all__ = ["head_sum", "prefactor", "tau_pair"]
 
-# E_0, E_2 and B_0, B_2, B_4 in integer form, by p % 2: the heads tau subtracts
-_HEADS = integer_tables(1, 2)[::-1]
+# the heads tau subtracts as (D, [v D...]), by p % 2: B_0, B_2, B_4 = 1, 1/6,
+# -1/30 and E_0, E_2 = 1, -1
+_HEADS = ((30, [30, 5, -1]), (1, [1, -1]))
 
 
 def head_sum(n: int, values: list[int], heads: range, odd: int) -> int:

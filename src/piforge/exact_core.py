@@ -1,9 +1,9 @@
-"""Memoized factorials for the exact layer.
-
-piforge's exact arithmetic is Python's built-in ``int`` and
-``fractions.Fraction``, used directly.  This module only memoizes
-factorials (the n! of each prefactor, n = 2k + 2 floor(p/2) + 1, and those
-of the series' coefficients) in a plain dict, up to a configurable input cap.
+"""Memoized factorials, which no piforge module calls any more:
+``closed_forms`` and ``gupta_series`` take n! from ``math.factorial``, so no
+verify, sum or compare run loads this module or its module-level memo dict.
+It stays, with the ``piforge.factorial`` export, only because the benchmark's
+traced mode calls ``set_memo_cap`` (perfbench/layers.py), and goes with the
+benchmark change that drops that call (ROADMAP item 4).
 """
 
 from __future__ import annotations

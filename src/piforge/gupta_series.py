@@ -138,11 +138,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count, repeat
-from math import comb, log2, pi
+from math import comb, factorial, log2, pi
 from operator import floordiv, mul
 
 from .closed_forms import prefactor
-from .exact_core import factorial
 from .numeric_engine import CertifiedReal, PrecisionContext
 from .special_numbers import MAX_INDEX, bernoulli_numbers, euler_numbers, required_table_k
 

@@ -16,12 +16,13 @@ truncated sums.  Every recurrence runs on plain integers, fixed-point
 mantissas on which each outward rounding is a floor division.
 
 Each series takes a list of term counts and makes one pass up to the
-largest, keeping the sum at each requested count.  Each pass runs one
-floor-rounded recurrence at ``_GUARD = 24`` bits beyond the context's scale
-and proves its error ahead of time, so the upper bound costs no work per
-step.  Writing X for a quantity times 2^(scale+24) and x for its computed
-floor-rounded mantissa, e = X - x is its error in units of 2^-(scale+24).
-Every step of the pi^2 series applies one
+largest: one driver, ``_enclosures``, runs the series' recurrence, a
+generator that yields the integer bracket (N, lo, hi) at each requested
+count.  Each recurrence is floor-rounded at ``_GUARD = 24`` bits beyond the
+context's scale and proves its error ahead of time, so the upper bound costs
+no work per step.  Writing X for a quantity times 2^(scale+24) and x for its
+computed floor-rounded mantissa, e = X - x is its error in units of
+2^-(scale+24).  Every step of the pi^2 series applies one
 
     lemma: if x <= X <= x + e and y <= Y <= y + f, with a >= 0, b > 0, then
     0 <= (a X + Y)/b - floor((a x + y)/b) < 1 + (a e + f)/b,
@@ -74,13 +75,13 @@ lies in [floor(w/c) - 7K, ceil(w/c) + 7K].  When mu >= 1, rho >= 0 and
 every error is >= 0 by induction, so the lower end is floor(w/c) itself.
 
 So each sum has an integer bracket at ``_GUARD`` bits beyond the context's
-scale, which ``CertifiedReal.rounded_to`` rounds outward onto the context
-once: for N <= 10^5 each bracket spans fewer than 2^21 units, and the
-enclosure is at most 2 units of 2^-scale wide.  The budget applies only
-once some floor has dropped a remainder; until then every mantissa is
-exact, and so is a dyadic sum such as ``kolbig`` at N <= 2 or the mu-family
-at mu = 1, N = 1.  The guard is fixed, not derived from the largest N, so
-a row's bounds do not depend on the other N of the call.
+scale, which the driver rounds outward onto the context once: for
+N <= 10^5 each bracket spans fewer than 2^21 units, and the enclosure is at
+most 2 units of 2^-scale wide.  The budget applies only once some floor has
+dropped a remainder; until then every mantissa is exact, and so is a dyadic
+sum such as ``kolbig`` at N <= 2 or the mu-family at mu = 1, N = 1.  The
+guard is fixed, not derived from the largest N, so a row's bounds do not
+depend on the other N of the call.
 """
 
 from __future__ import annotations
@@ -101,27 +102,21 @@ __all__ = [
 _GUARD = 24
 
 
-def _stops(Ns: list[int]) -> set[int]:
-    """The distinct term counts of Ns, each of which must be >= 1."""
+def _enclosures(recurrence, Ns: list[int], ctx: PrecisionContext, *args) -> list[CertifiedReal]:
+    """The brackets (N, lo, hi) that ``recurrence(one, stops, *args)`` yields,
+    one = 1 at ``_GUARD`` bits beyond ctx and stops the distinct N of Ns,
+    each rounded outward onto ctx, in the order of Ns."""
     if min(Ns) < 1:
         raise ValueError("K must be >= 1")
-    return set(Ns)
-
-
-def alzer_koumandos_partials(
-    mu: Fraction | int, Ns: list[int], ctx: PrecisionContext
-) -> list[CertifiedReal]:
-    """Partial sums of 4 sum_{k<N} J_k / (1+mu)^(k+1), the mu-family for pi,
-    one for each N in Ns."""
-    mu = Fraction(mu)
-    if mu <= 0:
-        raise ValueError("the parameter mu must be positive")
-    stops = _stops(Ns)
     work = PrecisionContext(ctx.precision_bits + _GUARD)
-    a, b = mu.numerator, mu.denominator
+    at = {N: CertifiedReal(work, lo, hi).rounded_to(ctx)
+          for N, lo, hi in recurrence(1 << work.scale, set(Ns), *args)}
+    return [at[N] for N in Ns]
+
+
+def _mu_family(one: int, stops: set[int], a: int, b: int):
     c = a + b
-    r, t, acc, exact = 1 << work.scale, 0, 0, True
-    at = {}
+    r, t, acc, exact = one, 0, 0, True
     for k in range(max(stops)):  # r enters as r^k and leaves as r^(k+1)
         y = 2 * k * a * t
         z = y // c + r
@@ -134,20 +129,24 @@ def alzer_koumandos_partials(
         if k + 1 in stops:
             w = 4 * b * acc
             slack = 0 if exact else 7 * k
-            lo = w // c - (slack if a < b else 0)
-            at[k + 1] = CertifiedReal(work, lo, -(-w // c) + slack).rounded_to(ctx)
-    return [at[N] for N in Ns]
+            yield k + 1, w // c - (slack if a < b else 0), -(-w // c) + slack
 
 
-def _mid_binomial_harmonic_partials(
-    Ns: list[int], ctx: PrecisionContext, weight: int, odd: bool
+def alzer_koumandos_partials(
+    mu: Fraction | int, Ns: list[int], ctx: PrecisionContext
 ) -> list[CertifiedReal]:
-    """weight * sum_{k<=K} mu_k h_k / k for each K in Ns, where h_k sums
-    1/(2i-1) over i <= k when ``odd`` and 1/i otherwise."""
-    stops = _stops(Ns)
-    work = PrecisionContext(ctx.precision_bits + _GUARD)
-    mu, g, acc, exact = 1 << work.scale, 0, 0, True
-    at = {}
+    """Partial sums of 4 sum_{k<N} J_k / (1+mu)^(k+1), the mu-family for pi,
+    one for each N in Ns."""
+    mu = Fraction(mu)
+    if mu <= 0:
+        raise ValueError("the parameter mu must be positive")
+    return _enclosures(_mu_family, Ns, ctx, mu.numerator, mu.denominator)
+
+
+def _mid_binomial_harmonic(one: int, stops: set[int], weight: int, odd: bool):
+    """weight * sum_{k<=K} mu_k h_k / k, where h_k sums 1/(2i-1) over i <= k
+    when ``odd`` and 1/i otherwise."""
+    mu, g, acc, exact = one, 0, 0, True
     for k in range(1, max(stops) + 1):
         d = 2 * k
         mu_prev = mu
@@ -160,31 +159,25 @@ def _mid_binomial_harmonic_partials(
         if exact:  # until a floor drops a remainder, every mantissa is exact
             exact = not (x % d or y % d or z % k)
         if k in stops:
-            budget = 0 if exact else (2 * weight + 1) * k
-            at[k] = CertifiedReal(work, acc, acc + budget).rounded_to(ctx)
-    return [at[K] for K in Ns]
+            yield k, acc, acc + (0 if exact else (2 * weight + 1) * k)
 
 
 def alzer_h_partials(Ns: list[int], ctx: PrecisionContext) -> list[CertifiedReal]:
     """Partial sums of 4 sum_{k<=K} mu_k h_k / k (odd harmonic weights), one
     for each K in Ns."""
-    return _mid_binomial_harmonic_partials(Ns, ctx, 4, odd=True)
+    return _enclosures(_mid_binomial_harmonic, Ns, ctx, 4, True)
 
 
 def alzer_H_partials(Ns: list[int], ctx: PrecisionContext) -> list[CertifiedReal]:
     """Partial sums of 3 sum_{k<=K} mu_k H_k / k (full harmonic weights), one
     for each K in Ns."""
-    return _mid_binomial_harmonic_partials(Ns, ctx, 3, odd=False)
+    return _enclosures(_mid_binomial_harmonic, Ns, ctx, 3, False)
 
 
-def kolbig_partials(Ns: list[int], ctx: PrecisionContext) -> list[CertifiedReal]:
-    """Partial sums of 2 sum_{k<=K} sigma_k / k, one for each K in Ns."""
-    stops = _stops(Ns)
-    work = PrecisionContext(ctx.precision_bits + _GUARD)
-    p = q = 1 << work.scale
+def _kolbig(one: int, stops: set[int]):
+    p = q = one
     u = v = acc = 0
     exact = True
-    at = {}
     for n in range(1, max(stops) + 1):
         d = 4 * n
         x = (d - 1) * u + p
@@ -197,5 +190,9 @@ def kolbig_partials(Ns: list[int], ctx: PrecisionContext) -> list[CertifiedReal]
         if exact:
             exact = not (x % d or y % d or p_num % d or q_num % d or z % n)
         if n in stops:
-            at[n] = CertifiedReal(work, acc, acc + (0 if exact else 5 * n)).rounded_to(ctx)
-    return [at[K] for K in Ns]
+            yield n, acc, acc + (0 if exact else 5 * n)
+
+
+def kolbig_partials(Ns: list[int], ctx: PrecisionContext) -> list[CertifiedReal]:
+    """Partial sums of 2 sum_{k<=K} sigma_k / k, one for each K in Ns."""
+    return _enclosures(_kolbig, Ns, ctx)

@@ -81,10 +81,7 @@ def distinguishing_digits(value: CertifiedReal, cap: int) -> int:
     width = value.width
     if width == 0:
         return min(cap, 17)
-    magnitude = value.mag
-    if magnitude == 0:
-        return 3
-    mag_exp = _to_decimal(magnitude, 3, "half_even").adjusted()
+    mag_exp = _to_decimal(value.mag, 3, "half_even").adjusted()
     width_exp = _to_decimal(width, 3, "half_even").adjusted()
     return max(3, min(cap, mag_exp - width_exp + 2))
 

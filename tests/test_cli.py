@@ -293,6 +293,14 @@ def test_verify_beyond_table_cap():
           f"10,{2**62 + 1}"], ["--terms", str(2**62)]),
         (["compare", "--target", "pi", "--series", "classical", "--terms",
           f"10,{10**20}"], ["--terms", str(2**62)]),
+        (["compare", "--target", "pi^^2", "--series", "kolbig", "--terms", "5"],
+         ["target must be pi, pi^2, ..., pi^6", "'pi^^2'"]),
+        (["compare", "--target", "p^i2", "--series", "kolbig", "--terms", "5"],
+         ["target must be pi, pi^2, ..., pi^6", "'p^i2'"]),
+        (["compare", "--target", "^pi^2", "--series", "kolbig", "--terms", "5"],
+         ["target must be pi, pi^2, ..., pi^6", "'^pi^2'"]),
+        (["compare", "--target", "pi^", "--series", "kolbig", "--terms", "5"],
+         ["target must be pi, pi^2, ..., pi^6", "'pi^'"]),
     ],
 )
 def test_parse_errors_are_located(argv, located):
@@ -629,6 +637,8 @@ def run_entry_modules(argv: str) -> tuple[str, bool, set[str]]:
 NOT_EXACT = {"fractions", "decimal", "numbers", "csv", "json"}
 # the interval and series code that value rows need, and verify does not
 VALUE_ROWS = {"piforge.prior_series", "piforge.numeric_engine", "piforge.gupta_series"}
+# the factorial memo: n! comes from math, so no verify, sum or compare run loads it
+MEMO = {"piforge.exact_core"}
 
 
 @pytest.mark.parametrize(
@@ -639,22 +649,22 @@ VALUE_ROWS = {"piforge.prior_series", "piforge.numeric_engine", "piforge.gupta_s
         ("numbers --kind bernoulli --max-index 12 --format json", {"piforge.special_numbers"},
          ENGINE | PARSER | {"json", "csv"}),
         ("sum --series gupta:p=2,k=2 --terms 100 --format csv", {"piforge.gupta_series"},
-         PARSER | {"piforge.exact_verifier", "piforge.prior_series", "json", "csv"}),
+         PARSER | MEMO | {"piforge.exact_verifier", "piforge.prior_series", "json", "csv"}),
         ("compare --target pi2 --series gupta:k=1,kolbig,alzer-H --terms 10,100 --format json",
          {"piforge.gupta_series", "piforge.prior_series"},
-         PARSER | {"piforge.exact_verifier", "csv", "json"}),
+         PARSER | MEMO | {"piforge.exact_verifier", "csv", "json"}),
         *[
             (f"verify --powers 1-6 --k-max 8 --format {fmt}", {"piforge.exact_verifier"},
-             PARSER | NOT_EXACT | VALUE_ROWS)
+             PARSER | NOT_EXACT | VALUE_ROWS | MEMO)
             for fmt in ("csv", "json")
         ],
         # --help and an abbreviated flag go to argparse
         ("sum --help", {"argparse"}, {"piforge.gupta_series", "piforge.exact_verifier"}),
         ("sum --series gupta:p=2,k=2 --term 100 --format csv",
          {"argparse", "piforge.gupta_series"},
-         {"piforge.exact_verifier", "piforge.prior_series", "json", "csv"}),
+         MEMO | {"piforge.exact_verifier", "piforge.prior_series", "json", "csv"}),
         ("verify --powers 1-6 --k-max 8 --format pretty", {"piforge.exact_verifier"},
-         PARSER | NOT_EXACT | VALUE_ROWS),
+         PARSER | NOT_EXACT | VALUE_ROWS | MEMO),
         ("numbers --kind euler --max-index 24 --format json", {"piforge.special_numbers"},
          ENGINE | PARSER | NOT_EXACT),
     ],
@@ -692,9 +702,8 @@ def test_package_import_loads_no_submodule():
     )
     assert result.stdout.splitlines() == [
         "[]",
-        "['piforge.closed_forms', 'piforge.exact_core', 'piforge.special_numbers']",
-        "['piforge.closed_forms', 'piforge.exact_core', 'piforge.numeric_engine', "
-        "'piforge.special_numbers']",
+        "['piforge.closed_forms', 'piforge.special_numbers']",
+        "['piforge.closed_forms', 'piforge.numeric_engine', 'piforge.special_numbers']",
         "False",
     ]
 
