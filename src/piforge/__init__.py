@@ -4,11 +4,12 @@ for series representations of pi, pi^2, ..., pi^6.
 ``import piforge`` loads none of its modules.  Each public name below is
 imported from its module on first use (PEP 562), so ``from piforge import
 partial_sum`` loads what ``partial_sum`` needs, and a CLI run compiles and
-loads only the modules its subcommand calls.  Of the standard library,
-``verify`` and ``numbers --kind euler`` run on ints alone and load none of
-``fractions``, ``decimal``, ``numbers``, ``csv`` and ``json``;
-``numbers --kind bernoulli`` loads ``fractions``, and ``sum`` and
-``compare`` load ``fractions`` and ``decimal`` for their value rows.
+loads only the modules its subcommand calls.  An exact rational crosses
+from module to module as an integer (numerator, denominator) pair, and only
+``report`` divides one into decimal digits.  Of the standard library,
+``verify`` and ``numbers`` run on ints alone and load none of ``fractions``,
+``decimal``, ``numbers``, ``csv`` and ``json``; ``sum`` and ``compare`` load
+``fractions`` and ``decimal`` for their value rows.
 """
 
 _EXPORTS = {

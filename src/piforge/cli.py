@@ -7,8 +7,9 @@ invocations produce byte-identical reports.  The ``--workers`` option is
 accepted for compatibility and ignored; everything runs in one thread.
 
 Euler and Bernoulli tables are rebuilt in memory by every run, and nothing
-is read from or written to disk.  ``numbers`` prints their (index, value)
-pairs itself; every other report is rendered by :mod:`piforge.report`.
+is read from or written to disk.  ``numbers`` prints their (index,
+numerator, denominator) rows itself, with B_1 = -1/2, which no table holds;
+every other report is rendered by :mod:`piforge.report`.
 
 A run loads only what its subcommand calls: this module imports
 ``special_numbers`` (whose ``MAX_INDEX`` bounds every input), and each
@@ -95,10 +96,12 @@ def _parse_powers(text: str) -> list[int]:
 def _parse_target(text: str) -> int:
     name = text.strip().lower()
     power = "1" if name == "pi" else name[2:].removeprefix("^")
-    if name.startswith("pi") and power.isdecimal():
-        p = int(power)
-        if 1 <= p <= 6:
-            return p
+    try:  # a power past int()'s digit limit names no power of 1..6
+        p = int(power) if name.startswith("pi") and power.isdecimal() else 0
+    except ValueError:
+        p = 0
+    if 1 <= p <= 6:
+        return p
     raise ValueError(f"target must be pi, pi^2, ..., pi^6, got {text!r}")
 
 
@@ -205,11 +208,12 @@ def _value_row(sel: SeriesSelector, terms: int, value, target, fmt: str):
     the enclosure of pi^p."""
     from . import report
 
-    residual = report.render_signed(value.mid - target.mid)
+    one = 1 << value.ctx.scale  # value and target share their context
+    residual = report.render_signed(value.lo_m + value.hi_m - target.lo_m - target.hi_m, 2 * one)
     digits, width = report.decimal_digits(value.ctx.precision_bits), None
     if fmt == "pretty":
         digits = report.distinguishing_digits(value, digits)
-        width = report.render_bound(value.width, 3, "ceiling")
+        width = report.render_bound(value.hi_m - value.lo_m, one, 3, "ceiling")
     lo, hi = report.render_interval(value, digits)
     return report.ReportRow(
         sel.series_id, sel.p, sel.k, terms, lo, hi, _target_name(sel.p), residual, None, width
@@ -227,15 +231,16 @@ def _cmd_numbers(args) -> tuple[str, int]:
     K = args.max_index // 2
     euler = args.kind == "euler"
     table = TableStore().euler(K) if euler else TableStore().bernoulli(K)
-    # (index, value) pairs in index order, B_1 between B_0 and B_2; an Euler
-    # value is an int, which has a numerator and a denominator too
-    pairs = [(2 * k, q) for k, q in enumerate(table.values)]
+    # (index, numerator, denominator) in index order, B_1 = -1/2 between B_0
+    # and B_2; an Euler number is an int, a Bernoulli number a reduced pair
+    rows = [(2 * k, *((v, 1) if euler else v)) for k, v in enumerate(table.values)]
     if not euler and K:
-        pairs.insert(1, (1, table.b1))
+        rows.insert(1, (1, -1, 2))
     if args.format == "pretty":
-        lines = [f"{'E' if euler else 'B'}_{i} = {q}" for i, q in pairs]
+        letter = "E" if euler else "B"
+        lines = [f"{letter}_{i} = {num}" + (f"/{den}" if den != 1 else "") for i, num, den in rows]
     else:
-        cells = [(str(i), str(q.numerator), str(q.denominator)) for i, q in pairs]
+        cells = [tuple(map(str, row)) for row in rows]
         if args.format == "csv":
             lines = ["index,numerator,denominator", *map(",".join, cells)]
         else:  # json.dumps(cells, indent=2); no cell needs escaping
@@ -260,8 +265,9 @@ def _cmd_verify(args) -> tuple[str, int]:
     checks = verify_grid(powers, args.k_max)
     rows = []
     for check in checks:
-        shown = "1" if check.ratio == 1 else render_signed(check.ratio, 30)
-        residual = "0" if check.holds else render_signed(check.ratio - 1, 12)
+        num, den = check.ratio.numerator, check.ratio.denominator
+        shown = "1" if check.holds else render_signed(num, den, 30)
+        residual = "0" if check.holds else render_signed(num - den, den, 12)
         row = (f"gupta:p={check.p},k={check.k}", check.p, check.k, 0, shown, shown, "1")
         rows.append(ReportRow(*row, residual, check.holds))
     return render_report(rows, args.format), 0 if all(check.holds for check in checks) else 1

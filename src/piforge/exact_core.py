@@ -3,7 +3,7 @@
 verify, sum or compare run loads this module or its module-level memo dict.
 It stays, with the ``piforge.factorial`` export, only because the benchmark's
 traced mode calls ``set_memo_cap`` (perfbench/layers.py), and goes with the
-benchmark change that drops that call (ROADMAP item 4).
+benchmark change that drops that call (ROADMAP item 6).
 """
 
 from __future__ import annotations

@@ -44,8 +44,9 @@ context.  It costs N (k + 1) floor divisions.
 *The tail path* writes S_q(N) = c_q pi^q - R_q(N), with S_q(infinity) =
 c_q pi^q and the tail R_q(N) = sum_{n>N} sign_n / base_n^q.  It costs
 M (k + 1) divisions and a table of M Bernoulli numbers, whatever N.
-``pi_coefficients`` reads the exact c_q off the tables, so the identity
-``verify`` proves is read from them, not assumed: from the Euler numbers,
+``pi_coefficients`` reads the exact c_q off the tables as integer
+(numerator, denominator) pairs, so the identity ``verify`` proves is read
+from them, not assumed: from the Euler numbers,
 beta(2m+1) = |E_2m| / (2^(2m+2) (2m)!) pi^(2m+1), and from the Bernoulli
 numbers, zeta(2m) = (-1)^(m-1) 2^(2m-1) B_2m / (2m)! pi^(2m) (DLMF 25.6.2;
 Abramowitz & Stegun 23.2.22).  ``tail_sums`` brackets R_q(N) as
@@ -200,18 +201,18 @@ def power_sums(q: int, count: int, N: int, work: int) -> list[tuple[int, int]]:
     return list(zip(lo, hi))
 
 
-def pi_coefficients(q: int, count: int, table) -> list[Fraction]:
-    """The exact c_e with S_e(infinity) = c_e * pi^e, for e = q, q+2, ...,
-    q + 2(count-1), from ``table.values``: the Euler numbers for odd q, the
-    Bernoulli numbers for even q >= 2."""
+def pi_coefficients(q: int, count: int, table) -> list[tuple[int, int]]:
+    """The exact c_e > 0 with S_e(infinity) = c_e * pi^e, for e = q, q+2, ...,
+    q + 2(count-1), as unreduced (numerator, denominator) pairs, from
+    ``table.values``: the Euler numbers for odd q, the Bernoulli pairs for
+    even q >= 2."""
     coefficients = []
     for e in range(q, q + 2 * count, 2):
-        value = table.values[e // 2]
         if q % 2:
-            coefficients.append(Fraction(abs(value), (1 << (e + 1)) * factorial(e - 1)))
+            coefficients.append((abs(table.values[e // 2]), (1 << (e + 1)) * factorial(e - 1)))
         else:
-            value = (1 << (e - 1)) * value / factorial(e)
-            coefficients.append(value if e % 4 else -value)
+            num, den = table.values[e // 2]
+            coefficients.append(((num if e % 4 else -num) << (e - 1), den * factorial(e)))
     return coefficients
 
 
@@ -225,7 +226,8 @@ def tail_sums(q: int, count: int, N: int, work: int, bernoulli: tuple) -> list[t
     """Integer brackets ``(lo, hi)`` of 2**work * R_{q+2j}(N) for j < count,
     the tails past n = N of the sums ``power_sums`` walks, from the
     Euler-Maclaurin expansion of the module docstring with the Bernoulli
-    numbers ``bernoulli`` = (B_0, B_2, ..., B_2M), M >= 1: each tail takes
+    numbers ``bernoulli`` = (B_0, B_2, ..., B_2M), M >= 1, as (numerator,
+    positive denominator) pairs: each tail takes
     terms until one is below a unit, or M of them.  q >= 2 for the plain
     sums."""
     alternating = q % 2
@@ -257,11 +259,11 @@ def tail_sums(q: int, count: int, N: int, work: int, bernoulli: tuple) -> list[t
             c += 1
         lo, hi = lo + f, hi + c
         for m in range(1, len(bernoulli)):
-            b = bernoulli[m]
+            b_num, b_den = bernoulli[m]
             num, den = diff(e + 2 * m - 1)
             # (e)_(2m-1) / (2m)! = C(e+2m-2, 2m-1) / (2m)
-            weight = b.numerator * comb(e + 2 * m - 2, 2 * m - 1) * num << (2 * m - 1) * h_bits
-            f, c = _floor_ceil(weight, b.denominator * 2 * m * den, work)
+            weight = b_num * comb(e + 2 * m - 2, 2 * m - 1) * num << (2 * m - 1) * h_bits
+            f, c = _floor_ceil(weight, b_den * 2 * m * den, work)
             lo, hi = lo + f, hi + c
             last = max(-f, c)
             if last <= 1:
@@ -346,8 +348,8 @@ def _tail_brackets(p: int, k: int, N: int, work: PrecisionContext) -> list[tuple
     lo, hi = power.lo_m, power.hi_m  # of pi^q, all bounds positive
     slack = N if N <= DIRECT_LIMIT else 0  # so that each holds the walk's bracket
     brackets = []
-    for c, (tail_lo, tail_hi) in zip(coeffs, tails):  # c > 0
-        head_lo, head_hi = lo * c.numerator // c.denominator, -(-hi * c.numerator // c.denominator)
+    for (c_num, c_den), (tail_lo, tail_hi) in zip(coeffs, tails):  # c > 0
+        head_lo, head_hi = lo * c_num // c_den, -(-hi * c_num // c_den)
         brackets.append((head_lo - tail_hi - slack, head_hi - tail_lo + slack))
         lo, hi = lo * pi2.lo_m >> work.scale, -(-hi * pi2.hi_m >> work.scale)
     return brackets

@@ -11,7 +11,10 @@ common scale; multiplication rounds each bound by at most one unit in the
 last place.
 
 Because the dyadic grids nest as the scale grows, doubling the precision
-never widens a result computed over the same expression DAG.
+never widens a result computed over the same expression DAG.  An enclosure
+is read as its two integer mantissas ``lo_m``, ``hi_m`` and ``ctx.scale``;
+only ``from_rational`` takes a ``Fraction``, and it loads ``fractions`` when
+called.
 
 ``pi`` comes from the Machin relation 16*arctan(1/5) - 4*arctan(1/239),
 evaluated by integer fixed-point summation of the alternating arctan
@@ -29,8 +32,6 @@ walk.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
-from numbers import Rational
 
 __all__ = [
     "CertifiedReal",
@@ -69,8 +70,10 @@ class PrecisionContext(namedtuple("PrecisionContext", "precision_bits")):
 
     # -- value factories ---------------------------------------------------
 
-    def from_rational(self, value: Rational | int) -> "CertifiedReal":
+    def from_rational(self, value: Fraction | int) -> "CertifiedReal":
         """Tightest enclosure of an exact rational: each bound within 1 ulp."""
+        from fractions import Fraction
+
         q = Fraction(value)
         shifted, den = q.numerator << self.scale, q.denominator
         return CertifiedReal(self, shifted // den, _ceil_div(shifted, den))
@@ -94,8 +97,8 @@ class PrecisionContext(namedtuple("PrecisionContext", "precision_bits")):
 
 
 class CertifiedReal:
-    """An interval ``[lo, hi]`` of dyadic bounds guaranteed to contain the
-    true value; ``width`` reports the diameter."""
+    """An interval ``[lo_m / 2**scale, hi_m / 2**scale]`` of dyadic bounds,
+    ``scale = ctx.scale``, guaranteed to contain the true value."""
 
     __slots__ = ("ctx", "lo_m", "hi_m")
 
@@ -105,29 +108,6 @@ class CertifiedReal:
         self.ctx = ctx
         self.lo_m = lo_m
         self.hi_m = hi_m
-
-    # -- inspection ----------------------------------------------------------
-
-    @property
-    def lo(self) -> Fraction:
-        return Fraction(self.lo_m, 1 << self.ctx.scale)
-
-    @property
-    def hi(self) -> Fraction:
-        return Fraction(self.hi_m, 1 << self.ctx.scale)
-
-    @property
-    def mid(self) -> Fraction:
-        return Fraction(self.lo_m + self.hi_m, 1 << (self.ctx.scale + 1))
-
-    @property
-    def width(self) -> Fraction:
-        return Fraction(self.hi_m - self.lo_m, 1 << self.ctx.scale)
-
-    @property
-    def mag(self) -> Fraction:
-        """Largest absolute value the enclosure permits."""
-        return Fraction(max(abs(self.lo_m), abs(self.hi_m)), 1 << self.ctx.scale)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CertifiedReal):
@@ -139,7 +119,8 @@ class CertifiedReal:
         )
 
     def __repr__(self) -> str:
-        return f"CertifiedReal(lo={self.lo!r}, hi={self.hi!r})"
+        # hexadecimal: int-to-decimal conversion stops at 4,300 digits
+        return f"CertifiedReal(lo_m={self.lo_m:#x}, hi_m={self.hi_m:#x}, scale={self.ctx.scale})"
 
     def _check(self, other: "CertifiedReal") -> None:
         if self.ctx.scale != other.ctx.scale:

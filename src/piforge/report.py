@@ -1,10 +1,13 @@
 """Report rows and deterministic rendering to CSV, JSON, and text tables.
 
 A value row's numbers are rendered through ``decimal``, imported by those
-renderers only, from exact rationals with explicit rounding directions
-(lower bounds toward -inf, upper bounds toward +inf, single summary numbers
-half-even), so identical invocations are byte-identical and no float ever
-enters a report.  The math modules return numbers; this module and
+renderers only, from exact rationals given as integer (numerator,
+denominator) pairs -- an interval bound is its mantissa over 2**scale --
+with explicit rounding directions (lower bounds toward -inf, upper bounds
+toward +inf, single summary numbers half-even).  ``decimal`` divides the two
+integers and rounds once, so a pair and any multiple of it print alike,
+identical invocations are byte-identical, and no float ever enters a
+report.  The math modules return numbers; this module and
 :mod:`piforge.cli` alone format them.  The CSV and JSON writers quote cells
 themselves and import ``csv`` or ``json.encoder`` only for a cell that needs
 more than piforge's own cells do.  ``numeric_engine.CertifiedReal`` is named
@@ -45,7 +48,7 @@ def decimal_digits(precision_bits: int) -> int:
     return int(math.ceil(precision_bits * math.log10(2))) + 2
 
 
-def _to_decimal(value: Fraction, digits: int, mode: str) -> decimal.Decimal:
+def _to_decimal(num: int, den: int, digits: int, mode: str) -> decimal.Decimal:
     import decimal
 
     ctx = decimal.Context(
@@ -54,35 +57,34 @@ def _to_decimal(value: Fraction, digits: int, mode: str) -> decimal.Decimal:
         Emin=-999999999,
         Emax=999999999,
     )
-    return ctx.divide(decimal.Decimal(value.numerator), decimal.Decimal(value.denominator))
+    return ctx.divide(decimal.Decimal(num), decimal.Decimal(den))
 
 
-def render_bound(value: Fraction, digits: int, mode: str) -> str:
-    """Directed decimal rendering of an exact rational."""
-    if value == 0:
-        return "0"
-    return str(_to_decimal(value, digits, mode))
+def render_bound(num: int, den: int, digits: int, mode: str) -> str:
+    """Directed decimal rendering of the exact rational num / den, den > 0."""
+    return str(_to_decimal(num, den, digits, mode))
 
 
-def render_signed(value: Fraction, digits: int = 12) -> str:
+def render_signed(num: int, den: int, digits: int = 12) -> str:
     """Round-to-nearest rendering for summary quantities like residuals."""
-    return render_bound(value, digits, "half_even")
+    return render_bound(num, den, digits, "half_even")
 
 
 def render_interval(value: CertifiedReal, digits: int) -> tuple[str, str]:
+    one = 1 << value.ctx.scale
     return (
-        render_bound(value.lo, digits, "floor"),
-        render_bound(value.hi, digits, "ceiling"),
+        render_bound(value.lo_m, one, digits, "floor"),
+        render_bound(value.hi_m, one, digits, "ceiling"),
     )
 
 
 def distinguishing_digits(value: CertifiedReal, cap: int) -> int:
     """Enough significant digits to tell the bounds apart (for text tables)."""
-    width = value.width
+    width, one = value.hi_m - value.lo_m, 1 << value.ctx.scale
     if width == 0:
         return min(cap, 17)
-    mag_exp = _to_decimal(value.mag, 3, "half_even").adjusted()
-    width_exp = _to_decimal(width, 3, "half_even").adjusted()
+    mag_exp = _to_decimal(max(-value.lo_m, value.hi_m), one, 3, "half_even").adjusted()
+    width_exp = _to_decimal(width, one, 3, "half_even").adjusted()
     return max(3, min(cap, mag_exp - width_exp + 2))
 
 

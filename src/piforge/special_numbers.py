@@ -12,10 +12,10 @@ computation of Bernoulli, Tangent and Secant numbers", arXiv:1108.0286):
   n >= 1, B_0 = 1 and B_1 = -1/2 (all other odd Bernoulli numbers vanish).
 
 The only division is the final one of each Bernoulli number, kept as a
-reduced (numerator, denominator) pair.  ``integer_tables`` hands ``verify``
-both tables on ints alone; ``bernoulli_numbers`` builds its Fractions from
-the pairs when called, so importing this module, or an Euler table, loads
-no ``fractions``.  Each recurrence runs only as deep as its table, so a
+reduced (numerator, positive denominator) pair, so every table holds ints
+alone and the module loads no ``fractions``.  ``integer_tables`` hands
+``verify`` both tables over a common denominator.  B_1 is in no table; the
+CLI prints it.  Each recurrence runs only as deep as its table, so a
 request for one table computes none of the other.
 :class:`TableStore` builds a table on request up to index
 ``MAX_INDEX = 512``; only :mod:`piforge.cli` prints them.
@@ -71,15 +71,10 @@ class EulerTable(namedtuple("EulerTable", "values")):
 
 
 class BernoulliTable(namedtuple("BernoulliTable", "values")):
-    """B_0, B_2, ..., B_{2K} plus B_1; ``values[k]`` is B_{2k}."""
+    """B_0, B_2, ..., B_{2K}; ``values[k]`` is B_{2k} as a reduced
+    (numerator, positive denominator) pair."""
 
     __slots__ = ()
-
-    @property
-    def b1(self):
-        from fractions import Fraction
-
-        return Fraction(-1, 2)
 
 
 def _zigzag_parity(K: int, odd: int) -> list[int]:
@@ -98,33 +93,26 @@ def _zigzag_parity(K: int, odd: int) -> list[int]:
     return a[:n]
 
 
-def _bernoulli_pairs(K: int) -> list[tuple[int, int]]:
-    """B_0 .. B_2K as reduced (numerator, denominator) pairs."""
-    pairs = [(1, 1)]
-    for n, t in enumerate(_zigzag_parity(K, 1), 1):
-        four_n = 1 << (2 * n)
-        num, den = 2 * n * t, four_n * (four_n - 1)
-        g = gcd(num, den)
-        pairs.append(((num if n % 2 else -num) // g, den // g))
-    return pairs
-
-
 def euler_numbers(K: int) -> EulerTable:
     """Exact table of E_0 .. E_{2K}."""
     return EulerTable(tuple(-v if n % 2 else v for n, v in enumerate(_zigzag_parity(K, 0))))
 
 
 def bernoulli_numbers(K: int) -> BernoulliTable:
-    """Exact table of B_0 .. B_{2K} (even indices) plus B_1 = -1/2."""
-    from fractions import Fraction
-
-    return BernoulliTable(tuple(Fraction(*pair) for pair in _bernoulli_pairs(K)))
+    """Exact table of B_0 .. B_{2K} (even indices) as reduced pairs."""
+    pairs = [(1, 1)]
+    for n, t in enumerate(_zigzag_parity(K, 1), 1):
+        four_n = 1 << (2 * n)
+        num, den = 2 * n * t, four_n * (four_n - 1)
+        g = gcd(num, den)
+        pairs.append(((num if n % 2 else -num) // g, den // g))
+    return BernoulliTable(tuple(pairs))
 
 
 def integer_tables(k_euler: int, k_bern: int) -> tuple[tuple[int, list[int]], ...]:
     """E_0 .. E_{2 k_euler} and B_0 .. B_{2 k_bern}, each as (D, [v D for each
     value v]), D the lcm of the values' denominators (1 for the Euler numbers)."""
-    pairs = _bernoulli_pairs(k_bern)
+    pairs = bernoulli_numbers(k_bern).values
     common = lcm(*(den for _, den in pairs))
     return (1, list(euler_numbers(k_euler).values)), (common, [n * (common // d) for n, d in pairs])
 

@@ -4,6 +4,10 @@ None of this is called by the library: each function is a slow, direct
 evaluation of something piforge computes by a faster route, or an interval
 operation that only the tests need.
 
+* ``lo_of``, ``hi_of``, ``mid_of``, ``width_of`` and ``mag_of``: the exact
+  rational views of a ``CertifiedReal``, read off its integer mantissas and
+  scale, and ``bernoulli_fractions``, a ``BernoulliTable``'s (numerator,
+  denominator) pairs as ``Fraction``s.  The library keeps both as integers.
 * ``contains``, ``widened`` and ``quotient``: containment of a rational or
   an enclosure, outward widening by an exact radius, and outward interval
   division, on ``CertifiedReal`` bounds.
@@ -81,13 +85,43 @@ CLASSICAL_COEFF = {
 }
 
 
+def lo_of(x: CertifiedReal) -> Fraction:
+    """The lower bound of x."""
+    return Fraction(x.lo_m, 1 << x.ctx.scale)
+
+
+def hi_of(x: CertifiedReal) -> Fraction:
+    """The upper bound of x."""
+    return Fraction(x.hi_m, 1 << x.ctx.scale)
+
+
+def mid_of(x: CertifiedReal) -> Fraction:
+    """The midpoint of x."""
+    return Fraction(x.lo_m + x.hi_m, 1 << (x.ctx.scale + 1))
+
+
+def width_of(x: CertifiedReal) -> Fraction:
+    """The diameter of x."""
+    return Fraction(x.hi_m - x.lo_m, 1 << x.ctx.scale)
+
+
+def mag_of(x: CertifiedReal) -> Fraction:
+    """The largest absolute value x permits."""
+    return Fraction(max(-x.lo_m, x.hi_m), 1 << x.ctx.scale)
+
+
+def bernoulli_fractions(table: BernoulliTable) -> list[Fraction]:
+    """B_0, B_2, ... of a table as Fractions."""
+    return [Fraction(*pair) for pair in table.values]
+
+
 def contains(x: CertifiedReal, value: CertifiedReal | Fraction | int) -> bool:
     """Whether x encloses an exact rational, or every point of an enclosure
     of the same context scale."""
     if isinstance(value, CertifiedReal):
         x._check(value)
         return x.lo_m <= value.lo_m and value.hi_m <= x.hi_m
-    return x.lo <= Fraction(value) <= x.hi
+    return lo_of(x) <= Fraction(value) <= hi_of(x)
 
 
 def widened(x: CertifiedReal, radius: Fraction | int) -> CertifiedReal:
@@ -156,7 +190,7 @@ def zeta_pi_coeff(k: int, bern: BernoulliTable) -> PiMultiple:
     if len(bern.values) <= k:
         raise TableDepthError("bernoulli", 2 * k)
     sign = 1 if k % 2 == 1 else -1
-    coeff = sign * (1 << (2 * k)) * bern.values[k] / (2 * factorial(2 * k))
+    coeff = sign * (1 << (2 * k)) * Fraction(*bern.values[k]) / (2 * factorial(2 * k))
     return PiMultiple(coeff, 2 * k)
 
 

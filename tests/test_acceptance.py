@@ -27,7 +27,12 @@ from oracles import (
     CLASSICAL_COEFF,
     beta_partial,
     beta_pi_coeff,
+    bernoulli_fractions,
     contains,
+    hi_of,
+    lo_of,
+    mag_of,
+    mid_of,
     pi_multiple_interval,
     quotient,
     residual_numeric,
@@ -118,9 +123,12 @@ def test_criterion_3_number_tables():
             -50521,
             2702765,
         ]
-        bern = bernoulli_numbers(128)
-        assert bern.b1 == Fraction(-1, 2)
-        assert [bern.values[k] for k in range(1, 7)] == [
+        # B_1 is in no table: the CLI prints it between B_0 and B_2
+        assert run_cli(["numbers", "--kind", "bernoulli", "--max-index", "2"], {}) == (
+            0, "B_0 = 1\nB_1 = -1/2\nB_2 = 1/6\n"
+        )
+        bern = bernoulli_fractions(bernoulli_numbers(128))
+        assert bern[1:7] == [
             Fraction(1, 6),
             Fraction(-1, 30),
             Fraction(1, 42),
@@ -144,7 +152,7 @@ def test_criterion_3_number_tables():
                 (Fraction(1, p) for p in primes if (2 * k) % (p - 1) == 0),
                 Fraction(0),
             )
-            assert (bern.values[k] + correction).denominator == 1, k
+            assert (bern[k] + correction).denominator == 1, k
 
 
 def test_criterion_4_closed_form_coefficients():
@@ -188,10 +196,10 @@ def test_criterion_5_numeric_convergence():
                     tail = tail_bound(p, k, N)
                     assert contains(widened(value, tail), target), (p, k, N)
                     residual = quotient(value, target) - ctx.from_rational(1)
-                    relative_tail = tail / target.lo
-                    assert residual.mag <= 4 * relative_tail, (p, k, N)
-                    assert residual.mag >= relative_tail / 4, (p, k, N)
-                    magnitudes.append(residual.mag)
+                    relative_tail = tail / lo_of(target)
+                    assert mag_of(residual) <= 4 * relative_tail, (p, k, N)
+                    assert mag_of(residual) >= relative_tail / 4, (p, k, N)
+                    magnitudes.append(mag_of(residual))
                 assert magnitudes[1] < magnitudes[0], (p, k)
         # closed-form partial sums enclose their targets as well
         euler = euler_numbers(6)
@@ -222,18 +230,19 @@ def test_criterion_6_k0_collapse():
                     oracle = zeta_partial(p // 2, N, ctx).partial
                 classical = oracle.mul_ratio(coeff.numerator, coeff.denominator)
                 family = partial_sum(p, 0, N, ctx)
-                assert family.lo <= classical.hi and classical.lo <= family.hi, (p, N)
+                overlap = lo_of(family) <= hi_of(classical) and lo_of(classical) <= hi_of(family)
+                assert overlap, (p, N)
 
 
 def test_criterion_7_prior_series():
     with criterion(7, "prior-work series converge; Kolbig K=1 exact"):
         ctx = PrecisionContext(192)
         [value] = kolbig_partials([1], ctx)
-        assert value.lo == value.hi == 1
+        assert lo_of(value) == hi_of(value) == 1
         pi2 = ctx.pi_power(2)
         for partial in (alzer_h_partials, alzer_H_partials, kolbig_partials):
             residuals = [
-                abs(value.mid - pi2.mid)
+                abs(mid_of(value) - mid_of(pi2))
                 for value in partial([10**2, 10**3, 10**4], ctx)
             ]
             assert residuals[0] > residuals[1] > residuals[2], partial.__name__
@@ -241,7 +250,7 @@ def test_criterion_7_prior_series():
         pi_deep = deep.pi()
         for mu in (Fraction(1), Fraction(1, 2)):
             residuals = [
-                abs(value.mid - pi_deep.mid)
+                abs(mid_of(value) - mid_of(pi_deep))
                 for value in alzer_koumandos_partials(mu, [10**2 + 1, 10**3 + 1, 10**4 + 1], deep)
             ]
             assert residuals[0] > residuals[1] > residuals[2] > 0, mu

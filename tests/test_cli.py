@@ -244,9 +244,9 @@ def test_verify_poisoned_euler_table_fails(monkeypatch):
     table = poisoned(4)
     for k, row in enumerate(rows):
         ratio = oracle_ratio(1, k, euler=table)
-        shown = "1" if ratio == 1 else render_signed(ratio, 30)
-        assert row[4] == row[5] == shown
-        assert row[7] == ("0" if ratio == 1 else render_signed(ratio - 1, 12))
+        num, den = ratio.numerator, ratio.denominator
+        assert row[4] == row[5] == ("1" if ratio == 1 else render_signed(num, den, 30))
+        assert row[7] == ("0" if ratio == 1 else render_signed(num - den, den, 12))
 
 
 def test_verify_beyond_table_cap():
@@ -301,6 +301,11 @@ def test_verify_beyond_table_cap():
          ["target must be pi, pi^2, ..., pi^6", "'^pi^2'"]),
         (["compare", "--target", "pi^", "--series", "kolbig", "--terms", "5"],
          ["target must be pi, pi^2, ..., pi^6", "'pi^'"]),
+        # powers past int()'s 4,300-digit limit
+        (["compare", "--target", "pi" + "9" * 5000, "--series", "kolbig", "--terms", "5"],
+         ["target must be pi, pi^2, ..., pi^6", "got 'pi999"]),
+        (["compare", "--target", "pi^" + "0" * 4400 + "2", "--series", "kolbig", "--terms", "5"],
+         ["target must be pi, pi^2, ..., pi^6", "got 'pi^000"]),
     ],
 )
 def test_parse_errors_are_located(argv, located):
@@ -632,7 +637,7 @@ def run_entry_modules(argv: str) -> tuple[str, bool, set[str]]:
     return result.stdout, frozen == "True", set(modules)
 
 
-# the standard modules a verify run and an Euler table never load: they run
+# the standard modules a verify run and a number table never load: they run
 # on ints alone, and write their reports without csv or json
 NOT_EXACT = {"fractions", "decimal", "numbers", "csv", "json"}
 # the interval and series code that value rows need, and verify does not
@@ -647,7 +652,7 @@ MEMO = {"piforge.exact_core"}
         ("numbers --kind euler --max-index 24 --format csv", {"piforge.special_numbers"},
          ENGINE | PARSER | NOT_EXACT),
         ("numbers --kind bernoulli --max-index 12 --format json", {"piforge.special_numbers"},
-         ENGINE | PARSER | {"json", "csv"}),
+         ENGINE | PARSER | NOT_EXACT),
         ("sum --series gupta:p=2,k=2 --terms 100 --format csv", {"piforge.gupta_series"},
          PARSER | MEMO | {"piforge.exact_verifier", "piforge.prior_series", "json", "csv"}),
         ("compare --target pi2 --series gupta:k=1,kolbig,alzer-H --terms 10,100 --format json",

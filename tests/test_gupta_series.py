@@ -11,7 +11,17 @@ from piforge.closed_forms import tau_pair
 from piforge.gupta_series import partial_sum, power_sums, prefactor, tail_bound
 from piforge.numeric_engine import CertifiedReal, PrecisionContext
 
-from oracles import CLASSICAL_COEFF, contains, hurwitz_row, inner_poly, widened
+from oracles import (
+    CLASSICAL_COEFF,
+    contains,
+    hi_of,
+    hurwitz_row,
+    inner_poly,
+    lo_of,
+    mid_of,
+    widened,
+    width_of,
+)
 
 small_rationals = st.fractions(
     min_value=Fraction(0), max_value=Fraction(1, 4), max_denominator=10**4
@@ -78,14 +88,14 @@ def test_inner_poly_examples():
 def test_term_examples(ctx128):
     # single terms, read off the partial sums over one and two terms
     t = partial_sum(1, 0, 1, ctx128)
-    assert t.lo == t.hi == 4
+    assert lo_of(t) == hi_of(t) == 4
     first = partial_sum(2, 0, 1, ctx128)
     second = partial_sum(2, 0, 2, ctx128) - first
-    assert second.lo == second.hi == Fraction(3, 2)
+    assert lo_of(second) == hi_of(second) == Fraction(3, 2)
     # 60*(1/6 - 1/pi^2), brute-forced independently to 3.92072898145973371...
     t = partial_sum(2, 1, 1, ctx128)
-    assert Fraction("3.920728981459733713") < t.lo
-    assert t.hi < Fraction("3.920728981459733714")
+    assert Fraction("3.920728981459733713") < lo_of(t)
+    assert hi_of(t) < Fraction("3.920728981459733714")
 
 
 def mpmath_partial_sum(p, k, N):
@@ -130,7 +140,7 @@ def test_partial_sum_encloses_tightly(p, k, N):
     ctx = PrecisionContext(128)
     value = partial_sum(p, k, N, ctx)
     assert contains(widened(value, Fraction(1, 2**200)), mpmath_partial_sum(p, k, N))
-    assert value.width <= Fraction(1, 2**ctx.precision_bits)
+    assert width_of(value) <= Fraction(1, 2**ctx.precision_bits)
 
 
 def classical_sum(p: int, N: int) -> Fraction:
@@ -148,16 +158,16 @@ def test_collapse_to_classical(ctx128):
         for N in (1, 10, 1000):
             value = partial_sum(p, 0, N, ctx128)
             assert contains(value, classical_sum(p, N)), (p, N)
-            assert value.width <= Fraction(1, 2**ctx128.precision_bits)
+            assert width_of(value) <= Fraction(1, 2**ctx128.precision_bits)
 
 
 def test_classical_values(ctx128):
     v = partial_sum(4, 0, 1, ctx128)
-    assert v.lo == v.hi == 90
+    assert lo_of(v) == hi_of(v) == 90
     v = partial_sum(6, 0, 1, ctx128)
-    assert v.lo == v.hi == 945
+    assert lo_of(v) == hi_of(v) == 945
     v = partial_sum(2, 0, 2, ctx128)
-    assert v.lo == v.hi == Fraction(15, 2)
+    assert lo_of(v) == hi_of(v) == Fraction(15, 2)
     assert contains(partial_sum(1, 0, 1, ctx128), 4)
 
 
@@ -178,7 +188,7 @@ def test_residual_within_tail(ctx128):
             value = partial_sum(p, k, N, ctx128)
             tail = tail_bound(p, k, N)
             assert contains(widened(value, tail), pi_targets[p])
-            residual = abs(value.mid - pi_targets[p].mid)
+            residual = abs(mid_of(value) - mid_of(pi_targets[p]))
             assert residual <= tail
             assert residual >= tail / 4
             if previous is not None:
@@ -384,4 +394,4 @@ def test_tail_encloses_hurwitz_row(prec):
         assert contains(widened(value, Fraction(1, 2 ** (value.ctx.scale + 8))), row), (p, k, N)
         if N > gupta_series.DIRECT_LIMIT:
             assert partial_sum(p, k, N, ctx) == value.rounded_to(ctx)
-        assert value.width < Fraction(1, 2 ** (ctx.scale + 16))
+        assert width_of(value) < Fraction(1, 2 ** (ctx.scale + 16))

@@ -9,7 +9,7 @@ from piforge import numeric_engine
 from piforge.numeric_engine import GUARD_BITS, CertifiedReal, PrecisionContext
 
 from conftest import PI_100_DIGITS
-from oracles import arctan_inv_bracket, contains, quotient, widened
+from oracles import arctan_inv_bracket, contains, hi_of, lo_of, quotient, widened, width_of
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=10**4
@@ -27,17 +27,20 @@ def test_add_trivial(ctx128):
     one = ctx128.from_rational(1)
     two = ctx128.from_rational(2)
     three = one + two
-    assert three.lo == 3 and three.hi == 3
+    assert lo_of(three) == 3 and hi_of(three) == 3
+    assert repr(three) == f"CertifiedReal(lo_m=0x3{'0' * 40}, hi_m=0x3{'0' * 40}, scale=160)"
+    assert repr(ctx128.zero() - three).startswith("CertifiedReal(lo_m=-0x3")
+    assert repr(PrecisionContext(20_000).pi())  # mantissas of over 4,300 decimal digits
 
 
 def test_from_rational_ulp_contract():
     ctx = PrecisionContext(64)
     third = ctx.from_rational(Fraction(1, 3))
-    assert third.width <= Fraction(1, 2**63)
-    assert third.lo <= Fraction(1, 3) <= third.hi
+    assert width_of(third) <= Fraction(1, 2**63)
+    assert lo_of(third) <= Fraction(1, 3) <= hi_of(third)
     # dyadic inputs are exact
     q = ctx.from_rational(Fraction(5, 8))
-    assert q.lo == q.hi == Fraction(5, 8)
+    assert lo_of(q) == hi_of(q) == Fraction(5, 8)
 
 
 def test_division_by_zero_interval(ctx128):
@@ -61,7 +64,7 @@ def test_pi_contains_published_digits():
     for bits in (64, 128, 256):
         ctx = PrecisionContext(bits)
         pi = ctx.pi()
-        assert pi.width <= Fraction(1, 2**bits)
+        assert width_of(pi) <= Fraction(1, 2**bits)
         assert contains(pi, PI_100_DIGITS)
 
 
@@ -232,13 +235,13 @@ def test_monotone_refinement(a, b, c):
 
     coarse = build(PrecisionContext(64))
     fine = build(PrecisionContext(128))
-    assert coarse.lo <= fine.lo and fine.hi <= coarse.hi
+    assert lo_of(coarse) <= lo_of(fine) and hi_of(fine) <= hi_of(coarse)
 
 
 def test_widened(ctx128):
     base = ctx128.from_rational(1)
     grown = widened(base, Fraction(1, 4))
-    assert grown.lo <= Fraction(3, 4) and grown.hi >= Fraction(5, 4)
+    assert lo_of(grown) <= Fraction(3, 4) and hi_of(grown) >= Fraction(5, 4)
     with pytest.raises(ValueError):
         widened(base, -1)
 

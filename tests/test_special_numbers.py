@@ -51,6 +51,11 @@ def reference_bernoulli(K: int) -> list[Fraction]:
     return values
 
 
+def reduced_pairs(values: list[Fraction]) -> list[tuple[int, int]]:
+    """Each value as its reduced (numerator, positive denominator) pair."""
+    return [(q.numerator, q.denominator) for q in values]
+
+
 @pytest.mark.parametrize("K", [0, 1, 2, 256])
 def test_secant_and_tangent_tables_match_recurrences(K, monkeypatch):
     euler_ref, bern_ref = brute_force_euler(K + 3), reference_bernoulli(K + 3)
@@ -61,33 +66,33 @@ def test_secant_and_tangent_tables_match_recurrences(K, monkeypatch):
     monkeypatch.setattr(special_numbers, "_zigzag_parity",
                         lambda n, odd: depths.append((n, odd)) or generator(n, odd))
     assert list(euler_numbers(K).values) == euler_ref[: K + 1]
-    assert list(bernoulli_numbers(K).values) == bern_ref[: K + 1]
+    assert list(bernoulli_numbers(K).values) == reduced_pairs(bern_ref[: K + 1])
     assert depths == [(K, 0), (K, 1)]
     for k_euler, k_bern in ((K, K + 3), (K + 3, K)):
         euler, bern = euler_numbers(k_euler), bernoulli_numbers(k_bern)
         assert list(euler.values) == euler_ref[: k_euler + 1]
-        assert list(bern.values) == bern_ref[: k_bern + 1]
+        assert list(bern.values) == reduced_pairs(bern_ref[: k_bern + 1])
 
 
 def test_published_number_lists(euler_table, bernoulli_table):
     for index, expected in EULER_LIST.items():
         assert euler_table.values[index // 2] == expected
     assert euler_table.values[0] == 1
-    assert bernoulli_table.values[0] == 1
-    assert bernoulli_table.b1 == Fraction(-1, 2)
+    assert bernoulli_table.values[0] == (1, 1)
+    assert len(bernoulli_table.values) == 11  # B_0, B_2, ..., B_20: B_1 is in no table
     for index, expected in BERNOULLI_LIST.items():
-        assert bernoulli_table.values[index // 2] == expected
+        assert Fraction(*bernoulli_table.values[index // 2]) == expected
 
 
 def test_one_step_past_published_lists(euler_table, bernoulli_table):
     assert brute_force_euler(7)[7] == -199360981
     assert euler_table.values[7] == -199360981
-    assert bernoulli_table.values[7] == Fraction(7, 6)
+    assert bernoulli_table.values[7] == (7, 6)
 
 
 def test_trivial_seeds():
     assert euler_numbers(0).values == (1,)
-    assert bernoulli_numbers(0).values == (Fraction(1),)
+    assert bernoulli_numbers(0).values == ((1, 1),)
 
 
 def test_sign_laws_and_oddness():
@@ -98,7 +103,7 @@ def test_sign_laws_and_oddness():
         assert entry % 2 == 1  # all entries are odd integers
     bern = bernoulli_numbers(20)
     for k in range(1, 21):
-        assert (bern.values[k] > 0) == (k % 2 == 1)  # sign = (-1)^(k+1)
+        assert (bern.values[k][0] > 0) == (k % 2 == 1)  # sign = (-1)^(k+1)
 
 
 def test_von_staudt_clausen():
@@ -108,13 +113,13 @@ def test_von_staudt_clausen():
         correction = sum(
             (Fraction(1, p) for p in primes if (2 * k) % (p - 1) == 0), Fraction(0)
         )
-        assert (bern.values[k] + correction).denominator == 1
+        assert (Fraction(*bern.values[k]) + correction).denominator == 1
         # the denominator is exactly the product of those primes
         expected_den = 1
         for p in primes:
             if (2 * k) % (p - 1) == 0:
                 expected_den *= p
-        assert bern.values[k].denominator == expected_den
+        assert bern.values[k][1] == expected_den
 
 
 def test_store_caps_depth(monkeypatch):

@@ -30,6 +30,13 @@ where it is used, and ``test_src_keeps_no_caches`` finds every use of a
 The exact layer (``EXACT_LAYER``), on which ``verify`` runs, imports no
 piforge module outside itself, so proving an identity loads no interval or
 series code; ``test_exact_layer_imports_only_itself`` checks it.
+
+An exact rational crosses between modules as an integer (numerator,
+denominator) pair.  Outside the series modules (``SERIES``), whose
+prefactors and tail bounds are ``Fraction``s, no module imports
+``fractions``, ``numbers`` or ``decimal`` at its top: only a function that
+takes or prints a rational imports them, when called;
+``test_only_series_import_rationals_at_the_top`` checks it.
 """
 
 from __future__ import annotations
@@ -74,6 +81,8 @@ CONSTRUCTION = {"__new__", "__init__"}
 MEMOISERS = {"lru_cache", "cache", "cached_property"}
 
 EXACT_LAYER = {"special_numbers", "exact_core", "closed_forms", "exact_verifier"}
+SERIES = {"gupta_series", "prior_series"}
+RATIONALS = {"fractions", "numbers", "decimal"}
 
 
 def _parse(path: Path) -> ast.Module:
@@ -275,3 +284,15 @@ def test_each_rule_has_one_home():
 
     assert piforge.prefactor is gupta_series.prefactor is closed_forms.prefactor
     assert exact_verifier.required_table_k is special_numbers.required_table_k
+
+
+def test_only_series_import_rationals_at_the_top():
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules()
+        if name.removesuffix(".py") not in SERIES
+        for node in tree.body
+        if isinstance(node, ast.Import) and RATIONALS & {alias.name for alias in node.names}
+        or isinstance(node, ast.ImportFrom) and node.module in RATIONALS
+    ]
+    assert not found, f"module-level imports of {sorted(RATIONALS)}: {found}"
