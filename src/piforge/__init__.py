@@ -7,9 +7,9 @@ partial_sum`` loads what ``partial_sum`` needs, and a CLI run compiles and
 loads only the modules its subcommand calls.  An exact rational crosses
 from module to module as an integer (numerator, denominator) pair, and only
 ``report`` divides one into decimal digits.  Of the standard library,
-``verify`` and ``numbers`` run on ints alone and load none of ``fractions``,
-``decimal``, ``numbers``, ``csv`` and ``json``; ``sum`` and ``compare`` load
-``fractions`` and ``decimal`` for their value rows.
+``verify``, ``numbers``, and ``sum`` and ``compare`` without a mu run on
+ints alone and load none of ``fractions``, ``decimal``, ``numbers``, ``csv``
+and ``json``; a mu is read as a Fraction.
 """
 
 _EXPORTS = {

@@ -37,6 +37,7 @@ __all__ = ["main", "run"]
 FORMATS = ("csv", "json", "pretty")
 MAX_PREC = 1 << 20
 MAX_TERMS = 1 << 62  # the summation kernel counts terms in a C ssize_t
+BASELINE_TERMS = 10**7  # a baseline sums every term: seconds at 10^7, years at 2^62
 MU_DIGITS = 4300  # Python's default int-to-str limit; series ids print mu
 WORKERS_HELP = "accepted for compatibility and ignored"
 
@@ -68,9 +69,12 @@ def _parse_mu(text: str, where: str) -> Fraction:
     raise ValueError(f"{where} needs a numerator and denominator of at most {MU_DIGITS} digits")
 
 
-def _check_terms(counts: list[int]) -> None:
+def _check_terms(counts: list[int], selectors: list[SeriesSelector]) -> None:
     if not counts or not 1 <= min(counts) <= max(counts) <= MAX_TERMS:
         raise ValueError(f"--terms needs counts from 1 to {MAX_TERMS}")
+    for sel in selectors:
+        if SERIES[sel.kind].module == "prior_series" and max(counts) > BASELINE_TERMS:
+            raise ValueError(f"series {sel.series_id} allows --terms up to {BASELINE_TERMS}")
 
 
 def _parse_powers(text: str) -> list[int]:
@@ -195,7 +199,7 @@ def _context(prec: int):
     if prec < 64:
         raise ValueError(f"--prec needs at least 64 bits, got {prec}")
     # a 3-term kolbig sum at 2^20 bits still finishes, in minutes; far larger
-    # precisions exhaust memory or the int-to-str digit limit
+    # precisions exhaust time and memory
     if prec > MAX_PREC:
         raise ValueError(f"--prec allows at most {MAX_PREC} bits, got {prec}")
     from .numeric_engine import PrecisionContext
@@ -214,7 +218,8 @@ def _value_row(sel: SeriesSelector, terms: int, value, target, fmt: str):
     if fmt == "pretty":
         digits = report.distinguishing_digits(value, digits)
         width = report.render_bound(value.hi_m - value.lo_m, one, 3, "ceiling")
-    lo, hi = report.render_interval(value, digits)
+    lo = report.render_bound(value.lo_m, one, digits, "floor")
+    hi = report.render_bound(value.hi_m, one, digits, "ceiling")
     return report.ReportRow(
         sel.series_id, sel.p, sel.k, terms, lo, hi, _target_name(sel.p), residual, None, width
     )
@@ -278,7 +283,7 @@ def _cmd_sum(args) -> tuple[str, int]:
 
     sel = _parse_series(args.series)
     ctx = _context(args.prec)
-    _check_terms([args.terms])
+    _check_terms([args.terms], [sel])
     [value] = _partials(sel, [args.terms], ctx)
     rows = [_value_row(sel, args.terms, value, ctx.pi_power(sel.p), args.format)]
     return render_report(rows, args.format), 0
@@ -307,7 +312,7 @@ def _cmd_compare(args) -> tuple[str, int]:
                 f"not {_target_name(target_p)}"
             )
     terms_list = [_number(t, "--terms") for t in args.terms.split(",") if t.strip()]
-    _check_terms(terms_list)
+    _check_terms(terms_list, selectors)
     ctx = _context(args.prec)
     columns = [_partials(sel, terms_list, ctx) for sel in selectors]
     target = ctx.pi_power(target_p)

@@ -6,17 +6,18 @@ the first for odd p, of the second for even p (``exact_verifier``), so
 tau_p(k) = (-1)^(s+1-[p odd]) (c - H) / 2, c the lemma's value and
 H = ``head_sum`` its s head terms, from E_0, E_2, B_0, B_2, B_4, five
 constants written out here and never read from a table under test.
-``tau_pair`` gives tau_p(k) as integers, which ``verify`` reads;
-``prefactor`` builds its one Fraction from them and ``math.factorial``.
+``tau_pair`` gives tau_p(k) as integers, which ``verify`` reads, and
+``prefactor_pair`` the prefactor as a reduced pair, which the partial sums
+read, from them and ``math.factorial``; ``prefactor`` is its Fraction.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 from .special_numbers import required_table_k
 
-__all__ = ["head_sum", "prefactor", "tau_pair"]
+__all__ = ["head_sum", "prefactor", "prefactor_pair", "tau_pair"]
 
 # the heads tau subtracts as (D, [v D...]), by p % 2: B_0, B_2, B_4 = 1, 1/6,
 # -1/30 and E_0, E_2 = 1, -1
@@ -38,12 +39,19 @@ def tau_pair(p: int, k: int) -> tuple[int, int]:
     return (-1) ** (s + odd + 1) * total, 2 * common
 
 
-def prefactor(p: int, k: int) -> Fraction:
-    """Exact rational multiplier of family p at truncation order k:
-    2^((n+1) [p odd]) n! / tau_p(k), n = 2k + 2 floor(p/2) + 1."""
-    from fractions import Fraction
-
+def prefactor_pair(p: int, k: int) -> tuple[int, int]:
+    """Exact rational multiplier of family p at truncation order k, as a
+    reduced (numerator, positive denominator): 2^((n+1) [p odd]) n! / tau_p(k),
+    n = 2k + 2 floor(p/2) + 1."""
     n = 2 * required_table_k(p, k) + 1
     num, den = tau_pair(p, k)
-    return Fraction((factorial(n) << (n + 1) * (p % 2)) * den, num)
+    top = (factorial(n) << (n + 1) * (p % 2)) * den
+    g = gcd(top, num)
+    return (top if num > 0 else -top) // g, abs(num) // g
 
+
+def prefactor(p: int, k: int) -> Fraction:
+    """``prefactor_pair`` as a Fraction."""
+    from fractions import Fraction
+
+    return Fraction(*prefactor_pair(p, k))

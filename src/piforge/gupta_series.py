@@ -3,7 +3,7 @@
 Every family shares one shape: an outer sum over a base sequence (odd
 denominators 2n-1 with alternating sign for the odd powers, plain integers n
 with positive sign for the even powers), an exact rational prefactor
-depending on the truncation order k (``closed_forms.prefactor``), and an
+depending on the truncation order k (``closed_forms.prefactor_pair``), and an
 inner polynomial
 
     sum_{j=0}^{k} (-x)^j / (2k - 2j + 1)!
@@ -137,20 +137,15 @@ every convergence measurement circular.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import count, repeat
 from math import comb, factorial, log2, pi
 from operator import floordiv, mul
 
-from .closed_forms import prefactor
+from .closed_forms import prefactor, prefactor_pair
 from .numeric_engine import CertifiedReal, PrecisionContext
 from .special_numbers import MAX_INDEX, bernoulli_numbers, euler_numbers, required_table_k
 
 __all__ = ["partial_sum", "tail_bound"]
-
-# Rational lower bound on pi (a continued-fraction convergent), used only to
-# keep analytic tail bounds valid: 1/pi^2 <= (106/333)^2.
-PI_LOWER = Fraction(333, 106)
 
 # The path rule and the direct limit; the module docstring derives each.
 DIRECT_LIMIT = 10**7  # past this N the tail's own rounding is the row
@@ -281,10 +276,13 @@ def tail_bound(p: int, k: int, N: int) -> Fraction:
     integral bounds throughout.  The pi appearing in the corrections is
     replaced by a rational lower bound, which can only enlarge the result.
     """
+    from fractions import Fraction
+
     if N < 1:
         raise ValueError("N must be >= 1")
     pref = abs(prefactor(p, k))
-    inv_pi2_ub = Fraction(1) / PI_LOWER**2
+    # 333/106 < pi, a continued-fraction convergent: 1/pi^2 <= (106/333)^2
+    inv_pi2_ub = Fraction(106, 333) ** 2
     if p % 2 == 1:
         total = Fraction(1, factorial(2 * k + 1) * (2 * N + 1) ** p)
         first, step, base = 1, 2, 2 * N - 1  # integral over odd bases: step 2
@@ -317,17 +315,18 @@ def _tail_terms(p: int, k: int, N: int, work: int) -> int:
 
 
 def _row(
-    work: PrecisionContext, brackets: list[tuple[int, int]], k: int, pref: Fraction
+    work: PrecisionContext, brackets: list[tuple[int, int]], k: int, pref: tuple[int, int]
 ) -> CertifiedReal:
     """prefactor * sum_j (-1)^j pi^(-2j) s_j / (2k-2j+1)! for j <= k, by
-    Horner over j, from the brackets (lo, hi) of 2**work.scale * s_j."""
+    Horner over j, from the brackets (lo, hi) of 2**work.scale * s_j and the
+    prefactor's (numerator, denominator) ``pref``."""
     inv_pi2 = work.inv_pi_squared()
     acc = work.zero()
     for j in range(k, -1, -1):
         lo, hi = brackets[j]
         coeff = CertifiedReal(work, lo, hi).mul_ratio(1, factorial(2 * k - 2 * j + 1))
         acc = coeff - inv_pi2 * acc
-    return acc.mul_ratio(pref.numerator, pref.denominator)
+    return acc.mul_ratio(*pref)
 
 
 def _tail_brackets(p: int, k: int, N: int, work: PrecisionContext) -> list[tuple[int, int]] | None:
@@ -367,8 +366,8 @@ def partial_sum(p: int, k: int, N: int, ctx: PrecisionContext) -> CertifiedReal:
     is the classical series for pi^p."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    pref = prefactor(p, k)
-    work = PrecisionContext(ctx.precision_bits + N.bit_length() + pref.numerator.bit_length() + 8)
+    pref = prefactor_pair(p, k)
+    work = PrecisionContext(ctx.precision_bits + N.bit_length() + pref[0].bit_length() + 8)
     brackets = _tail_brackets(p, k, N, work)
     if brackets is not None:
         row = _row(work, brackets, k, pref)

@@ -13,7 +13,8 @@ Four series are implemented:
 No convergence rates are published for these series, so the partial sums
 carry no analytic tail estimate; they are plain certified enclosures of the
 truncated sums.  Every recurrence runs on plain integers, fixed-point
-mantissas on which each outward rounding is a floor division.
+mantissas on which each outward rounding is a floor division; only the
+mu-family imports ``fractions``, when called, to read its mu.
 
 Each series takes a list of term counts and makes one pass up to the
 largest: one driver, ``_enclosures``, runs the series' recurrence, a
@@ -86,8 +87,6 @@ depend on the other N of the call.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .numeric_engine import CertifiedReal, PrecisionContext
 
 __all__ = [
@@ -137,6 +136,8 @@ def alzer_koumandos_partials(
 ) -> list[CertifiedReal]:
     """Partial sums of 4 sum_{k<N} J_k / (1+mu)^(k+1), the mu-family for pi,
     one for each N in Ns."""
+    from fractions import Fraction
+
     mu = Fraction(mu)
     if mu <= 0:
         raise ValueError("the parameter mu must be positive")

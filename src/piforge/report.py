@@ -1,17 +1,15 @@
 """Report rows and deterministic rendering to CSV, JSON, and text tables.
 
-A value row's numbers are rendered through ``decimal``, imported by those
-renderers only, from exact rationals given as integer (numerator,
-denominator) pairs -- an interval bound is its mantissa over 2**scale --
-with explicit rounding directions (lower bounds toward -inf, upper bounds
-toward +inf, single summary numbers half-even).  ``decimal`` divides the two
-integers and rounds once, so a pair and any multiple of it print alike,
-identical invocations are byte-identical, and no float ever enters a
-report.  The math modules return numbers; this module and
-:mod:`piforge.cli` alone format them.  The CSV and JSON writers quote cells
-themselves and import ``csv`` or ``json.encoder`` only for a cell that needs
-more than piforge's own cells do.  ``numeric_engine.CertifiedReal`` is named
-in annotations only, so rendering an exact report loads no numeric code.
+A value row's numbers come as integer (numerator, denominator) pairs, an
+interval bound as its mantissa over 2**scale.  ``render_bound`` prints each
+from its integers, rounded once in an explicit direction (lower bounds toward
+-inf, upper toward +inf, summary numbers half-even) by floor division by a
+power of ten, as ``decimal`` prints the quotient (Steele & White, PLDI 1990):
+a pair and its multiples print alike, and no float enters a report.  Only
+this module and :mod:`piforge.cli` format numbers.  The CSV and JSON writers
+quote cells themselves, importing ``csv`` or ``json.encoder`` only for a cell
+that piforge's own never need.  ``CertifiedReal`` is named in annotations
+only, so rendering an exact report loads no numeric code.
 """
 
 from __future__ import annotations
@@ -48,21 +46,55 @@ def decimal_digits(precision_bits: int) -> int:
     return int(math.ceil(precision_bits * math.log10(2))) + 2
 
 
-def _to_decimal(num: int, den: int, digits: int, mode: str) -> decimal.Decimal:
-    import decimal
+def _digits(n: int) -> str:
+    """str(n) for n >= 0, split by powers of ten into pieces below int()'s
+    4,300-digit limit on str()."""
+    size = n.bit_length() * 1233 >> 12  # at most its digit count
+    if size < 4000:
+        return str(n)
+    high, low = divmod(n, 10 ** (size // 2))
+    return _digits(high) + _digits(low).zfill(size // 2)
 
-    ctx = decimal.Context(
-        prec=max(digits, 1),
-        rounding=getattr(decimal, f"ROUND_{mode.upper()}"),
-        Emin=-999999999,
-        Emax=999999999,
-    )
-    return ctx.divide(decimal.Decimal(num), decimal.Decimal(den))
+
+def _rounded(num: int, den: int, digits: int, mode: str) -> tuple[int, int, bool]:
+    """(c, e, exact): num / den, num != 0 < den, rounded in ``mode`` to c * 10**e,
+    c of ``digits`` digits.  The floor q of |num| / den / 10**e has 1 to 4
+    digits more, plus a sticky unit where it is inexact, so the digits it
+    drops read 0 or one half only where the quotient's do."""
+    a = abs(num)
+    up = {"floor": num < 0, "ceiling": num > 0}.get(mode)  # round |num| up? None: half-even
+    e = math.floor((a.bit_length() - den.bit_length() - 1) * math.log10(2)) - digits - 1
+    a, den = (a, den * 10**e) if e >= 0 else (a * 10**-e, den)
+    # a power-of-two den, as under every interval bound, is a shift
+    q, r = divmod(a, den) if den & (den - 1) else (a >> den.bit_length() - 1, a & den - 1)
+    q += bool(r) and q % 5 == 0
+    drop = 1 + sum(q >= 10 ** (digits + i) for i in (1, 2, 3))
+    c, tail = divmod(q, 10**drop)
+    half = 5 * 10 ** (drop - 1)
+    c += (tail > half or tail == half and c % 2 == 1) if up is None else up and tail > 0
+    if c == 10**digits:  # a carry into a new digit
+        c, e = c // 10, e + 1
+    return c, e + drop, not (r or tail)
 
 
 def render_bound(num: int, den: int, digits: int, mode: str) -> str:
-    """Directed decimal rendering of the exact rational num / den, den > 0."""
-    return str(_to_decimal(num, den, digits, mode))
+    """Directed decimal rendering of the exact rational num / den, den > 0, to
+    ``digits`` significant digits: plain down to 0.000001, d.ddE+n beyond,
+    and an exact one without trailing zeros past the point."""
+    if num == 0:
+        return "0"
+    c, e, exact = _rounded(num, den, digits, mode)
+    while exact and e < 0 and c % 10 == 0:
+        c, e = c // 10, e + 1
+    text = _digits(c)
+    point = e + len(text)  # digits before the decimal point
+    if e > 0 or point <= -6:
+        text = text[0] + "." * (len(text) > 1) + text[1:] + f"E{point - 1:+d}"
+    elif point <= 0:
+        text = "0." + "0" * -point + text
+    elif e < 0:
+        text = text[:point] + "." + text[point:]
+    return "-" + text if num < 0 else text
 
 
 def render_signed(num: int, den: int, digits: int = 12) -> str:
@@ -70,22 +102,13 @@ def render_signed(num: int, den: int, digits: int = 12) -> str:
     return render_bound(num, den, digits, "half_even")
 
 
-def render_interval(value: CertifiedReal, digits: int) -> tuple[str, str]:
-    one = 1 << value.ctx.scale
-    return (
-        render_bound(value.lo_m, one, digits, "floor"),
-        render_bound(value.hi_m, one, digits, "ceiling"),
-    )
-
-
 def distinguishing_digits(value: CertifiedReal, cap: int) -> int:
     """Enough significant digits to tell the bounds apart (for text tables)."""
     width, one = value.hi_m - value.lo_m, 1 << value.ctx.scale
     if width == 0:
         return min(cap, 17)
-    mag_exp = _to_decimal(max(-value.lo_m, value.hi_m), one, 3, "half_even").adjusted()
-    width_exp = _to_decimal(width, one, 3, "half_even").adjusted()
-    return max(3, min(cap, mag_exp - width_exp + 2))
+    mag_e = _rounded(max(-value.lo_m, value.hi_m), one, 3, "half_even")[1]
+    return max(3, min(cap, mag_e - _rounded(width, one, 3, "half_even")[1] + 2))
 
 
 class ReportRow(namedtuple("ReportRow", [*CSV_HEADER, "width"], defaults=(None, None))):

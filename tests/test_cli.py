@@ -301,6 +301,12 @@ def test_verify_beyond_table_cap():
          ["target must be pi, pi^2, ..., pi^6", "'^pi^2'"]),
         (["compare", "--target", "pi^", "--series", "kolbig", "--terms", "5"],
          ["target must be pi, pi^2, ..., pi^6", "'pi^'"]),
+        # a baseline walks every term, so its count is capped far below 2^62
+        (["compare", "--target", "pi2", "--series", "kolbig", "--terms", str(2**62)],
+         ["series kolbig", "10000000"]),
+        (["sum", "--series", "alzer-H", "--terms", "10000001"], ["series alzer-H", "10000000"]),
+        (["compare", "--target", "pi", "--series", "classical,alzer-koumandos:mu=3/2",
+          "--terms", "10,10000001"], ["series alzer-koumandos:mu=3/2", "10000000"]),
         # powers past int()'s 4,300-digit limit
         (["compare", "--target", "pi" + "9" * 5000, "--series", "kolbig", "--terms", "5"],
          ["target must be pi, pi^2, ..., pi^6", "got 'pi999"]),
@@ -637,8 +643,9 @@ def run_entry_modules(argv: str) -> tuple[str, bool, set[str]]:
     return result.stdout, frozen == "True", set(modules)
 
 
-# the standard modules a verify run and a number table never load: they run
-# on ints alone, and write their reports without csv or json
+# the standard modules a verify run, a number table, and a sum or compare
+# run without a mu never load: they run on ints alone, and write their
+# reports without csv or json
 NOT_EXACT = {"fractions", "decimal", "numbers", "csv", "json"}
 # the interval and series code that value rows need, and verify does not
 VALUE_ROWS = {"piforge.prior_series", "piforge.numeric_engine", "piforge.gupta_series"}
@@ -654,9 +661,18 @@ MEMO = {"piforge.exact_core"}
         ("numbers --kind bernoulli --max-index 12 --format json", {"piforge.special_numbers"},
          ENGINE | PARSER | NOT_EXACT),
         ("sum --series gupta:p=2,k=2 --terms 100 --format csv", {"piforge.gupta_series"},
-         PARSER | MEMO | {"piforge.exact_verifier", "piforge.prior_series", "json", "csv"}),
+         PARSER | MEMO | NOT_EXACT | {"piforge.exact_verifier", "piforge.prior_series"}),
+        ("sum --series gupta:p=1,k=3 --terms 1000 --format pretty", {"piforge.gupta_series"},
+         PARSER | MEMO | NOT_EXACT | {"piforge.exact_verifier", "piforge.prior_series"}),
         ("compare --target pi2 --series gupta:k=1,kolbig,alzer-H --terms 10,100 --format json",
          {"piforge.gupta_series", "piforge.prior_series"},
+         PARSER | MEMO | NOT_EXACT | {"piforge.exact_verifier"}),
+        ("compare --target pi2 --series kolbig,alzer-h --terms 10,100 --format pretty",
+         {"piforge.prior_series"}, PARSER | MEMO | NOT_EXACT | {"piforge.exact_verifier"}),
+        # a mu is read as a Fraction: the one value row that loads fractions
+        # (and, through it, decimal and numbers)
+        ("compare --target pi --series alzer-koumandos:mu=3/2,classical --terms 10,100 --format csv",
+         {"piforge.prior_series", "piforge.gupta_series", "fractions"},
          PARSER | MEMO | {"piforge.exact_verifier", "csv", "json"}),
         *[
             (f"verify --powers 1-6 --k-max 8 --format {fmt}", {"piforge.exact_verifier"},
@@ -667,7 +683,7 @@ MEMO = {"piforge.exact_core"}
         ("sum --help", {"argparse"}, {"piforge.gupta_series", "piforge.exact_verifier"}),
         ("sum --series gupta:p=2,k=2 --term 100 --format csv",
          {"argparse", "piforge.gupta_series"},
-         MEMO | {"piforge.exact_verifier", "piforge.prior_series", "json", "csv"}),
+         MEMO | NOT_EXACT | {"piforge.exact_verifier", "piforge.prior_series"}),
         ("verify --powers 1-6 --k-max 8 --format pretty", {"piforge.exact_verifier"},
          PARSER | NOT_EXACT | VALUE_ROWS | MEMO),
         ("numbers --kind euler --max-index 24 --format json", {"piforge.special_numbers"},

@@ -246,9 +246,15 @@ TAU_K_MAX = 256
 
 
 def test_prefactor_equals_the_printed_formulas():
+    """The pair the partial sums read is the printed prefactor reduced, with
+    a positive denominator: its numerator's bit length sets their work
+    precision, so an unreduced pair would change the printed bytes."""
     for p in POWERS:
         for k in range(TAU_K_MAX + 1):
-            assert closed_forms.prefactor(p, k) == printed_prefactor(p, k), (p, k)
+            printed = printed_prefactor(p, k)
+            assert closed_forms.prefactor(p, k) == printed, (p, k)
+            pair = (printed.numerator, printed.denominator)
+            assert closed_forms.prefactor_pair(p, k) == pair, (p, k)
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from piforge import gupta_series
-from piforge.closed_forms import tau_pair
+from piforge.closed_forms import prefactor_pair, tau_pair
 from piforge.gupta_series import partial_sum, power_sums, prefactor, tail_bound
 from piforge.numeric_engine import CertifiedReal, PrecisionContext
 
@@ -208,20 +208,20 @@ def test_validation(ctx128):
 # evaluation: the tail's (None where the path rule picks the direct walk),
 # widened up to the direct limit, and the walk's.
 def work_context(p, k, N, ctx):
-    bits = N.bit_length() + prefactor(p, k).numerator.bit_length() + 8
+    bits = N.bit_length() + prefactor_pair(p, k)[0].bit_length() + 8
     return PrecisionContext(ctx.precision_bits + bits)
 
 
 def tail(p, k, N, ctx):
     work = work_context(p, k, N, ctx)
     brackets = gupta_series._tail_brackets(p, k, N, work)
-    return None if brackets is None else gupta_series._row(work, brackets, k, prefactor(p, k))
+    return None if brackets is None else gupta_series._row(work, brackets, k, prefactor_pair(p, k))
 
 
 def walk(p, k, N, ctx):
     work = work_context(p, k, N, ctx)
     brackets = power_sums(p, k + 1, N, work.scale)
-    return gupta_series._row(work, brackets, k, prefactor(p, k))
+    return gupta_series._row(work, brackets, k, prefactor_pair(p, k))
 
 
 @given(

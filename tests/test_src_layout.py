@@ -32,11 +32,12 @@ piforge module outside itself, so proving an identity loads no interval or
 series code; ``test_exact_layer_imports_only_itself`` checks it.
 
 An exact rational crosses between modules as an integer (numerator,
-denominator) pair.  Outside the series modules (``SERIES``), whose
-prefactors and tail bounds are ``Fraction``s, no module imports
-``fractions``, ``numbers`` or ``decimal`` at its top: only a function that
-takes or prints a rational imports them, when called;
-``test_only_series_import_rationals_at_the_top`` checks it.
+denominator) pair, and ``report`` prints one from its integers alone.  No
+module imports ``fractions``, ``numbers`` or ``decimal`` at its top: only a
+function that still makes a ``Fraction`` (``prefactor``, ``tail_bound``,
+the mu-family's partial sums, ``from_rational``, a failing identity check
+and the CLI's mu) imports ``fractions``, when called;
+``test_no_module_imports_rationals_at_the_top`` checks it.
 """
 
 from __future__ import annotations
@@ -81,7 +82,6 @@ CONSTRUCTION = {"__new__", "__init__"}
 MEMOISERS = {"lru_cache", "cache", "cached_property"}
 
 EXACT_LAYER = {"special_numbers", "exact_core", "closed_forms", "exact_verifier"}
-SERIES = {"gupta_series", "prior_series"}
 RATIONALS = {"fractions", "numbers", "decimal"}
 
 
@@ -286,11 +286,10 @@ def test_each_rule_has_one_home():
     assert exact_verifier.required_table_k is special_numbers.required_table_k
 
 
-def test_only_series_import_rationals_at_the_top():
+def test_no_module_imports_rationals_at_the_top():
     found = [
         f"{name}:{node.lineno}"
         for name, tree in _modules()
-        if name.removesuffix(".py") not in SERIES
         for node in tree.body
         if isinstance(node, ast.Import) and RATIONALS & {alias.name for alias in node.names}
         or isinstance(node, ast.ImportFrom) and node.module in RATIONALS

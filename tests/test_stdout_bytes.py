@@ -8,11 +8,13 @@ parity shape, pretty ``sum`` runs, rows that ``partial_sum`` takes from
 its tail path instead of the term-by-term walk, or past the walk's reach
 (each digest taken before the evaluation that now prints it), ``compare`` tables in csv and pretty that cover
 every baseline series, ``compare`` tables against pi^3, pi^4 and pi^6,
-``numbers`` tables of both kinds in every format, up to the index cap, and
-the ``--help`` texts of the parser and of three subcommands.  argparse wraps
-help to the terminal width, so every command runs with ``COLUMNS=80``.  The
-digests were taken on CPython 3.11, and all of them, the help texts
-included, held on CPython 3.10.13, 3.12.1 and 3.13.0 too.
+``numbers`` tables of both kinds in every format, up to the index cap, a
+``sum`` row whose bounds have more digits than int()'s 4,300-digit limit on
+str(), and the ``--help`` texts of the parser and of three subcommands.
+argparse wraps help to the terminal width, so every command runs with
+``COLUMNS=80``.  The digests were taken on CPython 3.11, and all of them
+but that last ``sum`` row's two, the help texts included, held on CPython
+3.10.13, 3.12.1 and 3.13.0 too.
 
 The module needs nothing outside the standard library, so an interpreter
 without the test extras can check the digests too:
@@ -182,6 +184,16 @@ PINNED = [
     ("verify --help", "8a6377dd1f508587bb59a987c66601b8de8bdde9b4e1085add1145970241a16e"),
     ("sum --help", "7964624693afa13c37619dc0303fdfcafd37d726f581e8a0fb57a1a647b111f0"),
     ("compare --help", "ab6bf3402a505e1f90888da56056aaf4a02665aad2359b38f76251964c97c555"),
+    # bounds of 6,000 digits, past int()'s 4,300-digit limit on str(), which
+    # the report prints in pieces below it
+    (
+        "sum --series kolbig --terms 3 --prec 20000 --format csv",
+        "6346751ec8cbab26c3e09c440b5241c1adf45002cf40daf37db86ddd03c221e5",
+    ),
+    (
+        "sum --series kolbig --terms 3 --prec 20000 --format pretty",
+        "74a43358781c0b33dd97ffb30c45bc5f0051525416f0002163b892309474a8f8",
+    ),
 ]
 
 
