@@ -7,9 +7,9 @@ partial_sum`` loads what ``partial_sum`` needs, and a CLI run compiles and
 loads only the modules its subcommand calls.  An exact rational crosses
 from module to module as an integer (numerator, denominator) pair, and only
 ``report`` divides one into decimal digits.  Of the standard library,
-``verify``, ``numbers``, and ``sum`` and ``compare`` without a mu run on
-ints alone and load none of ``fractions``, ``decimal``, ``numbers``, ``csv``
-and ``json``; a mu is read as a Fraction.
+``verify``, ``numbers``, ``sum`` and ``compare`` run on ints alone, a mu
+read into an integer pair too, and load none of ``fractions``, ``decimal``,
+``numbers``, ``csv`` and ``json``.
 """
 
 _EXPORTS = {

@@ -38,35 +38,15 @@ FORMATS = ("csv", "json", "pretty")
 MAX_PREC = 1 << 20
 MAX_TERMS = 1 << 62  # the summation kernel counts terms in a C ssize_t
 BASELINE_TERMS = 10**7  # a baseline sums every term: seconds at 10^7, years at 2^62
-MU_DIGITS = 4300  # Python's default int-to-str limit; series ids print mu
 WORKERS_HELP = "accepted for compatibility and ignored"
 
 
-def _number(text: str, where: str, kind=int):
-    """kind(text), or a ValueError naming the option or selector it came from."""
+def _number(text: str, where: str) -> int:
+    """int(text), or a ValueError naming the option or selector it came from."""
     try:
-        return kind(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(
-            f"{where}: cannot read {text.strip()!r} as {kind.__name__}"
-        ) from None
-
-
-def _parse_mu(text: str, where: str) -> Fraction:
-    """mu as a Fraction of at most MU_DIGITS digits above and below its bar,
-    its exponent bounded before Fraction expands it into a power of ten."""
-    from fractions import Fraction
-
-    mantissa, _, exponent = text.lower().partition("e")
-    try:  # past this bound, no mantissa brings 10^exponent back into range
-        too_far = abs(int(exponent)) > MU_DIGITS + len(mantissa)
-    except ValueError:  # no exponent, or none int() reads: Fraction decides
-        too_far = False
-    if not too_far:
-        mu = _number(text, where, Fraction)
-        if max(abs(mu.numerator), mu.denominator) < 10**MU_DIGITS:
-            return mu
-    raise ValueError(f"{where} needs a numerator and denominator of at most {MU_DIGITS} digits")
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{where}: cannot read {text.strip()!r} as int") from None
 
 
 def _check_terms(counts: list[int], selectors: list[SeriesSelector]) -> None:
@@ -113,12 +93,15 @@ def _target_name(p: int) -> str:
     return "pi" if p == 1 else f"pi^{p}"
 
 
-# kind is a key of SERIES, mu a Fraction or None
+# kind is a key of SERIES, mu the reduced pair prior_series.read_mu reads, or None
 class SeriesSelector(namedtuple("SeriesSelector", "kind p k mu", defaults=(0, None))):
     __slots__ = ()
 
     @property
     def series_id(self) -> str:
+        if self.mu:  # its series' one key, printed as str(Fraction) prints it
+            num, den = self.mu
+            return f"{self.kind}:mu={num}" + (f"/{den}" if den > 1 else "")
         args = ",".join(f"{key}={getattr(self, key)}" for key in SERIES[self.kind].keys)
         return f"{self.kind}:{args}" if args else self.kind
 
@@ -179,14 +162,14 @@ def _parse_series(text: str, default_p: int | None = None) -> SeriesSelector:
             raise ValueError(f"{where} needs {key}=<value>")
     p = series.p or (_number(args["p"], f"{where} p") if "p" in args else default_p)
     k = _number(args.get("k", "0"), f"{where} k")
-    mu = _parse_mu(args["mu"], f"{where} mu") if "mu" in args else None
+    mu = args.get("mu")
+    if mu is not None:  # read beside the mu-family, which this selector loads anyway
+        mu = import_module(f"{__package__}.prior_series").read_mu(mu, where)
     if not 1 <= p <= 6:
         raise ValueError(f"{where} needs p in 1..6")
     k_max = MAX_INDEX // 2 - required_table_k(p, 0)
     if not 0 <= k <= k_max:
         raise ValueError(f"{where} needs k in 0..{k_max} for p={p}")
-    if mu is not None and mu <= 0:
-        raise ValueError(f"{where} needs a positive mu (mu > 0)")
     return SeriesSelector(name, p, k, mu)
 
 

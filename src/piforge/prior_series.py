@@ -13,8 +13,8 @@ Four series are implemented:
 No convergence rates are published for these series, so the partial sums
 carry no analytic tail estimate; they are plain certified enclosures of the
 truncated sums.  Every recurrence runs on plain integers, fixed-point
-mantissas on which each outward rounding is a floor division; only the
-mu-family imports ``fractions``, when called, to read its mu.
+mantissas on which each outward rounding is a floor division, and the CLI's
+mu is read into a reduced integer pair, by ``read_mu``, without ``fractions``.
 
 Each series takes a list of term counts and makes one pass up to the
 largest: one driver, ``_enclosures``, runs the series' recurrence, a
@@ -87,6 +87,9 @@ depend on the other N of the call.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from math import gcd
+
 from .numeric_engine import CertifiedReal, PrecisionContext
 
 __all__ = [
@@ -99,6 +102,9 @@ __all__ = [
 # Fixed, not derived from the largest N of a call, so that a row's bounds do
 # not depend on the other rows; the budgets stay below 2^21 for N <= 10^5.
 _GUARD = 24
+
+MU_DIGITS = 4300  # Python's default int-to-str limit; series ids print mu
+Mu = namedtuple("Mu", "numerator denominator")  # reduced, the denominator > 0
 
 
 def _enclosures(recurrence, Ns: list[int], ctx: PrecisionContext, *args) -> list[CertifiedReal]:
@@ -131,15 +137,51 @@ def _mu_family(one: int, stops: set[int], a: int, b: int):
             yield k + 1, w // c - (slack if a < b else 0), -(-w // c) + slack
 
 
+def read_mu(text: str, where: str) -> Mu:
+    """The mu ``Fraction(text)`` reads (a sign, then ``a/b`` or digits with a
+    point and/or an exponent) as a reduced pair, or a ValueError naming
+    ``where``, its selector.  mu must be positive, with at most MU_DIGITS digits
+    above and below its bar, a bound checked before any power of ten is built."""
+    body = text.strip()
+    negative = body[:1] == "-"
+    runs = (body[1:] if body[:1] in ("+", "-") else body).split("_")
+    # an underscore stands between two digits, of any script, and then goes
+    valid = all(a[-1:].isdecimal() and b[:1].isdecimal() for a, b in zip(runs, runs[1:]))
+    top, slash, den = "".join(runs).partition("/")
+    top, e, exp = top.replace("E", "e").partition("e")
+    whole, point, frac = top.partition(".")
+    signed = exp[1:] if exp[:1] in ("+", "-") else exp
+    valid = valid and (whole + frac).isdecimal() and (not e or signed.isdecimal())
+    valid = valid and (not slash or not (e or point) and den.isdecimal())
+    if valid:
+        try:  # int() refuses a digit run past its limit
+            n, tail, x, d = (int(part or "0") for part in (whole, frac, exp, den or "1"))
+        except ValueError:
+            valid = False
+    if not valid or not d:
+        raise ValueError(f"{where} mu: cannot read {body!r} as Fraction")
+    n, x = n * 10 ** len(frac) + tail, x - len(frac)
+    far = abs(x) > MU_DIGITS + len(whole + frac)  # no mantissa brings 10^x back in range
+    if n and not far:
+        n, d = n * 10 ** max(x, 0), d * 10 ** max(-x, 0)
+        g = gcd(n, d)
+        n, d = n // g, d // g
+    if n and (far or max(n, d) >= 10**MU_DIGITS):
+        raise ValueError(
+            f"{where} mu needs a numerator and denominator of at most {MU_DIGITS} digits"
+        )
+    if negative or not n:
+        raise ValueError(f"{where} needs a positive mu (mu > 0)")
+    return Mu(n, d)
+
+
 def alzer_koumandos_partials(
-    mu: Fraction | int, Ns: list[int], ctx: PrecisionContext
+    mu: Mu | Fraction | int, Ns: list[int], ctx: PrecisionContext
 ) -> list[CertifiedReal]:
     """Partial sums of 4 sum_{k<N} J_k / (1+mu)^(k+1), the mu-family for pi,
-    one for each N in Ns."""
-    from fractions import Fraction
-
-    mu = Fraction(mu)
-    if mu <= 0:
+    one for each N in Ns; mu is anything with a numerator and a positive
+    denominator (an int, a Fraction, or the pair ``read_mu`` returns)."""
+    if mu.numerator <= 0:
         raise ValueError("the parameter mu must be positive")
     return _enclosures(_mu_family, Ns, ctx, mu.numerator, mu.denominator)
 

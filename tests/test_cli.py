@@ -112,7 +112,7 @@ def test_powers_naming_no_power_exits_2(powers):
 
 
 def test_huge_mu_exits_2_before_it_is_expanded():
-    """A mu exponent is bounded before Fraction builds its power of ten:
+    """A mu exponent is bounded before any power of ten is built:
     10^99999999999 would take ages and all memory, and a 5,000,001-digit
     denominator is past the int-to-str limit the series id needs.  Both run
     in one child process under a 512 MB address-space limit and a timeout."""
@@ -312,6 +312,12 @@ def test_verify_beyond_table_cap():
          ["target must be pi, pi^2, ..., pi^6", "got 'pi999"]),
         (["compare", "--target", "pi^" + "0" * 4400 + "2", "--series", "kolbig", "--terms", "5"],
          ["target must be pi, pi^2, ..., pi^6", "got 'pi^000"]),
+        # a zero mu is refused as zero, whatever its exponent
+        (["sum", "--series", "alzer-koumandos:mu=0e99999", "--terms", "3"],
+         ["alzer-koumandos:mu=0e99999", "mu > 0"]),
+        # a mu past int()'s digit limit: the message names the selector, not int()
+        (["sum", "--series", "alzer-koumandos:mu=" + "1" * 5000, "--terms", "3"],
+         ["series 'alzer-koumandos:mu=111", "mu: cannot read '111"]),
     ],
 )
 def test_parse_errors_are_located(argv, located):
@@ -643,9 +649,8 @@ def run_entry_modules(argv: str) -> tuple[str, bool, set[str]]:
     return result.stdout, frozen == "True", set(modules)
 
 
-# the standard modules a verify run, a number table, and a sum or compare
-# run without a mu never load: they run on ints alone, and write their
-# reports without csv or json
+# the standard modules no verify, numbers, sum or compare run loads: they
+# run on ints alone, a mu included, and write their reports without csv or json
 NOT_EXACT = {"fractions", "decimal", "numbers", "csv", "json"}
 # the interval and series code that value rows need, and verify does not
 VALUE_ROWS = {"piforge.prior_series", "piforge.numeric_engine", "piforge.gupta_series"}
@@ -669,11 +674,10 @@ MEMO = {"piforge.exact_core"}
          PARSER | MEMO | NOT_EXACT | {"piforge.exact_verifier"}),
         ("compare --target pi2 --series kolbig,alzer-h --terms 10,100 --format pretty",
          {"piforge.prior_series"}, PARSER | MEMO | NOT_EXACT | {"piforge.exact_verifier"}),
-        # a mu is read as a Fraction: the one value row that loads fractions
-        # (and, through it, decimal and numbers)
+        # a mu is read into an integer pair, as Fraction would read it
         ("compare --target pi --series alzer-koumandos:mu=3/2,classical --terms 10,100 --format csv",
-         {"piforge.prior_series", "piforge.gupta_series", "fractions"},
-         PARSER | MEMO | {"piforge.exact_verifier", "csv", "json"}),
+         {"piforge.prior_series", "piforge.gupta_series"},
+         PARSER | MEMO | NOT_EXACT | {"piforge.exact_verifier"}),
         *[
             (f"verify --powers 1-6 --k-max 8 --format {fmt}", {"piforge.exact_verifier"},
              PARSER | NOT_EXACT | VALUE_ROWS | MEMO)
@@ -688,6 +692,9 @@ MEMO = {"piforge.exact_core"}
          PARSER | NOT_EXACT | VALUE_ROWS | MEMO),
         ("numbers --kind euler --max-index 24 --format json", {"piforge.special_numbers"},
          ENGINE | PARSER | NOT_EXACT),
+        ("sum --series alzer-koumandos:mu=1.5e-3 --terms 100 --format csv",
+         {"piforge.prior_series"},
+         PARSER | MEMO | NOT_EXACT | {"piforge.exact_verifier", "piforge.gupta_series"}),
     ],
 )
 def test_each_run_loads_only_what_it_calls(argv, loads, skips):

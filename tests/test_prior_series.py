@@ -165,6 +165,79 @@ def test_alzer_h_empirical_rate(ctx128):
     assert predicted / 4 < actual < predicted * 4
 
 
+# read_mu against Fraction(text), the grammar it follows.  Fraction builds
+# 10^exponent before anything bounds it, so for an exponent past twice the
+# digit cap the oracle reads the literal with that exponent's digits zeroed:
+# the same grammar, and the same mantissa, whose value then has too many
+# digits unless it is zero.
+ZEROED = str.maketrans("123456789٣", "000000000٠")
+
+
+def read_mu_oracle(text: str):
+    """(numerator, denominator) of the mu Fraction(text) reads, or which
+    refusal read_mu must give: 'read', 'digits' or 'positive'."""
+    mantissa, e, exponent = text.lower().partition("e")
+    try:
+        huge = abs(int(exponent)) > 2 * prior_series.MU_DIGITS
+    except ValueError:
+        huge = False
+    try:
+        value = Fraction(mantissa + e + exponent.translate(ZEROED) if huge else text)
+    except (ValueError, ZeroDivisionError):
+        return "read"
+    if value == 0:
+        return "positive"
+    if huge or max(abs(value.numerator), value.denominator) >= 10**prior_series.MU_DIGITS:
+        return "digits"
+    return "positive" if value < 0 else (value.numerator, value.denominator)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(st.sampled_from(list("0123456789٣²_./eE+- ")), max_size=12))
+@example("")
+@example("+")
+@example("5.")
+@example(".5")
+@example("5.e3")
+@example("1_0/3")
+@example("٣/2")
+@example("1__0")
+@example("1e_1")
+@example("1/0")
+@example("3 / 2")
+@example("1.5/2")
+@example("1e2/3")
+@example("0e99999")
+@example("1e4301")
+@example("10e-4301")
+@example("100000e-4303")
+@example("1e-99999999")
+@example("1" * 5000)
+def test_read_mu_reads_what_fraction_reads(text):
+    where = "series 'alzer-koumandos:mu=..'"
+    expected = read_mu_oracle(text)
+    try:
+        mu = prior_series.read_mu(text, where)
+    except ValueError as exc:
+        message = {
+            "read": f"{where} mu: cannot read {text.strip()!r} as Fraction",
+            "digits": f"{where} mu needs a numerator and denominator of at most 4300 digits",
+            "positive": f"{where} needs a positive mu (mu > 0)",
+        }
+        assert str(exc) == message.get(expected)
+    else:
+        assert (mu.numerator, mu.denominator) == expected
+
+
+def test_mu_may_be_an_int_a_fraction_or_a_read_pair(ctx128):
+    Ns = [1, 10, 100]
+    by_pair = alzer_koumandos_partials(prior_series.read_mu("1.5", "mu"), Ns, ctx128)
+    assert alzer_koumandos_partials(Fraction(3, 2), Ns, ctx128) == by_pair
+    assert alzer_koumandos_partials(prior_series.read_mu("5", "mu"), Ns, ctx128) == (
+        alzer_koumandos_partials(5, Ns, ctx128)
+    )
+
+
 def test_mu_validation(ctx128):
     with pytest.raises(ValueError):
         alzer_koumandos_partials(Fraction(0), [5], ctx128)

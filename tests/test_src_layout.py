@@ -35,8 +35,8 @@ An exact rational crosses between modules as an integer (numerator,
 denominator) pair, and ``report`` prints one from its integers alone.  No
 module imports ``fractions``, ``numbers`` or ``decimal`` at its top: only a
 function that still makes a ``Fraction`` (``prefactor``, ``tail_bound``,
-the mu-family's partial sums, ``from_rational``, a failing identity check
-and the CLI's mu) imports ``fractions``, when called;
+``from_rational`` and a failing identity check) imports ``fractions``, when
+called, and the mu-family reads its mu as an integer pair;
 ``test_no_module_imports_rationals_at_the_top`` checks it.
 """
 
