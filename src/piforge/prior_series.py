@@ -138,16 +138,18 @@ def _mu_family(one: int, stops: set[int], a: int, b: int):
 
 
 def read_mu(text: str, where: str) -> Mu:
-    """The mu ``Fraction(text)`` reads (a sign, then ``a/b`` or digits with a
-    point and/or an exponent) as a reduced pair, or a ValueError naming
-    ``where``, its selector.  mu must be positive, with at most MU_DIGITS digits
-    above and below its bar, a bound checked before any power of ten is built."""
+    """The mu in ``text``, in the grammar of Python 3.12's ``Fraction(str)``
+    (a sign, then ``a/b`` or digits with a point and/or an exponent), as a
+    reduced pair, or a ValueError naming ``where``, its selector.  mu must be
+    positive, with at most MU_DIGITS digits above and below its bar, a bound
+    checked before any power of ten is built."""
     body = text.strip()
     negative = body[:1] == "-"
     runs = (body[1:] if body[:1] in ("+", "-") else body).split("_")
     # an underscore stands between two digits, of any script, and then goes
     valid = all(a[-1:].isdecimal() and b[:1].isdecimal() for a, b in zip(runs, runs[1:]))
     top, slash, den = "".join(runs).partition("/")
+    top, den = top.rstrip(), den.lstrip()  # whitespace may stand beside the bar
     top, e, exp = top.replace("E", "e").partition("e")
     whole, point, frac = top.partition(".")
     signed = exp[1:] if exp[:1] in ("+", "-") else exp

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -165,24 +166,39 @@ def test_alzer_h_empirical_rate(ctx128):
     assert predicted / 4 < actual < predicted * 4
 
 
-# read_mu against Fraction(text), the grammar it follows.  Fraction builds
-# 10^exponent before anything bounds it, so for an exponent past twice the
-# digit cap the oracle reads the literal with that exponent's digits zeroed:
-# the same grammar, and the same mantissa, whose value then has too many
-# digits unless it is zero.
+# read_mu against Fraction, on one grammar for every Python: that of 3.12's
+# Fraction(str), written out below, since 3.10's Fraction reads no underscores
+# and 3.11's no whitespace beside the bar.  A text the grammar accepts goes to
+# Fraction without its underscores and that whitespace, which every supported
+# Fraction reads with the same value.  Fraction builds 10^exponent before
+# anything bounds it, so for an exponent past twice the digit cap the oracle
+# reads the literal with that exponent's digits zeroed: the same grammar, and
+# the same mantissa, whose value then has too many digits unless it is zero.
+MU_GRAMMAR = re.compile(
+    r"""
+    \s*[-+]?(?=\d|\.\d)
+    (\d*|\d+(_\d+)*)
+    (\s*/\s*\d+(_\d+)*|(\.(\d*|\d+(_\d+)*))?(e[-+]?\d+(_\d+)*)?)
+    \s*
+    """,
+    re.VERBOSE | re.IGNORECASE,
+)
 ZEROED = str.maketrans("123456789٣", "000000000٠")
 
 
 def read_mu_oracle(text: str):
-    """(numerator, denominator) of the mu Fraction(text) reads, or which
-    refusal read_mu must give: 'read', 'digits' or 'positive'."""
-    mantissa, e, exponent = text.lower().partition("e")
+    """(numerator, denominator) of the mu Fraction reads from ``text``, or
+    which refusal read_mu must give: 'read', 'digits' or 'positive'."""
+    if not MU_GRAMMAR.fullmatch(text):
+        return "read"
+    plain = re.sub(r"\s*/\s*", "/", text.replace("_", ""))
+    mantissa, e, exponent = plain.lower().partition("e")
     try:
         huge = abs(int(exponent)) > 2 * prior_series.MU_DIGITS
     except ValueError:
         huge = False
     try:
-        value = Fraction(mantissa + e + exponent.translate(ZEROED) if huge else text)
+        value = Fraction(mantissa + e + exponent.translate(ZEROED) if huge else plain)
     except (ValueError, ZeroDivisionError):
         return "read"
     if value == 0:
@@ -205,6 +221,10 @@ def read_mu_oracle(text: str):
 @example("1e_1")
 @example("1/0")
 @example("3 / 2")
+@example(" -3/ 2 ")
+@example("1_0 /3")
+@example("1 _0/3")
+@example("3. / 2")
 @example("1.5/2")
 @example("1e2/3")
 @example("0e99999")
