@@ -6,15 +6,15 @@ imported from its module on first use (PEP 562), so ``from piforge import
 partial_sum`` loads what ``partial_sum`` needs, and a CLI run compiles and
 loads only the modules its subcommand calls.  An exact rational crosses
 from module to module as an integer (numerator, denominator) pair, and only
-``report`` divides one into decimal digits.  Of the standard library,
-``verify``, ``numbers``, ``sum`` and ``compare`` run on ints alone, a mu
-read into an integer pair too, and load none of ``fractions``, ``decimal``,
-``numbers``, ``csv`` and ``json``.
+``report`` divides one into decimal digits; n! comes from
+``math.factorial``, never from a memo of the package's own.  Of the
+standard library, ``verify``, ``numbers``, ``sum`` and ``compare`` run on
+ints alone, a mu read into an integer pair too, and load none of
+``fractions``, ``decimal``, ``numbers``, ``csv`` and ``json``.
 """
 
 _EXPORTS = {
     "closed_forms": "prefactor",
-    "exact_core": "factorial",
     "exact_verifier": "IdentityCheck verify_grid",
     "gupta_series": "partial_sum tail_bound",
     "numeric_engine": "CertifiedReal PrecisionContext",

@@ -62,12 +62,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import Iterator
 
 import pytest
 
-from piforge.exact_core import factorial
 from piforge.exact_verifier import required_table_k
 from piforge.gupta_series import partial_sum, power_sums
 from piforge.numeric_engine import CertifiedReal, PrecisionContext

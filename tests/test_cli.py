@@ -318,6 +318,10 @@ def test_verify_beyond_table_cap():
         # a mu past int()'s digit limit: the message names the selector, not int()
         (["sum", "--series", "alzer-koumandos:mu=" + "1" * 5000, "--terms", "3"],
          ["series 'alzer-koumandos:mu=111", "mu: cannot read '111"]),
+        (["sum", "--series", "gupta:p=7,k=0", "--terms", "10"],
+         ["series 'gupta:p=7,k=0' needs p in 1..6"]),
+        (["sum", "--series", "gupta:p=1,k", "--terms", "10"],
+         ["bad series argument 'k' in 'gupta:p=1,k'"]),
     ],
 )
 def test_parse_errors_are_located(argv, located):
@@ -654,7 +658,8 @@ def run_entry_modules(argv: str) -> tuple[str, bool, set[str]]:
 NOT_EXACT = {"fractions", "decimal", "numbers", "csv", "json"}
 # the interval and series code that value rows need, and verify does not
 VALUE_ROWS = {"piforge.prior_series", "piforge.numeric_engine", "piforge.gupta_series"}
-# the factorial memo: n! comes from math, so no verify, sum or compare run loads it
+# the benchmark's no-op set_memo_cap: n! comes from math, so no verify, sum or
+# compare run loads it
 MEMO = {"piforge.exact_core"}
 
 

@@ -252,6 +252,8 @@ def test_small_grid(euler_table, bernoulli_table):
     assert [(c.p, c.k) for c in checks] == [(1, k) for k in range(5)]
     assert all(c.holds for c in checks)
     assert verify_grid([], 10) == []
+    with pytest.raises(ValueError, match="k_max must be >= 0"):
+        verify_grid([1], -1)
 
 
 def test_grid_order_and_holds():

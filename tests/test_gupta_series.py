@@ -201,6 +201,8 @@ def test_validation(ctx128):
         partial_sum(1, 0, 0, ctx128)
     with pytest.raises(ValueError):
         partial_sum(7, 0, 10, ctx128)
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        tail_bound(1, 0, 0)
 
 
 # The two sources of a row's power-sum brackets, on the context partial_sum

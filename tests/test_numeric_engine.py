@@ -47,12 +47,16 @@ def test_division_by_zero_interval(ctx128):
     unit = 1 << ctx128.scale
     with pytest.raises(ZeroDivisionError):
         quotient(ctx128.from_rational(1), CertifiedReal(ctx128, -unit, unit))
+    with pytest.raises(ZeroDivisionError):
+        ctx128.from_rational(1).mul_ratio(1, 0)
 
 
 def test_mixed_contexts_rejected(ctx128):
     other = PrecisionContext(256)
     with pytest.raises(ValueError):
         ctx128.from_rational(1) + other.from_rational(1)
+    with pytest.raises(ValueError, match="rounded_to cannot refine the scale"):
+        ctx128.from_rational(1).rounded_to(other)
 
 
 def test_inverted_bounds_rejected(ctx128):
@@ -249,3 +253,6 @@ def test_widened(ctx128):
 def test_structural_equality(ctx128):
     assert ctx128.from_rational(Fraction(3, 8)) == ctx128.from_rational(Fraction(3, 8))
     assert ctx128.from_rational(1) != ctx128.zero()
+    assert (ctx128.from_rational(1) == 1) is False
+    third = ctx128.from_rational(Fraction(1, 3))
+    assert third.mul_ratio(-3, -4) == third.mul_ratio(3, 4)

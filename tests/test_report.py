@@ -26,6 +26,7 @@ from piforge.report import (
     render_bound,
     render_csv,
     render_json,
+    render_report,
 )
 
 
@@ -162,6 +163,11 @@ rows = st.builds(
 def test_render_json_matches_json_dumps(report):
     expected = json.dumps([dict(zip(CSV_HEADER, row)) for row in report], indent=2) + "\n"
     assert render_json(report) == expected
+
+
+def test_render_report_refuses_an_unknown_format():
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        render_report([], "xml")
 
 
 # CSV cells are None, ints or text; the text draws on the characters csv

@@ -93,6 +93,8 @@ def test_one_step_past_published_lists(euler_table, bernoulli_table):
 def test_trivial_seeds():
     assert euler_numbers(0).values == (1,)
     assert bernoulli_numbers(0).values == ((1, 1),)
+    with pytest.raises(ValueError, match="K must be >= 0"):
+        euler_numbers(-1)
 
 
 def test_sign_laws_and_oddness():

@@ -25,7 +25,9 @@ private to one module has no reader outside it, and
 
 Nothing in ``src/`` is memoised with ``functools``: each value is computed
 where it is used, and ``test_src_keeps_no_caches`` finds every use of a
-``functools`` memoiser.
+``functools`` memoiser.  Nor does a module keep state that a call changes:
+``test_src_keeps_no_module_state`` finds every ``global`` statement and
+every item written into or deleted from a module-level name.
 
 The exact layer (``EXACT_LAYER``), on which ``verify`` runs, imports no
 piforge module outside itself, so proving an identity loads no interval or
@@ -47,13 +49,16 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "piforge"
 
 # Public names whose callers are outside src/: ``main`` is the in-process
 # entry point of the tests and the benchmark, ``run`` the process entry whose
 # caller is the ``piforge`` console script in pyproject.toml,
-# ``set_memo_cap`` is called by the benchmark (perfbench/layers.py), and
+# ``set_memo_cap`` is a no-op that stays until the benchmark drops its one
+# call (perfbench/layers.py ``fresh_process_state``, ROADMAP item 6), and
 # ``tail_bound`` is read by the benchmark's oracle (perfbench/run.py and
 # perfbench/oracle.py).
 ALLOWED = {"main", "run", "set_memo_cap", "tail_bound"}
@@ -93,15 +98,21 @@ def _modules() -> list[tuple[str, ast.Module]]:
     return [(path.name, _parse(path)) for path in sorted(SRC.glob("*.py"))]
 
 
-def public_definitions(tree: ast.Module) -> set[str]:
+def module_level_names(tree: ast.Module) -> set[str]:
+    """The names a module's top-level assignments bind."""
     names = set()
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, ast.Assign):
+        if isinstance(node, ast.Assign):
             names.update(t.id for t in node.targets if isinstance(t, ast.Name))
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names.add(node.target.id)
+    return names
+
+
+def public_definitions(tree: ast.Module) -> set[str]:
+    names = module_level_names(tree) | {
+        node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
     return {name for name in names if not name.startswith("_")}
 
 
@@ -235,6 +246,24 @@ def test_src_keeps_no_caches():
     assert not uses, f"functools memoisers used in src/: {uses}"
 
 
+def test_src_keeps_no_module_state():
+    found = []
+    for name, tree in _modules():
+        module_names = module_level_names(tree)
+        found += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Global)
+            or (
+                isinstance(node, ast.Subscript)
+                and isinstance(node.ctx, (ast.Store, ast.Del))
+                and isinstance(node.value, ast.Name)
+                and node.value.id in module_names
+            )
+        ]
+    assert not found, f"module state changed in src/: {found}"
+
+
 def test_src_imports_no_private_names():
     imports = [
         f"{name}:{node.lineno} {alias.name}"
@@ -284,6 +313,31 @@ def test_each_rule_has_one_home():
 
     assert piforge.prefactor is gupta_series.prefactor is closed_forms.prefactor
     assert exact_verifier.required_table_k is special_numbers.required_table_k
+
+
+def test_n_factorial_has_one_source():
+    """n! comes from ``math.factorial`` in the library and in its oracles
+    alike: no module of ``src/`` or ``tests/`` defines a ``factorial`` or
+    imports one from anywhere else."""
+    found = []
+    for path in sorted([*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py")]):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.FunctionDef) and node.name == "factorial":
+                found.append(f"{path.name}:{node.lineno} defines factorial")
+            elif isinstance(node, ast.ImportFrom) and node.module != "math":
+                if any(alias.name == "factorial" for alias in node.names):
+                    found.append(f"{path.name}:{node.lineno} from {node.module}")
+    assert not found, f"a second n!: {found}"
+
+
+def test_each_export_resolves_to_its_module():
+    import piforge
+
+    for name in piforge.__all__:
+        home = importlib.import_module(f"piforge.{piforge._HOME[name]}")
+        assert getattr(piforge, name) is getattr(home, name), name
+    with pytest.raises(AttributeError, match="no attribute 'factorial'"):
+        piforge.factorial
 
 
 def test_no_module_imports_rationals_at_the_top():
