@@ -18,7 +18,8 @@ _EXPORTS = {
     "exact_verifier": "IdentityCheck verify_grid",
     "gupta_series": "partial_sum tail_bound",
     "numeric_engine": "CertifiedReal PrecisionContext",
-    "prior_series": "alzer_H_partials alzer_h_partials alzer_koumandos_partials kolbig_partials",
+    "prior_series": "alzer_H_partials alzer_h_partials alzer_koumandos_partials "
+    "alzer_pair_partials kolbig_partials",
     "special_numbers": "BernoulliTable EulerTable TableDepthError TableStore "
     "bernoulli_numbers euler_numbers",
 }

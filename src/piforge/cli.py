@@ -297,12 +297,17 @@ def _cmd_compare(args) -> tuple[str, int]:
     terms_list = [_number(t, "--terms") for t in args.terms.split(",") if t.strip()]
     _check_terms(terms_list, selectors)
     ctx = _context(args.prec)
-    columns = [_partials(sel, terms_list, ctx) for sel in selectors]
+    ids = {sel.series_id: sel for sel in selectors}  # a repeated selector is summed once
+    columns = {}
+    if {"alzer-h", "alzer-H"} <= ids.keys():  # one pass of mu_k sums both
+        pair = import_module(f"{__package__}.prior_series").alzer_pair_partials(terms_list, ctx)
+        columns = dict(zip(("alzer-h", "alzer-H"), pair))
+    columns = {key: columns.get(key) or _partials(sel, terms_list, ctx) for key, sel in ids.items()}
     target = ctx.pi_power(target_p)
     # one line of rows per N, one row per series
     lines = [
         [_value_row(sel, N, value, target, args.format) for sel, value in zip(selectors, values)]
-        for N, values in zip(terms_list, zip(*columns))
+        for N, values in zip(terms_list, zip(*(columns[sel.series_id] for sel in selectors)))
     ]
     if args.format == "pretty":
         table = [["N"] + [sel.series_id for sel in selectors]]

@@ -8,7 +8,8 @@ Every operation rounds outward -- lower bounds toward -inf, upper bounds
 toward +inf -- so the true value of any expression is guaranteed to stay
 inside the computed interval.  Addition and subtraction are exact at a
 common scale; multiplication rounds each bound by at most one unit in the
-last place.
+last place, and forms only the two end products when neither operand's
+lower bound is negative, all four otherwise.
 
 Because the dyadic grids nest as the scale grows, doubling the precision
 never widens a result computed over the same expression DAG.  An enclosure
@@ -139,8 +140,11 @@ class CertifiedReal:
     def __mul__(self, other: "CertifiedReal") -> "CertifiedReal":
         self._check(other)
         a, b, c, d = self.lo_m, self.hi_m, other.lo_m, other.hi_m
-        products = (a * c, a * d, b * c, b * d)
-        lo, hi = min(products), max(products)
+        if a >= 0 and c >= 0:  # then a*c and b*d are the least and greatest
+            lo, hi = a * c, b * d
+        else:
+            products = (a * c, a * d, b * c, b * d)
+            lo, hi = min(products), max(products)
         scale = self.ctx.scale
         # right-shifts round toward -inf, so ceil comes from negation
         return CertifiedReal(self.ctx, lo >> scale, -((-hi) >> scale))

@@ -56,6 +56,10 @@ operation that only the tests need.
 * The exact weight generators of the four baseline series, and their
   partial sums as ``CertifiedReal`` loops, one interval operation at a time:
   the slow, wider oracle of the one-sided recurrences of ``prior_series``.
+* ``mu_family`` and ``mid_binomial_harmonic``, the integer recurrences of
+  the mu-family and of alzer-h and alzer-H as ``prior_series`` first ran
+  them: every step taken, one series per pass.  Its generators must yield
+  the same (N, lo, hi) integers.
 """
 
 from __future__ import annotations
@@ -625,3 +629,48 @@ def kolbig_partial(K: int, ctx: PrecisionContext) -> CertifiedReal:
         q = q.mul_ratio(4 * n - 3, 4 * n)
         acc = acc + (u + v).mul_ratio(2, n)
     return acc
+
+
+# -- the baseline recurrences as first written --------------------------------
+#
+# prior_series's generators step each recurrence as these do, but the
+# mu-family jumps over the steps past its fixed point and alzer-h and alzer-H
+# share one pass of mu_k; these take every step, one series per pass, and
+# must yield the same integer brackets.
+
+
+def mu_family(one: int, stops: set[int], a: int, b: int):
+    c = a + b
+    r, t, acc, exact = one, 0, 0, True
+    for k in range(max(stops)):  # r enters as r^k and leaves as r^(k+1)
+        y = 2 * k * a * t
+        z = y // c + r
+        t = z // (2 * k + 1)
+        acc += t
+        x = (a - b) * r
+        r = x // c
+        if exact:
+            exact = not (y % c or z % (2 * k + 1) or x % c)
+        if k + 1 in stops:
+            w = 4 * b * acc
+            slack = 0 if exact else 7 * k
+            yield k + 1, w // c - (slack if a < b else 0), -(-w // c) + slack
+
+
+def mid_binomial_harmonic(one: int, stops: set[int], weight: int, odd: bool):
+    """weight * sum_{k<=K} mu_k h_k / k, where h_k sums 1/(2i-1) over i <= k
+    when ``odd`` and 1/i otherwise."""
+    mu, g, acc, exact = one, 0, 0, True
+    for k in range(1, max(stops) + 1):
+        d = 2 * k
+        mu_prev = mu
+        x = (d - 1) * mu
+        mu = x // d
+        y = (d - 1) * g + (mu_prev if odd else 2 * mu)
+        g = y // d
+        z = weight * g
+        acc += z // k
+        if exact:  # until a floor drops a remainder, every mantissa is exact
+            exact = not (x % d or y % d or z % k)
+        if k in stops:
+            yield k, acc, acc + (0 if exact else (2 * weight + 1) * k)

@@ -484,10 +484,21 @@ def test_compare_matrix_and_degenerate():
     assert compare_out == sum_out
 
 
-PI2_KERNELS = ("kolbig_partials", "alzer_h_partials", "alzer_H_partials")
+PI2_KERNELS = ("kolbig_partials", "alzer_h_partials", "alzer_H_partials", "alzer_pair_partials")
 
 
-def test_compare_sums_each_pi2_baseline_once(monkeypatch):
+# alzer-h with alzer-H takes one shared pass, whatever their order and
+# however often either repeats, and a repeated selector is summed once
+@pytest.mark.parametrize(
+    "series, summed",
+    [
+        ("kolbig,alzer-h,alzer-H", ("kolbig_partials", "alzer_pair_partials")),
+        ("alzer-H,kolbig,alzer-h,alzer-H,kolbig", ("kolbig_partials", "alzer_pair_partials")),
+        ("alzer-h,kolbig,alzer-h", ("kolbig_partials", "alzer_h_partials")),
+        ("alzer-H", ("alzer_H_partials",)),
+    ],
+)
+def test_compare_sums_each_pi2_baseline_once(series, summed, monkeypatch):
     # cli looks each kernel up in prior_series when it sums
     calls = {name: [] for name in PI2_KERNELS}
     for name in PI2_KERNELS:
@@ -499,11 +510,11 @@ def test_compare_sums_each_pi2_baseline_once(monkeypatch):
 
         monkeypatch.setattr(prior_series, name, counted)
     code, out, _ = run_cli(
-        ["compare", "--target", "pi2", "--series", "kolbig,alzer-h,alzer-H",
+        ["compare", "--target", "pi2", "--series", series,
          "--terms", "100,1000,10000", "--format", "csv"]
     )
-    assert code == 0 and len(out.splitlines()) == 10
-    assert calls == {name: [[100, 1000, 10000]] for name in PI2_KERNELS}
+    assert code == 0 and len(out.splitlines()) == 1 + 3 * len(series.split(","))
+    assert calls == {name: [[100, 1000, 10000]] if name in summed else [] for name in PI2_KERNELS}
 
 
 # stdout of the per-N evaluation this replaced

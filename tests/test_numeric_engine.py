@@ -163,7 +163,9 @@ def test_containment_add_sub_mul(a, b):
     assert contains(ia.mul_ratio(b.numerator, b.denominator), a * b)
 
 
-SIGN_CLASSES = ("positive", "negative", "straddling", "zero-touching")
+# "nonnegative" may start at 0, so with "positive" it meets the product's
+# two-product path at both kinds of lower bound
+SIGN_CLASSES = ("positive", "nonnegative", "negative", "straddling", "zero-touching")
 
 
 @st.composite
@@ -173,6 +175,8 @@ def mantissa_pairs(draw, scale: int, sign_class: str):
     x, y = draw(magnitude), draw(magnitude)
     if sign_class == "positive":
         return 1 + x, 1 + x + y
+    if sign_class == "nonnegative":
+        return draw(st.sampled_from([0, x])), x + y
     if sign_class == "negative":
         return -1 - x - y, -1 - x
     if sign_class == "straddling":

@@ -422,3 +422,57 @@ def test_one_pass_answers_each_N_in_the_given_order(name, ctx128):
     assert values == [kernel([N], ctx128)[0] for N in Ns]
     exact = exact_partials(name, max(Ns))
     assert all(contains(v, exact[N - 1]) for v, N in zip(values, Ns))
+
+
+# The generators against the recurrences as first written, in tests/oracles.py,
+# which take every step, one series per pass: the same integers, not just
+# enclosures of the same sums.
+STOPS = {1, 2, 3, 5, 10, 100, 1000, 3000}
+COPRIME_MUS = [(a, b) for a in range(1, 13) for b in range(1, 13) if math.gcd(a, b) == 1]
+
+
+def settled_at(one, a, b, last):
+    """(k, t) at the first step k < last that the mu-family starts from a
+    fixed point, r = 0 with t = 0 or t = -1, or None if none does."""
+    c = a + b
+    r, t = one, 0
+    for k in range(last):
+        if not r and t in (0, -1):
+            return k, t
+        t = (2 * k * a * t // c + r) // (2 * k + 1)
+        r = (a - b) * r // c
+    return None
+
+
+@pytest.mark.parametrize("scale", [64, 128, 1024])
+def test_mu_family_yields_the_brackets_of_every_step(scale):
+    one = 1 << scale
+    for a, b in COPRIME_MUS:
+        expected = list(oracles.mu_family(one, STOPS, a, b))
+        assert list(prior_series._mu_family(one, STOPS, a, b)) == expected, (a, b)
+
+
+def test_the_brackets_cover_the_jump_from_either_fixed_point():
+    settles = {
+        scale: [settled_at(1 << scale, a, b, max(STOPS)) for a, b in COPRIME_MUS]
+        for scale in (64, 128, 1024)
+    }
+    assert {s[1] for s in settles[64] if s} == {0, -1}
+    assert None in settles[1024]  # and rows that step to their last N
+    for a, b in ((1, 5), (3, 7)):
+        k, t = settled_at(1 << 64, a, b, max(STOPS))
+        assert t == -1 and k < 1000
+
+
+@pytest.mark.parametrize("scale", [64, 128, 1024])
+def test_one_alzer_pass_yields_the_brackets_of_two(scale, ctx128):
+    one = 1 << scale
+    h = list(oracles.mid_binomial_harmonic(one, STOPS, 4, True))
+    H = list(oracles.mid_binomial_harmonic(one, STOPS, 3, False))
+    both = list(prior_series._mid_binomial(one, STOPS, True, True))
+    assert both == [row_h + row_H[1:] for row_h, row_H in zip(h, H)]
+    assert [row[:3] for row in prior_series._mid_binomial(one, STOPS, True, False)] == h
+    assert [row[:1] + row[3:] for row in prior_series._mid_binomial(one, STOPS, False, True)] == H
+    Ns = [3000, 1, 100, 1, 7]
+    pair = prior_series.alzer_pair_partials(Ns, ctx128)
+    assert pair == [alzer_h_partials(Ns, ctx128), alzer_H_partials(Ns, ctx128)]

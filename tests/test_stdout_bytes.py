@@ -2,19 +2,23 @@
 
 Reports are byte-identical across releases and interpreters: these digests
 are the same on CPython 3.10 to 3.13, and a rewrite of the report rows, the
-identity checks, the partial sums or the JSON writer must keep them.  The
-set holds the README's four commands, ``verify`` in every format for each
-parity shape, pretty ``sum`` runs, rows that ``partial_sum`` takes from
-its tail path instead of the term-by-term walk, or past the walk's reach
-(each digest taken before the evaluation that now prints it), ``compare`` tables in csv and pretty that cover
-every baseline series, ``compare`` tables against pi^3, pi^4 and pi^6,
+identity checks, the partial sums or the JSON writer must keep them.  The set
+holds the README's four commands, ``verify`` in every format for each parity
+shape, pretty ``sum`` runs, rows that ``partial_sum`` takes from its tail
+path instead of the term-by-term walk, or past the walk's reach (each digest
+taken before the evaluation that now prints it), ``compare`` tables in csv
+and pretty that cover every baseline series, mu-family rows past the fixed
+point where their recurrence stops stepping and alzer-h with alzer-H in one
+shared pass (both digests taken on the code that stepped every term, one
+series per pass), ``compare`` tables against pi^3, pi^4 and pi^6,
 ``numbers`` tables of both kinds in every format, up to the index cap, a
 ``sum`` row whose bounds have more digits than int()'s 4,300-digit limit on
 str(), and the ``--help`` texts of the parser and of three subcommands.
 argparse wraps help to the terminal width, so every command runs with
 ``COLUMNS=80``.  The digests were taken on CPython 3.11, and all of them
 but that last ``sum`` row's two, the help texts included, held on CPython
-3.10.13, 3.12.1 and 3.13.0 too.
+3.10.13, 3.12.1 and 3.13.0 too.  The two pins of the mu-family's fixed
+point and the shared alzer pass were taken on CPython 3.11.7 alone.
 
 The module needs nothing outside the standard library, so an interpreter
 without the test extras can check the digests too:
@@ -179,6 +183,17 @@ PINNED = [
     (
         "sum --series gupta:p=1,k=8 --terms 1000000000000 --format pretty",
         "c85bab0d2787adffe31b0134f7fb7c47f8d587115877d4441aa2769b329a27d0",
+    ),
+    # mu-family rows past the recurrence's fixed point, which at 64 bits
+    # mu = 1, 1/5 and 5 reach after 117, 208 and 438 steps, and alzer-h with
+    # alzer-H in one shared pass, named out of order and one of them twice
+    (
+        "compare --target pi --series alzer-koumandos:mu=1,alzer-koumandos:mu=1/5,alzer-koumandos:mu=5 --terms 10,1000,100000 --prec 64 --format csv",
+        "0b4a9ff05a4fdb624697f0c95dcf7ffae2728f74c225d3bbd9282484491fa415",
+    ),
+    (
+        "compare --target pi2 --series alzer-H,kolbig,alzer-h,alzer-H --terms 1,2,100,7777 --prec 64 --format csv",
+        "c69d452e678d05a90ae1bf034c20b8766cea95bb7def18d322f364109fd04d2f",
     ),
     ("--help", "5ffb7e4ee03bc677f111d7d8dfd9b261ddd32b5986cb69d3e3e00119c373e314"),
     ("verify --help", "8a6377dd1f508587bb59a987c66601b8de8bdde9b4e1085add1145970241a16e"),
