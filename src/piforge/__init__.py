@@ -8,9 +8,9 @@ loads only the modules its subcommand calls.  An exact rational crosses
 from module to module as an integer (numerator, denominator) pair, and only
 ``report`` divides one into decimal digits; n! comes from
 ``math.factorial``, never from a memo of the package's own.  Of the
-standard library, ``verify``, ``numbers``, ``sum`` and ``compare`` run on
-ints alone, a mu read into an integer pair too, and load none of
-``fractions``, ``decimal``, ``numbers``, ``csv`` and ``json``.
+standard library, ``verify`` (a failing check too), ``numbers``, ``sum``
+and ``compare`` run on ints alone, a mu read into an integer pair too, and
+load none of ``fractions``, ``decimal``, ``numbers``, ``csv`` and ``json``.
 """
 
 _EXPORTS = {

@@ -253,7 +253,7 @@ def _cmd_verify(args) -> tuple[str, int]:
     checks = verify_grid(powers, args.k_max)
     rows = []
     for check in checks:
-        num, den = check.ratio.numerator, check.ratio.denominator
+        num, den = check.ratio
         shown = "1" if check.holds else render_signed(num, den, 30)
         residual = "0" if check.holds else render_signed(num - den, den, 12)
         row = (f"gupta:p={check.p},k={check.k}", check.p, check.k, 0, shown, shown, "1")

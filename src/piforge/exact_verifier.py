@@ -22,9 +22,9 @@ m < s, from its own E_0, E_2, B_0, B_2, B_4: identity (p, k) holds iff the
 table satisfies its lemma at n, and a wrong entry fails only the identities
 that read it.  With tau_p(k) = a / b, b > 0 (``closed_forms.tau_pair``),
 the check is T b == D a, on ints alone, with no tolerance and no factorial.
-The reported ratio is T / (D tau_p(k)), which a larger D does not change:
-the int 1 when the check holds, and a Fraction, the only one verify builds,
-when it fails.
+The reported ratio is T / (D tau_p(k)), which a larger D does not change,
+as an integer pair: the shared constant (1, 1) when the check holds, and
++-(T b, D a), unreduced, with a positive denominator, when it fails.
 
 Every F of one parity comes from one triangle of additions, a binomial
 transform: put each table value v_m at index i = 2m, times 2^(L-i) for odd p
@@ -54,8 +54,8 @@ __all__ = ["IdentityCheck", "required_table_k", "verify_grid"]
 
 
 class IdentityCheck(namedtuple("IdentityCheck", "p k ratio holds")):
-    """Outcome of one exact reduction: holds iff ratio == 1 exactly.  The
-    ratio is the int 1 when the check holds, a Fraction when it fails."""
+    """Outcome of one exact reduction: holds iff ratio == (1, 1).  The ratio
+    is an int (numerator, positive denominator) pair, unreduced if it fails."""
 
     __slots__ = ()
 
@@ -90,13 +90,9 @@ def _checks(
             total = (-1) ** (s + odd + 1) * ((full[t] - heads) >> 1)
             tau_num, tau_den = tau_pair(p, t - s)
             num, den = total * tau_den, common * tau_num
-            if num == den:
-                ratio = 1
-            else:  # only a failing check builds a Fraction
-                from fractions import Fraction
-
-                ratio = Fraction(num, den)
-            checks[p].append(IdentityCheck(p, t - s, ratio, num == den))
+            holds = num == den
+            ratio = (1, 1) if holds else (-num, -den) if den < 0 else (num, den)
+            checks[p].append(IdentityCheck(p, t - s, ratio, holds))
     return checks
 
 

@@ -318,13 +318,12 @@ def _row(
     work: PrecisionContext, brackets: list[tuple[int, int]], k: int, pref: tuple[int, int]
 ) -> CertifiedReal:
     """prefactor * sum_j (-1)^j pi^(-2j) s_j / (2k-2j+1)! for j <= k, by
-    Horner over j, from the brackets (lo, hi) of 2**work.scale * s_j and the
-    prefactor's (numerator, denominator) ``pref``."""
-    inv_pi2 = work.inv_pi_squared()
-    acc = work.zero()
-    for j in range(k, -1, -1):
-        lo, hi = brackets[j]
-        coeff = CertifiedReal(work, lo, hi).mul_ratio(1, factorial(2 * k - 2 * j + 1))
+    Horner over j from s_k, whose divisor is 1! = 1, from the brackets
+    (lo, hi) of 2**work.scale * s_j and the prefactor's pair ``pref``."""
+    acc = CertifiedReal(work, *brackets[k])
+    inv_pi2 = work.inv_pi_squared() if k else None
+    for j in range(k - 1, -1, -1):
+        coeff = CertifiedReal(work, *brackets[j]).mul_ratio(1, factorial(2 * k - 2 * j + 1))
         acc = coeff - inv_pi2 * acc
     return acc.mul_ratio(*pref)
 
@@ -343,14 +342,16 @@ def _tail_brackets(p: int, k: int, N: int, work: PrecisionContext) -> list[tuple
         table = bernoulli = bernoulli_numbers(max(terms, top))
     coeffs = pi_coefficients(p, k + 1, table)
     tails = tail_sums(p, k + 1, N, work.scale, bernoulli.values[: terms + 1])
-    power, pi2 = work.pi_power(p), work.pi_power(2)
+    power = work.pi_power(p)
     lo, hi = power.lo_m, power.hi_m  # of pi^q, all bounds positive
+    pi2 = work.pi_power(2) if k else None  # steps pi^q to pi^(q+2)
     slack = N if N <= DIRECT_LIMIT else 0  # so that each holds the walk's bracket
     brackets = []
     for (c_num, c_den), (tail_lo, tail_hi) in zip(coeffs, tails):  # c > 0
+        if brackets:
+            lo, hi = lo * pi2.lo_m >> work.scale, -(-hi * pi2.hi_m >> work.scale)
         head_lo, head_hi = lo * c_num // c_den, -(-hi * c_num // c_den)
         brackets.append((head_lo - tail_hi - slack, head_hi - tail_lo + slack))
-        lo, hi = lo * pi2.lo_m >> work.scale, -(-hi * pi2.hi_m >> work.scale)
     return brackets
 
 

@@ -24,10 +24,10 @@ returned enclosure is rigorous without reference to any series under
 study elsewhere in this package.  Its powers are the bracket's bounds
 raised to the power, which is outward because pi > 0.  Nothing is cached:
 a command asks once for the power it compares against, and a gupta row, on
-its work context, once per Horner evaluation (``inv_pi_squared``) and, on
-the tail path, for the pi^p and pi^2 of its heads: one Machin run for a
-walked row, three for a tail row, four where the tail leaves the row to the
-walk.
+its work context, for what it reads: 1/pi^2 per Horner evaluation where
+k > 0 (``inv_pi_squared``), and on the tail path pi^p and, where k > 0,
+pi^2 for its heads.  So a walked row takes no Machin run at k = 0 and one
+at k > 0, a tail row one and three, four where the tail leaves it to the walk.
 """
 
 from __future__ import annotations
@@ -78,9 +78,6 @@ class PrecisionContext(namedtuple("PrecisionContext", "precision_bits")):
         q = Fraction(value)
         shifted, den = q.numerator << self.scale, q.denominator
         return CertifiedReal(self, shifted // den, _ceil_div(shifted, den))
-
-    def zero(self) -> "CertifiedReal":
-        return CertifiedReal(self, 0, 0)
 
     def pi(self) -> "CertifiedReal":
         """Enclosure of pi of width <= 2**-precision_bits (Machin formula)."""

@@ -586,8 +586,8 @@ def _mid_binomial_harmonic_partial(
     if K < 1:
         raise ValueError("K must be >= 1")
     mu = ctx.from_rational(1)
-    h = ctx.zero()
-    acc = ctx.zero()
+    h = CertifiedReal(ctx, 0, 0)
+    acc = CertifiedReal(ctx, 0, 0)
     for k in range(1, K + 1):
         mu = mu.mul_ratio(2 * k - 1, 2 * k)
         h = h + ctx.from_rational(Fraction(1, 2 * k - 1 if odd else k))
@@ -619,9 +619,9 @@ def kolbig_partial(K: int, ctx: PrecisionContext) -> CertifiedReal:
         raise ValueError("K must be >= 1")
     p = ctx.from_rational(1)
     q = ctx.from_rational(1)
-    u = ctx.zero()
-    v = ctx.zero()
-    acc = ctx.zero()
+    u = CertifiedReal(ctx, 0, 0)
+    v = CertifiedReal(ctx, 0, 0)
+    acc = CertifiedReal(ctx, 0, 0)
     for n in range(1, K + 1):
         u = u.mul_ratio(4 * n - 1, 4 * n) + p.mul_ratio(1, 4 * n)
         v = v.mul_ratio(4 * n - 3, 4 * n) + q.mul_ratio(1, 4 * n)

@@ -77,7 +77,7 @@ def test_criterion_1_exact_identity_grid():
         elapsed = time.perf_counter() - started
         assert len(checks) == 390
         for check in checks:
-            assert check.ratio == 1, (check.p, check.k, check.ratio)
+            assert check.ratio == (1, 1), (check.p, check.k, check.ratio)
             assert check.holds
         assert elapsed < 30.0, f"grid took {elapsed:.1f}s"
 

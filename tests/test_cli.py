@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import errno
 import gc
+import hashlib
 import io
 import json
 import os
@@ -216,7 +217,7 @@ def test_verify_bad_flags():
 
 def test_verify_failure_exit_code(monkeypatch):
     def fake_grid(powers, k_max):
-        return [IdentityCheck(1, 0, Fraction(2), False)]
+        return [IdentityCheck(1, 0, (2, 1), False)]
 
     # cli imports verify_grid from its module when verify runs
     monkeypatch.setattr(exact_verifier, "verify_grid", fake_grid)
@@ -247,6 +248,39 @@ def test_verify_poisoned_euler_table_fails(monkeypatch):
         num, den = ratio.numerator, ratio.denominator
         assert row[4] == row[5] == ("1" if ratio == 1 else render_signed(num, den, 30))
         assert row[7] == ("0" if ratio == 1 else render_signed(num - den, den, 12))
+
+
+# The process entry with the Euler table poisoned as in the test above; at
+# exit, the child prints every module it loaded.
+POISONED_ENTRY = (
+    "import atexit, runpy, sys\n"
+    "from piforge import exact_verifier, special_numbers\n"
+    "def tables(k_euler, k_bern):\n"
+    "    values = list(special_numbers.euler_numbers(k_euler).values)\n"
+    "    values[3] += 2\n"
+    "    return (1, values), special_numbers.integer_tables(0, k_bern)[1]\n"
+    "exact_verifier.integer_tables = tables\n"
+    "atexit.register(lambda: print(*sys.modules, file=sys.stderr))\n"
+    "runpy.run_module('piforge.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+
+def test_failing_verify_runs_on_ints_through_the_process_entry():
+    """A failing check prints its ratio from an integer pair: the child exits
+    1 with the bytes a Fraction ratio printed (sha256 taken then), and loads
+    none of fractions, decimal and numbers."""
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", POISONED_ENTRY,
+         *"verify --powers 1 --k-max 4 --format csv".split()],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        timeout=60,
+    )
+    assert result.returncode == 1
+    assert hashlib.sha256(result.stdout).hexdigest() == (
+        "a4b749e76de0239d45069a9021d6e3a8676e8d2078714b25fd0e2d35a21b836b"
+    )
+    assert not {"fractions", "decimal", "numbers"} & set(result.stderr.decode().split())
 
 
 def test_verify_beyond_table_cap():

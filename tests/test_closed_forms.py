@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from piforge import closed_forms, gupta_series
 from piforge.gupta_series import power_sums
+from piforge.numeric_engine import CertifiedReal
 from piforge.special_numbers import MAX_INDEX, TableDepthError, bernoulli_numbers, euler_numbers
 
 from oracles import (
@@ -119,7 +120,7 @@ def test_partials_equal_per_term_interval_sums(ctx128):
     ctx.from_rational does, so the sums agree bit for bit."""
     for N in (1, 2, 3, 17, 50):
         for k in range(0, 5):
-            expected = ctx128.zero()
+            expected = CertifiedReal(ctx128, 0, 0)
             for m in range(1, N + 1):
                 sign = 1 if m % 2 == 1 else -1
                 expected = expected + ctx128.from_rational(
@@ -127,7 +128,7 @@ def test_partials_equal_per_term_interval_sums(ctx128):
                 )
             assert beta_partial(k, N, ctx128).partial == expected
         for k in range(1, 5):
-            expected = ctx128.zero()
+            expected = CertifiedReal(ctx128, 0, 0)
             for m in range(1, N + 1):
                 expected = expected + ctx128.from_rational(Fraction(1, m ** (2 * k)))
             assert zeta_partial(k, N, ctx128).partial == expected

@@ -96,13 +96,13 @@ def test_reduce_k1_p1_matches_hand_reduction(euler_table):
     summands = reduction_summands(1, 1, euler=euler_table)
     assert summands == [Fraction(1, 24), Fraction(-1, 32)]
     check = identity(1, 1)
-    assert check.ratio == 96 * (Fraction(1, 24) - Fraction(1, 32)) == 1
+    assert Fraction(*check.ratio) == 96 * (Fraction(1, 24) - Fraction(1, 32)) == 1
     assert check.holds
 
 
 def test_reduce_trivial_and_deep():
     check = identity(1, 0)
-    assert check.ratio == 1 and check.holds
+    assert check.ratio == (1, 1) and check.holds
     assert identity(5, 4).holds
     assert identity(6, 3).holds
 
@@ -111,7 +111,7 @@ def test_integer_ratio_matches_fraction_oracle(cap_tables):
     checks = verify_grid(range(1, 7), 64)
     assert [(c.p, c.k) for c in checks] == [(p, k) for p in range(1, 7) for k in range(65)]
     for check in checks:
-        assert check.ratio == oracle_ratio(check.p, check.k, *cap_tables) == 1, check
+        assert Fraction(*check.ratio) == oracle_ratio(check.p, check.k, *cap_tables) == 1, check
         assert check.holds
 
 
@@ -162,7 +162,7 @@ cases = st.integers(1, 6).flatmap(
 def test_integer_ratio_matches_oracle_to_table_cap(cap_tables, pairs):
     for p, k in pairs:
         check = identity(p, k)
-        assert check.ratio == oracle_ratio(p, k, *cap_tables) == 1
+        assert Fraction(*check.ratio) == oracle_ratio(p, k, *cap_tables) == 1
         assert check.holds
 
 
@@ -187,10 +187,12 @@ def test_grid_under_poisoned_tables(cap_tables, monkeypatch):
     assert [(c.p, c.k) for c in checks] == [(p, k) for p in range(1, 7) for k in range(30)]
     for check in checks:
         p, k = check.p, check.k
-        assert check.ratio == oracle_ratio(p, k, euler, bern), (p, k)
-        assert check.holds == (check.ratio == 1) == (not touched_by_poison(p, k)), (p, k)
-        assert type(check.ratio) is (int if check.holds else Fraction), (p, k)
+        assert Fraction(*check.ratio) == oracle_ratio(p, k, euler, bern), (p, k)
+        assert check.holds == (check.ratio == (1, 1)) == (not touched_by_poison(p, k)), (p, k)
+        assert [type(part) for part in check.ratio] == [int, int] and check.ratio[1] > 0, (p, k)
     assert sum(not check.holds for check in checks) == 114
+    # a holding check carries one shared (1, 1), so it keeps no big ints
+    assert len({id(check.ratio) for check in checks if check.holds}) == 1
 
 
 # Power sets whose shared parity sum starts below some family's first term,
@@ -206,7 +208,7 @@ def assert_grid_matches_its_members(checks, powers, k_max, euler, bern):
         assert checks == [c for p in sorted(powers) for c in verify_grid([p], k_max)]
     else:
         for check in checks[::25] + checks[-1:]:
-            assert check.ratio == oracle_ratio(check.p, check.k, euler, bern), check
+            assert Fraction(*check.ratio) == oracle_ratio(check.p, check.k, euler, bern), check
 
 
 @pytest.mark.parametrize("powers", SHARED_SUM_POWERS, ids=str)
@@ -235,7 +237,7 @@ def test_shared_parity_sum_under_poisoned_tables(cap_tables, powers, monkeypatch
 def test_grid_to_table_cap():
     checks = verify_grid(range(1, 7), 253)
     assert len(checks) == 1524
-    assert all(check.holds and check.ratio == 1 for check in checks)
+    assert all(check.holds and check.ratio == (1, 1) for check in checks)
     with pytest.raises(TableDepthError, match="512"):
         verify_grid(range(1, 7), 254)
 

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import io
+from contextlib import redirect_stdout
 from fractions import Fraction
 from math import factorial
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from piforge import gupta_series
+from piforge import gupta_series, numeric_engine
+from piforge.cli import main
 from piforge.closed_forms import prefactor_pair, tau_pair
 from piforge.gupta_series import partial_sum, power_sums, prefactor, tail_bound
 from piforge.numeric_engine import CertifiedReal, PrecisionContext
@@ -321,6 +324,56 @@ def test_tail_asks_for_the_tables_it_reads(monkeypatch, p, k, N, prec, requests)
     terms = gupta_series._tail_terms(p, k, N, work_context(p, k, N, ctx).scale)
     assert built == requests
     assert requests[-1][1] == (terms if p % 2 else max(terms, k + p // 2))
+
+
+def count_machin_runs(monkeypatch) -> list[int]:
+    """The scales of the Machin evaluations of pi from now on, one a run."""
+    runs, mantissas = [], numeric_engine._pi_mantissas
+    monkeypatch.setattr(numeric_engine, "_pi_mantissas",
+                        lambda scale: runs.append(scale) or mantissas(scale))
+    return runs
+
+
+@pytest.mark.parametrize(
+    "p, k, N, prec, tail_path, walks, machin",
+    [
+        (2, 0, 100, 1024, False, 1, 0),  # Horner from s_0 alone reads no 1/pi^2
+        (2, 0, 10**4, 1024, True, 0, 1),  # pi^2 for the one head
+        (4, 0, 28_523, 128, True, 1, 1),  # the same, and the tail leaves it to the walk
+        (2, 1, 100, 1024, False, 1, 1),  # 1/pi^2 for Horner
+        (2, 1, 10**4, 1024, True, 0, 3),  # pi^p, the pi^2 stepping it, and 1/pi^2
+        (1, 8, 10**5, 128, True, 0, 3),
+    ],
+)
+def test_rows_run_machin_only_for_what_they_read(monkeypatch, p, k, N, prec, tail_path, walks,
+                                                 machin):
+    """A row of k = 0 asks for no 1/pi^2, and a tail row for pi^2 only where
+    a second head needs it."""
+    ctx = PrecisionContext(prec)
+    assert bool(gupta_series._tail_terms(p, k, N, work_context(p, k, N, ctx).scale)) == tail_path
+    walked = []
+    monkeypatch.setattr(gupta_series, "power_sums", lambda *a: walked.append(a) or power_sums(*a))
+    runs = count_machin_runs(monkeypatch)
+    partial_sum(p, k, N, ctx)
+    assert (len(walked), len(runs)) == (walks, machin)
+
+
+@pytest.mark.parametrize(
+    "argv, machin",
+    [
+        # one run for the target; k = 1 walks twice (1 each) and takes the
+        # tail once (3), k = 0 walks twice (0) and takes the tail once (1)
+        ("compare --target pi2 --series gupta:k=1,gupta:k=0 --terms 100,1000,10000 --prec 1024",
+         7),
+        # a converge-sum classical row: the target, and the tail's one head
+        ("sum --series classical:p=2 --terms 28000 --prec 128 --format pretty", 2),
+    ],
+)
+def test_jobs_run_machin_once_per_power_they_read(monkeypatch, argv, machin):
+    runs = count_machin_runs(monkeypatch)
+    with redirect_stdout(io.StringIO()):
+        assert main(argv.split()) == 0
+    assert len(runs) == machin
 
 
 @given(

@@ -29,7 +29,7 @@ def test_add_trivial(ctx128):
     three = one + two
     assert lo_of(three) == 3 and hi_of(three) == 3
     assert repr(three) == f"CertifiedReal(lo_m=0x3{'0' * 40}, hi_m=0x3{'0' * 40}, scale=160)"
-    assert repr(ctx128.zero() - three).startswith("CertifiedReal(lo_m=-0x3")
+    assert repr(CertifiedReal(ctx128, 0, 0) - three).startswith("CertifiedReal(lo_m=-0x3")
     assert repr(PrecisionContext(20_000).pi())  # mantissas of over 4,300 decimal digits
 
 
@@ -144,6 +144,24 @@ def test_pi_bracket_bounds_without_guard_bits(monkeypatch):
         assert ref <= hi, s
 
 
+def test_pi_bracket_is_tight():
+    """At every scale s, _pi_mantissas(s) is (floor(pi 2^s), floor(pi 2^s) + 1),
+    so each bound is the nearest on its side and a row reads the same pi
+    whichever call made it: at every s from 96 to 1,200 and at a stride of 37
+    up to 4,127, against mpmath's pi to 4,200 bits.  Its floors at these
+    scales are pi's own: its bits from 4,128 to its last 8 are neither all 0
+    nor all 1, so its error, under its last bit, moves no floor."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(4200):
+        ref = +mpmath.pi
+    man, shift = int(ref.man), -int(ref.exp)
+    ones = (1 << (shift - 4127 - 8)) - 1
+    assert 0 < (man >> 8) & ones < ones
+    for s in [*range(96, 1201), *range(1204, 4128, 37)]:
+        floor = man >> (shift - s)
+        assert numeric_engine._pi_mantissas(s) == (floor, floor + 1), s
+
+
 def test_pi_power_consistency(ctx128):
     pi_sq = ctx128.pi() * ctx128.pi()
     cached = ctx128.pi_power(2)
@@ -256,7 +274,7 @@ def test_widened(ctx128):
 
 def test_structural_equality(ctx128):
     assert ctx128.from_rational(Fraction(3, 8)) == ctx128.from_rational(Fraction(3, 8))
-    assert ctx128.from_rational(1) != ctx128.zero()
+    assert ctx128.from_rational(1) != CertifiedReal(ctx128, 0, 0)
     assert (ctx128.from_rational(1) == 1) is False
     third = ctx128.from_rational(Fraction(1, 3))
     assert third.mul_ratio(-3, -4) == third.mul_ratio(3, 4)

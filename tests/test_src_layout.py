@@ -35,11 +35,10 @@ series code; ``test_exact_layer_imports_only_itself`` checks it.
 
 An exact rational crosses between modules as an integer (numerator,
 denominator) pair, and ``report`` prints one from its integers alone.  No
-module imports ``fractions``, ``numbers`` or ``decimal`` at its top: only a
-function that still makes a ``Fraction`` (``prefactor``, ``tail_bound``,
-``from_rational`` and a failing identity check) imports ``fractions``, when
-called, and the mu-family reads its mu as an integer pair;
-``test_no_module_imports_rationals_at_the_top`` checks it.
+module imports ``fractions``, ``numbers`` or ``decimal`` at its top
+(``test_no_module_imports_rationals_at_the_top``), and of the functions only
+those in ``FRACTION_MAKERS`` import one, ``fractions``, when called
+(``test_only_the_fraction_makers_import_fractions``).
 """
 
 from __future__ import annotations
@@ -88,6 +87,10 @@ MEMOISERS = {"lru_cache", "cache", "cached_property"}
 
 EXACT_LAYER = {"special_numbers", "exact_core", "closed_forms", "exact_verifier"}
 RATIONALS = {"fractions", "numbers", "decimal"}
+# The functions that still make a Fraction, each for the benchmark, which
+# calls them by name (perfbench/layers.py, perfbench/oracle.py).
+FRACTION_MAKERS = {"closed_forms.prefactor", "gupta_series.tail_bound",
+                   "PrecisionContext.from_rational"}
 
 
 def _parse(path: Path) -> ast.Module:
@@ -349,3 +352,33 @@ def test_no_module_imports_rationals_at_the_top():
         or isinstance(node, ast.ImportFrom) and node.module in RATIONALS
     ]
     assert not found, f"module-level imports of {sorted(RATIONALS)}: {found}"
+
+
+def rational_imports(node: ast.AST) -> list[str]:
+    """The modules of ``RATIONALS`` that imports anywhere under ``node`` load."""
+    found = []
+    for child in ast.walk(node):
+        if isinstance(child, ast.Import):
+            found += [alias.name for alias in child.names if alias.name in RATIONALS]
+        elif isinstance(child, ast.ImportFrom) and child.module in RATIONALS:
+            found.append(child.module)
+    return found
+
+
+def test_only_the_fraction_makers_import_fractions():
+    """Each import of ``fractions``, ``numbers`` or ``decimal`` in ``src/`` is
+    one of ``fractions`` in a function of ``FRACTION_MAKERS``; a module's name
+    stands for an import outside its functions."""
+    found = {}
+    for name, tree in _modules():
+        module = name.removesuffix(".py")
+        functions = [(f"{module}.{node.name}", node) for node in tree.body
+                     if isinstance(node, ast.FunctionDef)]
+        functions += [(f"{cls.name}.{node.name}", node) for cls in top_level_classes(tree)
+                      for node in cls.body if isinstance(node, ast.FunctionDef)]
+        inside = {qualified: rational_imports(node) for qualified, node in functions}
+        found.update((qualified, names) for qualified, names in inside.items() if names)
+        outside = len(rational_imports(tree)) - sum(map(len, inside.values()))
+        if outside:
+            found[module] = outside
+    assert found == dict.fromkeys(FRACTION_MAKERS, ["fractions"])
