@@ -1,7 +1,7 @@
 """A no-op ``set_memo_cap``: n! comes from ``math.factorial``, and nothing
 here memoises.  No CLI run loads this module.  It stays only for
 ``fresh_process_state`` in perfbench/layers.py and goes with that call
-(ROADMAP item 6).
+(ROADMAP item 1).
 """
 
 __all__ = ["set_memo_cap"]

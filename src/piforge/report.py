@@ -6,7 +6,9 @@ from its integers, rounded once in an explicit direction (lower bounds toward
 -inf, upper toward +inf, summary numbers half-even) by floor division by a
 power of ten, as ``decimal`` prints the quotient (Steele & White, PLDI 1990):
 a pair and its multiples print alike, and no float enters a report.  Only
-this module and :mod:`piforge.cli` format numbers.  The CSV and JSON writers
+this module and the subcommand modules, :mod:`piforge.exact_commands` (the
+``numbers`` tables) and :mod:`piforge.series_commands` (a selector's id),
+format numbers.  The CSV and JSON writers
 quote cells themselves, importing ``csv`` or ``json.encoder`` only for a cell
 that piforge's own never need.  ``CertifiedReal`` is named in annotations
 only, so rendering an exact report loads no numeric code.

@@ -18,7 +18,7 @@ alone and the module loads no ``fractions``.  ``integer_tables`` hands
 CLI prints it.  Each recurrence runs only as deep as its table, so a
 request for one table computes none of the other.
 :class:`TableStore` builds a table on request up to index
-``MAX_INDEX = 512``; only :mod:`piforge.cli` prints them.
+``MAX_INDEX = 512``; only :mod:`piforge.exact_commands` prints them.
 ``required_table_k`` is the one depth rule, k + p // 2, of identity (p, k):
 with the cap, it bounds every order the CLI accepts, in every run.  The cap
 bounds what the CLI accepts, not ``bernoulli_numbers``: a certified tail in

@@ -16,9 +16,10 @@ from pathlib import Path
 import pytest
 
 from piforge import exact_verifier, prior_series, special_numbers
-from piforge.cli import SERIES, _parse_series, main
+from piforge.cli import main
 from piforge.exact_verifier import IdentityCheck
 from piforge.report import CSV_HEADER, render_signed
+from piforge.series_commands import SERIES, _parse_series
 
 from oracles import oracle_ratio
 
@@ -219,7 +220,7 @@ def test_verify_failure_exit_code(monkeypatch):
     def fake_grid(powers, k_max):
         return [IdentityCheck(1, 0, (2, 1), False)]
 
-    # cli imports verify_grid from its module when verify runs
+    # exact_commands imports verify_grid from its module when verify runs
     monkeypatch.setattr(exact_verifier, "verify_grid", fake_grid)
     code, out, _ = run_cli(["verify", "--powers", "1", "--k-max", "0", "--format", "csv"])
     assert code == 1
@@ -533,7 +534,7 @@ PI2_KERNELS = ("kolbig_partials", "alzer_h_partials", "alzer_H_partials", "alzer
     ],
 )
 def test_compare_sums_each_pi2_baseline_once(series, summed, monkeypatch):
-    # cli looks each kernel up in prior_series when it sums
+    # series_commands looks each kernel up in prior_series when it sums
     calls = {name: [] for name in PI2_KERNELS}
     for name in PI2_KERNELS:
         kernel = getattr(prior_series, name)
@@ -706,45 +707,62 @@ VALUE_ROWS = {"piforge.prior_series", "piforge.numeric_engine", "piforge.gupta_s
 # the benchmark's no-op set_memo_cap: n! comes from math, so no verify, sum or
 # compare run loads it
 MEMO = {"piforge.exact_core"}
+# the module that runs numbers and verify, and the one that runs sum and
+# compare: a run loads its own subcommand's and not the other
+EXACT_COMMANDS = {"piforge.exact_commands"}
+SERIES_COMMANDS = {"piforge.series_commands"}
 
 
 @pytest.mark.parametrize(
     "argv, loads, skips",
     [
-        ("numbers --kind euler --max-index 24 --format csv", {"piforge.special_numbers"},
-         ENGINE | PARSER | NOT_EXACT),
-        ("numbers --kind bernoulli --max-index 12 --format json", {"piforge.special_numbers"},
-         ENGINE | PARSER | NOT_EXACT),
-        ("sum --series gupta:p=2,k=2 --terms 100 --format csv", {"piforge.gupta_series"},
-         PARSER | MEMO | NOT_EXACT | {"piforge.exact_verifier", "piforge.prior_series"}),
-        ("sum --series gupta:p=1,k=3 --terms 1000 --format pretty", {"piforge.gupta_series"},
-         PARSER | MEMO | NOT_EXACT | {"piforge.exact_verifier", "piforge.prior_series"}),
+        ("numbers --kind euler --max-index 24 --format csv",
+         {"piforge.special_numbers"} | EXACT_COMMANDS,
+         ENGINE | PARSER | NOT_EXACT | SERIES_COMMANDS),
+        ("numbers --kind bernoulli --max-index 12 --format json",
+         {"piforge.special_numbers"} | EXACT_COMMANDS,
+         ENGINE | PARSER | NOT_EXACT | SERIES_COMMANDS),
+        ("sum --series gupta:p=2,k=2 --terms 100 --format csv",
+         {"piforge.gupta_series"} | SERIES_COMMANDS,
+         PARSER | MEMO | NOT_EXACT | EXACT_COMMANDS
+         | {"piforge.exact_verifier", "piforge.prior_series"}),
+        ("sum --series gupta:p=1,k=3 --terms 1000 --format pretty",
+         {"piforge.gupta_series"} | SERIES_COMMANDS,
+         PARSER | MEMO | NOT_EXACT | EXACT_COMMANDS
+         | {"piforge.exact_verifier", "piforge.prior_series"}),
         ("compare --target pi2 --series gupta:k=1,kolbig,alzer-H --terms 10,100 --format json",
-         {"piforge.gupta_series", "piforge.prior_series"},
-         PARSER | MEMO | NOT_EXACT | {"piforge.exact_verifier"}),
+         {"piforge.gupta_series", "piforge.prior_series"} | SERIES_COMMANDS,
+         PARSER | MEMO | NOT_EXACT | EXACT_COMMANDS | {"piforge.exact_verifier"}),
         ("compare --target pi2 --series kolbig,alzer-h --terms 10,100 --format pretty",
-         {"piforge.prior_series"}, PARSER | MEMO | NOT_EXACT | {"piforge.exact_verifier"}),
+         {"piforge.prior_series"} | SERIES_COMMANDS,
+         PARSER | MEMO | NOT_EXACT | EXACT_COMMANDS | {"piforge.exact_verifier"}),
         # a mu is read into an integer pair, as Fraction would read it
         ("compare --target pi --series alzer-koumandos:mu=3/2,classical --terms 10,100 --format csv",
-         {"piforge.prior_series", "piforge.gupta_series"},
-         PARSER | MEMO | NOT_EXACT | {"piforge.exact_verifier"}),
+         {"piforge.prior_series", "piforge.gupta_series"} | SERIES_COMMANDS,
+         PARSER | MEMO | NOT_EXACT | EXACT_COMMANDS | {"piforge.exact_verifier"}),
         *[
-            (f"verify --powers 1-6 --k-max 8 --format {fmt}", {"piforge.exact_verifier"},
-             PARSER | NOT_EXACT | VALUE_ROWS | MEMO)
+            (f"verify --powers 1-6 --k-max 8 --format {fmt}",
+             {"piforge.exact_verifier"} | EXACT_COMMANDS,
+             PARSER | NOT_EXACT | VALUE_ROWS | MEMO | SERIES_COMMANDS)
             for fmt in ("csv", "json")
         ],
         # --help and an abbreviated flag go to argparse
-        ("sum --help", {"argparse"}, {"piforge.gupta_series", "piforge.exact_verifier"}),
+        ("sum --help",
+         {"argparse"} | SERIES_COMMANDS,
+         EXACT_COMMANDS | {"piforge.gupta_series", "piforge.exact_verifier"}),
         ("sum --series gupta:p=2,k=2 --term 100 --format csv",
-         {"argparse", "piforge.gupta_series"},
-         MEMO | NOT_EXACT | {"piforge.exact_verifier", "piforge.prior_series"}),
-        ("verify --powers 1-6 --k-max 8 --format pretty", {"piforge.exact_verifier"},
-         PARSER | NOT_EXACT | VALUE_ROWS | MEMO),
-        ("numbers --kind euler --max-index 24 --format json", {"piforge.special_numbers"},
-         ENGINE | PARSER | NOT_EXACT),
+         {"argparse", "piforge.gupta_series"} | SERIES_COMMANDS,
+         MEMO | NOT_EXACT | EXACT_COMMANDS | {"piforge.exact_verifier", "piforge.prior_series"}),
+        ("verify --powers 1-6 --k-max 8 --format pretty",
+         {"piforge.exact_verifier"} | EXACT_COMMANDS,
+         PARSER | NOT_EXACT | VALUE_ROWS | MEMO | SERIES_COMMANDS),
+        ("numbers --kind euler --max-index 24 --format json",
+         {"piforge.special_numbers"} | EXACT_COMMANDS,
+         ENGINE | PARSER | NOT_EXACT | SERIES_COMMANDS),
         ("sum --series alzer-koumandos:mu=1.5e-3 --terms 100 --format csv",
-         {"piforge.prior_series"},
-         PARSER | MEMO | NOT_EXACT | {"piforge.exact_verifier", "piforge.gupta_series"}),
+         {"piforge.prior_series"} | SERIES_COMMANDS,
+         PARSER | MEMO | NOT_EXACT | EXACT_COMMANDS
+         | {"piforge.exact_verifier", "piforge.gupta_series"}),
     ],
 )
 def test_each_run_loads_only_what_it_calls(argv, loads, skips):

@@ -318,7 +318,7 @@ def check_parse(argv: list[str], well_formed: bool) -> None:
 
 
 def test_fast_parse_is_argparse_or_declines():
-    """``_parse`` returns exactly argparse's namespace, ``func`` included, or
+    """``_parse`` returns exactly argparse's namespace, ``command`` included, or
     declines; on every argv of the grammar, and on near misses, which it must
     decline.  The argvs that go wrong nowhere it must accept."""
     assert not any(_parse(argv) for argv in NEAR_MISSES)

@@ -33,6 +33,11 @@ The exact layer (``EXACT_LAYER``), on which ``verify`` runs, imports no
 piforge module outside itself, so proving an identity loads no interval or
 series code; ``test_exact_layer_imports_only_itself`` checks it.
 
+No module imports ``piforge.cli``, by an import statement or by
+``import_module``: the process entry runs as ``__main__``, so importing it
+by name would compile and run it a second time;
+``test_no_module_imports_the_entry`` checks it.
+
 An exact rational crosses between modules as an integer (numerator,
 denominator) pair, and ``report`` prints one from its integers alone.  No
 module imports ``fractions``, ``numbers`` or ``decimal`` at its top
@@ -57,7 +62,7 @@ SRC = ROOT / "src" / "piforge"
 # entry point of the tests and the benchmark, ``run`` the process entry whose
 # caller is the ``piforge`` console script in pyproject.toml,
 # ``set_memo_cap`` is a no-op that stays until the benchmark drops its one
-# call (perfbench/layers.py ``fresh_process_state``, ROADMAP item 6), and
+# call (perfbench/layers.py ``fresh_process_state``, ROADMAP item 1), and
 # ``tail_bound`` is read by the benchmark's oracle (perfbench/run.py and
 # perfbench/oracle.py).
 ALLOWED = {"main", "run", "set_memo_cap", "tail_bound"}
@@ -308,6 +313,37 @@ def test_exact_layer_imports_only_itself():
         for module in piforge_imports(tree) - EXACT_LAYER
     }
     assert not outside, f"the exact layer imports outside itself: {sorted(outside)}"
+
+
+def import_module_names(tree: ast.Module) -> list[str]:
+    """The module names that ``import_module`` or ``__import__`` calls under
+    ``tree`` are given as a string or an f-string; an f-string stands for its
+    text after the last replacement field, such as ``.cli`` for
+    ``f"{__package__}.cli"``."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and node.args):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name not in ("import_module", "__import__"):
+            continue
+        arg = node.args[0]
+        if isinstance(arg, ast.JoinedStr) and arg.values:
+            arg = arg.values[-1]
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+            found.append(arg.value)
+    return found
+
+
+def test_no_module_imports_the_entry():
+    found = [
+        name
+        for name, tree in _modules()
+        if "cli" in piforge_imports(tree)
+        or any(target in ("piforge.cli", ".cli") for target in import_module_names(tree))
+    ]
+    assert not found, f"modules that import piforge.cli: {found}"
 
 
 def test_each_rule_has_one_home():
