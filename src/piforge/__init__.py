@@ -7,13 +7,15 @@ partial_sum`` loads what ``partial_sum`` needs, and a CLI run compiles and
 loads only the modules its subcommand calls: the entry, ``piforge.cli``,
 holds the grammar and imports ``exact_commands`` to run ``numbers`` or
 ``verify``, or ``series_commands`` to run ``sum`` or ``compare``, and no
-module imports the entry.  An exact rational crosses from module to module
-as an integer (numerator, denominator) pair, and only ``report`` divides one
-into decimal digits; n! comes from ``math.factorial``, never from a memo of
-the package's own.  Of the standard library, ``verify`` (a failing check
-too), ``numbers``, ``sum`` and ``compare`` run on ints alone, a mu read into
-an integer pair too, and load none of ``fractions``, ``decimal``,
-``numbers``, ``csv`` and ``json``.
+module imports the entry.  A gupta row imports the kernel of its own path
+alone: ``walk`` for the direct walk, ``tails`` for the certified tails.  An
+exact rational crosses from module to module as an integer (numerator,
+denominator) pair, and only ``report`` divides one into decimal digits;
+n! comes from ``math.factorial``, never from a memo of the package's own.
+Of the standard library, ``verify`` (a failing check too), ``numbers``,
+``sum`` and ``compare`` run on ints alone, a mu read into an integer pair
+too, and load none of ``fractions``, ``decimal``, ``numbers``, ``csv`` and
+``json``.
 """
 
 _EXPORTS = {

@@ -22,7 +22,7 @@ request for one table computes none of the other.
 ``required_table_k`` is the one depth rule, k + p // 2, of identity (p, k):
 with the cap, it bounds every order the CLI accepts, in every run.  The cap
 bounds what the CLI accepts, not ``bernoulli_numbers``: a certified tail in
-``gupta_series`` reads as many Bernoulli numbers as its precision needs.
+``tails`` reads as many Bernoulli numbers as its precision needs.
 """
 
 from __future__ import annotations

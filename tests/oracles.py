@@ -22,7 +22,7 @@ operation that only the tests need.
   Both coefficient functions return the exact rational together with the pi
   exponent, never folding the power into the coefficient.
 
-  ``beta_partial`` and ``zeta_partial`` run ``gupta_series.power_sums`` at
+  ``beta_partial`` and ``zeta_partial`` run ``walk.power_sums`` at
   ``work = ctx.scale``, which rounds each term outward by at most one unit
   exactly as ``ctx.from_rational`` would.  They deliberately add no guard
   bits: their enclosures, widened by the certified tail (alternating-series
@@ -31,8 +31,11 @@ operation that only the tests need.
   scale keeps those intervals identical to a plain per-term interval sum.
   They return a ``TailedInterval``, the partial sum with its tail bound.
 * ``power_sums_loop``, the per-term ``divmod`` loop that
-  ``gupta_series.power_sums`` replaces: it tests every remainder where the
+  ``walk.power_sums`` replaces: it tests every remainder where the
   kernel sums whole blocks and counts the inexact terms.
+* ``tail_sums_per_term``, ``tails.tail_sums`` as it was before its local
+  table: it rebuilds D_r(y) for every term, so the kernel must give the
+  same integer brackets.
 * ``printed_prefactor``, the paper's six prefactors as printed, one
   formula per power: the reference of ``closed_forms.prefactor`` and of the
   ``Fraction`` oracle of each check of ``exact_verifier.verify_grid``.
@@ -51,7 +54,7 @@ operation that only the tests need.
   partial sum against pi^p.
 * ``hurwitz_tail`` and ``hurwitz_row``, the tails R_q(N) and a family's
   partial sum at any N from mpmath's Hurwitz zeta and digamma functions:
-  the independent reference of ``gupta_series.tail_sums`` and of the tail
+  the independent reference of ``tails.tail_sums`` and of the tail
   path of ``gupta_series.partial_sum``.
 * The exact weight generators of the four baseline series, and their
   partial sums as ``CertifiedReal`` loops, one interval operation at a time:
@@ -72,9 +75,10 @@ from typing import Iterator
 import pytest
 
 from piforge.exact_verifier import required_table_k
-from piforge.gupta_series import partial_sum, power_sums
+from piforge.gupta_series import partial_sum
 from piforge.numeric_engine import CertifiedReal, PrecisionContext
 from piforge.special_numbers import BernoulliTable, EulerTable, TableDepthError
+from piforge.walk import power_sums
 
 # The classical coefficients c_p of pi^p = c_p * S_p(infinity), printed in
 # the paper as the k = 0 limits of the six prefactors.
@@ -228,7 +232,7 @@ def zeta_partial(k: int, N: int, ctx: PrecisionContext) -> TailedInterval:
 def power_sums_loop(
     alternating: bool, q: int, count: int, N: int, work: int
 ) -> list[tuple[int, int]]:
-    """Reference for ``gupta_series.power_sums``: one ``divmod`` per term and
+    """Reference for ``walk.power_sums``: one ``divmod`` per term and
     exponent, and a term widens its bracket when any remainder is nonzero."""
     one = 1 << work
     lo = [0] * count
@@ -250,6 +254,58 @@ def power_sums_loop(
                 lo[j] += f
                 hi[j] += f + inexact
     return list(zip(lo, hi))
+
+
+def tail_sums_per_term(
+    q: int, count: int, N: int, work: int, bernoulli: tuple
+) -> list[tuple[int, int]]:
+    """Reference for ``tails.tail_sums``: the same Euler-Maclaurin brackets,
+    with D_r(y) rebuilt from y**r and (y+2)**r for every term that reads it,
+    where the kernel builds each D_r(y) once per call."""
+    alternating = q % 2
+    y, h_bits = (2 * N + 1, 2) if alternating else (N + 1, 0)
+
+    def diff(r: int) -> tuple[int, int]:  # D_r(y) as (numerator, denominator)
+        P = y**r
+        if not alternating:
+            return 1, P
+        Q = (y + 2) ** r
+        return Q - P, P * Q
+
+    def floor_ceil(num: int, den: int) -> tuple[int, int]:
+        f, r = divmod(num << work, den)
+        return f, f + (r != 0)
+
+    brackets = []
+    for e in range(q, q + 2 * count, 2):
+        num, den = diff(e)
+        lo, hi = floor_ceil(num, 2 * den)
+        if e > 1:
+            num, den = diff(e - 1)
+            f, c = floor_ceil(num, (e - 1) * den << h_bits)
+        else:  # (1/2) artanh(1/z), by its series
+            f = c = 0
+            z, i = y + 1, 0
+            while True:
+                term_f, term_c = floor_ceil(1, 2 * (2 * i + 1) * z ** (2 * i + 1))
+                f, c = f + term_f, c + term_c
+                if not term_f:
+                    break
+                i += 1
+            c += 1
+        lo, hi = lo + f, hi + c
+        for m in range(1, len(bernoulli)):
+            b_num, b_den = bernoulli[m]
+            num, den = diff(e + 2 * m - 1)
+            weight = b_num * comb(e + 2 * m - 2, 2 * m - 1) * num << (2 * m - 1) * h_bits
+            f, c = floor_ceil(weight, b_den * 2 * m * den)
+            lo, hi = lo + f, hi + c
+            last = max(-f, c)
+            if last <= 1:
+                break
+        lo, hi = lo - last, hi + last
+        brackets.append((-hi, -lo) if alternating and N % 2 else (lo, hi))
+    return brackets
 
 
 def pi_multiple_interval(value: PiMultiple, ctx: PrecisionContext) -> CertifiedReal:
@@ -422,7 +478,7 @@ def _exact(value) -> Fraction:
 
 
 def hurwitz_tail(alternating: bool, q: int, N: int, bits: int) -> Fraction:
-    """The tail R_q(N) of ``gupta_series.tail_sums`` from mpmath's Hurwitz
+    """The tail R_q(N) of ``tails.tail_sums`` from mpmath's Hurwitz
     zeta (digamma at q = 1) at ``bits`` bits, as an exact rational."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workprec(bits):

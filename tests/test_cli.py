@@ -665,8 +665,8 @@ def test_pretty_has_width_column():
 
 ENGINE = {
     f"piforge.{name}"
-    for name in ("report", "exact_verifier", "gupta_series", "numeric_engine", "prior_series",
-                 "closed_forms")
+    for name in ("report", "exact_verifier", "gupta_series", "walk", "tails", "numeric_engine",
+                 "prior_series", "closed_forms")
 }
 # The process entry, run as `python -m piforge.cli` runs it; at exit, the
 # child prints whether the heap was frozen and every module it loaded.
@@ -703,7 +703,8 @@ def run_entry_modules(argv: str) -> tuple[str, bool, set[str]]:
 # run on ints alone, a mu included, and write their reports without csv or json
 NOT_EXACT = {"fractions", "decimal", "numbers", "csv", "json"}
 # the interval and series code that value rows need, and verify does not
-VALUE_ROWS = {"piforge.prior_series", "piforge.numeric_engine", "piforge.gupta_series"}
+VALUE_ROWS = {"piforge.prior_series", "piforge.numeric_engine", "piforge.gupta_series",
+              "piforge.walk", "piforge.tails"}
 # the benchmark's no-op set_memo_cap: n! comes from math, so no verify, sum or
 # compare run loads it
 MEMO = {"piforge.exact_core"}
@@ -711,6 +712,8 @@ MEMO = {"piforge.exact_core"}
 # compare: a run loads its own subcommand's and not the other
 EXACT_COMMANDS = {"piforge.exact_commands"}
 SERIES_COMMANDS = {"piforge.series_commands"}
+# the two kernels of a gupta row: a run loads the one its rows' path takes
+WALK, TAILS = {"piforge.walk"}, {"piforge.tails"}
 
 
 @pytest.mark.parametrize(
@@ -762,7 +765,22 @@ SERIES_COMMANDS = {"piforge.series_commands"}
         ("sum --series alzer-koumandos:mu=1.5e-3 --terms 100 --format csv",
          {"piforge.prior_series"} | SERIES_COMMANDS,
          PARSER | MEMO | NOT_EXACT | EXACT_COMMANDS
-         | {"piforge.exact_verifier", "piforge.gupta_series"}),
+         | {"piforge.exact_verifier", "piforge.gupta_series"} | WALK | TAILS),
+        # converge-sum's anchor row, which its tail settles, and its set-up
+        # row, which walks one term
+        ("sum --series gupta:p=1,k=8 --terms 100000 --prec 128",
+         {"piforge.gupta_series"} | TAILS | SERIES_COMMANDS,
+         PARSER | MEMO | NOT_EXACT | EXACT_COMMANDS | WALK
+         | {"piforge.exact_verifier", "piforge.prior_series"}),
+        ("sum --series classical:p=1 --terms 1",
+         {"piforge.gupta_series"} | WALK | SERIES_COMMANDS,
+         PARSER | MEMO | NOT_EXACT | EXACT_COMMANDS | TAILS
+         | {"piforge.exact_verifier", "piforge.prior_series"}),
+        # compare-baselines' anchor: N = 100 and 1000 walk, 10^4 takes the tail
+        ("compare --target pi --series gupta:k=8,classical:p=1,alzer-koumandos:mu=5"
+         " --terms 100,1000,10000 --prec 1024 --format csv",
+         {"piforge.gupta_series", "piforge.prior_series"} | WALK | TAILS | SERIES_COMMANDS,
+         PARSER | MEMO | NOT_EXACT | EXACT_COMMANDS | {"piforge.exact_verifier"}),
     ],
 )
 def test_each_run_loads_only_what_it_calls(argv, loads, skips):

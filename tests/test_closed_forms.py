@@ -6,10 +6,10 @@ from math import comb, factorial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from piforge import closed_forms, gupta_series
-from piforge.gupta_series import power_sums
+from piforge import closed_forms, gupta_series, tails, walk
 from piforge.numeric_engine import CertifiedReal
 from piforge.special_numbers import MAX_INDEX, TableDepthError, bernoulli_numbers, euler_numbers
+from piforge.walk import power_sums
 
 from oracles import (
     LEMMA_HEADS,
@@ -25,6 +25,7 @@ from oracles import (
     poly_value,
     power_sums_loop,
     printed_prefactor,
+    tail_sums_per_term,
     tau_from_lemmas,
     tau_from_tables,
     zeta_partial,
@@ -199,7 +200,7 @@ def test_power_sums_empty_cases():
 def test_power_sums_independent_of_block_size(monkeypatch, block):
     """The grid crosses block edges in both classes of the alternating
     series (each holds about N/2 bases) and in the one even class."""
-    monkeypatch.setattr(gupta_series, "BLOCK", block)
+    monkeypatch.setattr(walk, "BLOCK", block)
     for q in (1, 2, 5, 6):
         for N in (1, 6, 14, 15, 300, 513, 600):
             assert power_sums(q, 3, N, 150) == power_sums_loop(q % 2 == 1, q, 3, N, 150)
@@ -217,9 +218,9 @@ def test_pi_coefficients_match_oracles():
     zeta(q) up to q = 512 from B_512."""
     K = MAX_INDEX // 2
     euler, bern = euler_numbers(K), bernoulli_numbers(K)
-    odd = gupta_series.pi_coefficients(1, K + 1, euler)
+    odd = tails.pi_coefficients(1, K + 1, euler)
     assert [Fraction(*c) for c in odd] == [beta_pi_coeff(m, euler).coeff for m in range(K + 1)]
-    even = gupta_series.pi_coefficients(2, K, bern)
+    even = tails.pi_coefficients(2, K, bern)
     assert [Fraction(*c) for c in even] == [zeta_pi_coeff(m, bern).coeff for m in range(1, K + 1)]
 
 
@@ -232,12 +233,27 @@ def test_tail_sums_enclose_hurwitz_tails(alternating, q, N):
     work, count = 256, 3
     bern = bernoulli_numbers(40).values
     for terms in (1, 5, 40):
-        brackets = gupta_series.tail_sums(q, count, N, work, bern[: terms + 1])
+        brackets = tails.tail_sums(q, count, N, work, bern[: terms + 1])
         for j, (lo, hi) in enumerate(brackets):
             tail = hurwitz_tail(alternating, q + 2 * j, N, work + 64)
             assert Fraction(lo, 2**work) <= tail <= Fraction(hi, 2**work), (terms, j)
             if N >= 1000 and terms == 40:
                 assert hi - lo <= 2 * terms + 4 + work // 16
+
+
+@pytest.mark.parametrize("work", [128, 1024, 4096])
+@pytest.mark.parametrize("q", range(1, 7))
+def test_tail_sums_equal_the_per_term_oracle(q, work):
+    """Building each D_r(y) once changes no integer: the brackets equal the
+    per-term oracle's for one to nine exponents, at N on both sides of the
+    path rule's crossover (280-3,030 for k <= 8) and at 10^12, with the term
+    count the path rule picks there, or 40 terms where it walks."""
+    for count in (1, 3, 9):
+        for N in (1, 280, 450, 1860, 3030, 10**12):
+            terms = gupta_series._tail_terms(q, count - 1, N, work) or 40
+            bern = bernoulli_numbers(terms).values
+            expected = tail_sums_per_term(q, count, N, work, bern)
+            assert tails.tail_sums(q, count, N, work, bern) == expected, (count, N)
 
 
 # -- the prefactors as one formula over the table tau -------------------------

@@ -8,11 +8,13 @@ from math import factorial
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from piforge import gupta_series, numeric_engine
+from piforge import gupta_series, numeric_engine, tails
+from piforge import walk as walk_kernel
 from piforge.cli import main
 from piforge.closed_forms import prefactor_pair, tau_pair
-from piforge.gupta_series import partial_sum, power_sums, prefactor, tail_bound
+from piforge.gupta_series import partial_sum, prefactor, tail_bound
 from piforge.numeric_engine import CertifiedReal, PrecisionContext
+from piforge.walk import power_sums
 
 from oracles import (
     CLASSICAL_COEFF,
@@ -217,9 +219,15 @@ def work_context(p, k, N, ctx):
     return PrecisionContext(ctx.precision_bits + bits)
 
 
+def tail_brackets(p, k, N, work):
+    terms = gupta_series._tail_terms(p, k, N, work.scale)
+    slack = N if N <= gupta_series.DIRECT_LIMIT else 0
+    return tails.tailed_power_sums(p, k, N, work, terms, slack) if terms else None
+
+
 def tail(p, k, N, ctx):
     work = work_context(p, k, N, ctx)
-    brackets = gupta_series._tail_brackets(p, k, N, work)
+    brackets = tail_brackets(p, k, N, work)
     return None if brackets is None else gupta_series._row(work, brackets, k, prefactor_pair(p, k))
 
 
@@ -244,7 +252,7 @@ def test_widened_tail_holds_the_walk(p, k, N, prec):
     row D on the walk's own scale."""
     ctx = PrecisionContext(prec)
     work = work_context(p, k, N, ctx)
-    brackets = gupta_series._tail_brackets(p, k, N, work)
+    brackets = tail_brackets(p, k, N, work)
     assume(brackets is not None)
     walked = power_sums(p, k + 1, N, work.scale)
     for (lo, hi), (walk_lo, walk_hi) in zip(brackets, walked):
@@ -316,8 +324,8 @@ def test_tail_asks_for_the_tables_it_reads(monkeypatch, p, k, N, prec, requests)
     and its tail's term count read."""
     built = []
     for kind in ("euler", "bernoulli"):
-        make = getattr(gupta_series, f"{kind}_numbers")
-        monkeypatch.setattr(gupta_series, f"{kind}_numbers",
+        make = getattr(tails, f"{kind}_numbers")
+        monkeypatch.setattr(tails, f"{kind}_numbers",
                             lambda K, kind=kind, make=make: built.append((kind, K)) or make(K))
     ctx = PrecisionContext(prec)
     partial_sum(p, k, N, ctx)
@@ -352,7 +360,7 @@ def test_rows_run_machin_only_for_what_they_read(monkeypatch, p, k, N, prec, tai
     ctx = PrecisionContext(prec)
     assert bool(gupta_series._tail_terms(p, k, N, work_context(p, k, N, ctx).scale)) == tail_path
     walked = []
-    monkeypatch.setattr(gupta_series, "power_sums", lambda *a: walked.append(a) or power_sums(*a))
+    monkeypatch.setattr(walk_kernel, "power_sums", lambda *a: walked.append(a) or power_sums(*a))
     runs = count_machin_runs(monkeypatch)
     partial_sum(p, k, N, ctx)
     assert (len(walked), len(runs)) == (walks, machin)
@@ -408,7 +416,7 @@ def test_undecided_rows_walk(monkeypatch):
     far = partial_sum(2, 3, 10**9, ctx)
     walks = []
     monkeypatch.setattr(gupta_series, "_one_cell", lambda value, ctx: False)
-    monkeypatch.setattr(gupta_series, "power_sums", lambda *a: walks.append(a) or power_sums(*a))
+    monkeypatch.setattr(walk_kernel, "power_sums", lambda *a: walks.append(a) or power_sums(*a))
     for (p, k, N), row in zip(rows, expected):
         assert partial_sum(p, k, N, ctx) == row == walk(p, k, N, ctx).rounded_to(ctx)
     assert len(walks) == len(rows)
@@ -426,7 +434,7 @@ def test_deck_rows_walk_only_at_k0(monkeypatch):
         (5, 3, 48790), (5, 3, 49103), (5, 3, 50130), (5, 3, 51211), (6, 5, 39859),
     ]
     walks = []
-    monkeypatch.setattr(gupta_series, "power_sums", lambda *a: walks.append(a) or power_sums(*a))
+    monkeypatch.setattr(walk_kernel, "power_sums", lambda *a: walks.append(a) or power_sums(*a))
     for p, k, N in rows:
         assert partial_sum(p, k, N, ctx) == walk(p, k, N, ctx).rounded_to(ctx), (p, k, N)
     assert all(count == 1 for _, count, _, _ in walks)  # k + 1 exponents: k = 0

@@ -38,6 +38,12 @@ No module imports ``piforge.cli``, by an import statement or by
 by name would compile and run it a second time;
 ``test_no_module_imports_the_entry`` checks it.
 
+The two kernels of a gupta row (``KERNELS``: the direct walk and the tails)
+are imported only inside the function that takes their path, never as a
+module is imported, so a run compiles only the kernels its rows run;
+``test_no_module_imports_a_kernel_at_import`` finds every import of one
+outside a function body.
+
 An exact rational crosses between modules as an integer (numerator,
 denominator) pair, and ``report`` prints one from its integers alone.  No
 module imports ``fractions``, ``numbers`` or ``decimal`` at its top
@@ -91,6 +97,7 @@ CONSTRUCTION = {"__new__", "__init__"}
 MEMOISERS = {"lru_cache", "cache", "cached_property"}
 
 EXACT_LAYER = {"special_numbers", "exact_core", "closed_forms", "exact_verifier"}
+KERNELS = {"walk", "tails"}
 RATIONALS = {"fractions", "numbers", "decimal"}
 # The functions that still make a Fraction, each for the benchmark, which
 # calls them by name (perfbench/layers.py, perfbench/oracle.py).
@@ -344,6 +351,33 @@ def test_no_module_imports_the_entry():
         or any(target in ("piforge.cli", ".cli") for target in import_module_names(tree))
     ]
     assert not found, f"modules that import piforge.cli: {found}"
+
+
+def import_time_imports(tree: ast.Module) -> set[str]:
+    """The piforge modules that ``tree`` imports as it is imported: by an
+    import statement or an ``import_module`` call outside every function
+    body."""
+    found = set()
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= piforge_imports(node)
+        elif isinstance(node, ast.Call):
+            found.update(name.rpartition(".")[2] for name in import_module_names(node))
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_no_module_imports_a_kernel_at_import():
+    found = sorted(
+        f"{name} imports {module}"
+        for name, tree in _modules()
+        for module in import_time_imports(tree) & KERNELS
+    )
+    assert not found, f"kernels imported outside the function that runs them: {found}"
 
 
 def test_each_rule_has_one_home():
